@@ -164,6 +164,12 @@ def project_coords(a: Sequence[int]) -> Coords4:
     return (a[0], a[1], a[2], a[3])
 
 
+# Coordinates must be exactly ``int``: ``bool`` subclasses ``int`` but is not a
+# coordinate.  ``_INT.issuperset(map(type, coords))`` is also the cheapest form
+# of the check, which runs on every product.
+_INT = frozenset((int,))
+
+
 class Elem8(tuple):
     """An element of the class-3 loop: 8 integer exponents in canonical form.
 
@@ -176,7 +182,7 @@ class Elem8(tuple):
 
     def __new__(cls, coords: Iterable[int]) -> "Elem8":
         coords = tuple(coords)
-        if len(coords) != 8 or not all(isinstance(c, int) for c in coords):
+        if len(coords) != 8 or not _INT.issuperset(map(type, coords)):
             raise ValueError(f"Elem8 needs exactly 8 integers, got {coords!r}")
         return super().__new__(cls, coords)
 
@@ -214,7 +220,7 @@ class Elem4(tuple):
 
     def __new__(cls, coords: Iterable[int]) -> "Elem4":
         coords = tuple(coords)
-        if len(coords) != 4 or not all(isinstance(c, int) for c in coords):
+        if len(coords) != 4 or not _INT.issuperset(map(type, coords)):
             raise ValueError(f"Elem4 needs exactly 4 integers, got {coords!r}")
         return super().__new__(cls, coords)
 

@@ -10,6 +10,14 @@ forever, so exported artifacts are byte-reproducible.  The m = 2 quotient
 (order 256) is small enough to check everything by enumeration, including
 the full automorphism law over all 256^4 quadruples; that check runs on a
 precomputed product table with numpy gathers.
+
+The full check scans all 65 536 inner mappings L_{a,b} once, keeps the
+distinct permutations among them (43 at m = 2), and checks
+L(c * d) = L(c) * L(d) for every pair (c, d) against each distinct map.
+Whether that law holds depends only on the permutation L, not on the pair
+(a, b) that produced it, so the check still decides every one of the
+256^4 quadruples (a, b, c, d).  The center is computed from the same set:
+the elements fixed by every distinct inner mapping.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ class QuotientLoop:
         self.order = modulus ** 8
         self._table: Optional[np.ndarray] = None
         self._ldiv: Optional[np.ndarray] = None
+        self._inner_maps: Optional[np.ndarray] = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -154,16 +163,27 @@ class QuotientLoop:
         mid = t[:, t[a]]  # mid[b, c] = b * (a * c)
         return ldiv[t[a][:, None], mid]  # divide by b * a (= a * b)
 
+    def _distinct_inner_maps(self) -> np.ndarray:
+        """k x order array of the distinct inner mappings L_{a,b}; cached.
+
+        Rows are permutations of the element indices, in order of first
+        appearance scanning a, then b.  Duplicates are found by comparing
+        the rows' bytes exactly.
+        """
+        if self._inner_maps is None:
+            order = self.order
+            rows = dict.fromkeys(  # insertion-ordered set of each row's bytes
+                row.tobytes() for a in range(order) for row in self._inner_perms(a)
+            )
+            dtype = self.product_table().dtype
+            self._inner_maps = np.frombuffer(b"".join(rows), dtype=dtype).reshape(-1, order)
+        return self._inner_maps
+
     def center_indices(self) -> list:
         """Brute-force center: elements fixed by every inner mapping L_{a,b}."""
         self._require_table_budget("center computation")
-        order = self.order
-        fixed = np.ones(order, dtype=bool)
-        idx = np.arange(order)
-        for a in range(order):
-            fixed &= (self._inner_perms(a) == idx[None, :]).all(axis=0)
-            if not fixed.any():
-                break
+        maps = self._distinct_inner_maps()
+        fixed = (maps == np.arange(self.order)[None, :]).all(axis=0)
         return [int(i) for i in np.nonzero(fixed)[0]]
 
     # -- checks ---------------------------------------------------------------
@@ -234,16 +254,19 @@ class QuotientLoop:
     def _check_automorphic_full(self, report: "QuotientReport") -> None:
         t = self.product_table()
         order = self.order
+        maps = self._distinct_inner_maps()
         ok = True
-        for a in range(order):
-            perms = self._inner_perms(a)
-            lhs = perms[:, t]  # L_{a,b}(c * d)
+        # at most `order` maps per gather bounds memory at order^3 entries
+        for start in range(0, len(maps), order):
+            perms = maps[start:start + order]
+            lhs = perms[:, t]  # L(c * d)
             rhs = t[perms[:, :, None], perms[:, None, :]]  # L(c) * L(d)
             if not np.array_equal(lhs, rhs):
                 ok = False
                 break
         report.checks["automorphism-full"] = ok
         report.counts["quadruples-checked"] = order ** 4
+        report.counts["distinct-inner-maps"] = len(maps)
 
     # -- export -----------------------------------------------------------------
 
@@ -319,14 +342,30 @@ class TableFileReport:
         return self.latin and self.symmetric and self.identity_row
 
 
+def _header_int(path: str, fields: dict, key: str) -> int:
+    if key not in fields:
+        raise ValueError(f"{path}: table header has no {key}= field")
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError(f"{path}: header field {key}={fields[key]!r} is not an integer") from None
+
+
 def _read_table_csv(path: str):
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split()
         if len(header) != 4 or header[0] != "caloop-table":
             raise ValueError(f"{path}: not a caloop CSV table (header {header!r})")
-        fields = dict(part.split("=", 1) for part in header[1:])
-        m = int(fields["m"])
-        order = int(fields["order"])
+        fields = {}
+        for part in header[1:]:
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise ValueError(f"{path}: header field {part!r} is not key=value")
+            fields[key] = value
+        m = _header_int(path, fields, "m")
+        order = _header_int(path, fields, "order")
+        if order != m ** 8:
+            raise ValueError(f"{path}: header order={order} is not m^8 = {m ** 8}")
         if fields.get("ordering") != "lex":
             raise ValueError(f"{path}: unknown element ordering {fields.get('ordering')!r}")
         rows = [[int(v) for v in line.strip().split(",")] for line in fh if line.strip()]

@@ -153,6 +153,17 @@ def test_table_and_check_quotient(capsys, tmp_path):
     assert doc["pass"] is True and doc["counts"]["quadruples-checked"] == 50
 
 
+def test_check_quotient_full_m2(capsys):
+    code, out, _ = run(
+        capsys, "check-quotient", "--mod", "2", "--level", "automorphic-full", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["counts"]["quadruples-checked"] == 4294967296
+    assert doc["counts"]["distinct-inner-maps"] == 43
+
+
 def test_check_quotient_budget_exit_2(capsys):
     code, _, err = run(capsys, "check-quotient", "--mod", "4", "--level", "automorphic-full")
     assert code == 2 and "budget" in err

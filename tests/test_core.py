@@ -154,6 +154,12 @@ def test_elem_validation():
     with pytest.raises(ValueError):
         Elem8((1.5, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
+        Elem8((True,) * 8)
+    with pytest.raises(ValueError):
+        Elem8((1, 0, 0, 0, 0, 0, 0, False))
+    with pytest.raises(ValueError):
+        Elem4((True, 0, 0, 0))
+    with pytest.raises(ValueError):
         Elem4((1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         basis(9)

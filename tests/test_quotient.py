@@ -80,6 +80,43 @@ def test_axioms_check_m2():
     assert report.counts["center-size"] == 16
 
 
+def _loop_with_table(table: np.ndarray) -> QuotientLoop:
+    q = QuotientLoop(2)
+    q._table = table.astype(np.uint16)
+    return q
+
+
+def test_full_check_on_a_group_sees_one_inner_map():
+    idx = np.arange(256)
+    xor = idx[:, None] ^ idx[None, :]  # the elementary abelian group (Z/2)^8
+    report = _loop_with_table(xor).exhaustive_check("automorphic-full")
+    assert report.passed
+    assert report.counts["distinct-inner-maps"] == 1
+    assert report.counts["quadruples-checked"] == 256 ** 4
+
+
+def test_full_check_fails_on_a_tampered_table():
+    idx = np.arange(256)
+    t = idx[:, None] ^ idx[None, :]
+    # swap the intercalate on rows 1, 2 x columns 4, 7 and its mirror image:
+    # still a commutative Latin square with identity, but no longer automorphic
+    for r, c in ((1, 4), (1, 7), (2, 4), (2, 7)):
+        t[r, c] = t[c, r] = t[r, c] ^ 3
+    assert (t == t.T).all() and (t[0] == idx).all()
+    assert (np.sort(t, axis=0) == idx[:, None]).all()
+    assert (np.sort(t, axis=1) == idx[None, :]).all()
+    q = _loop_with_table(t)
+    report = q.exhaustive_check("automorphic-full")
+    assert not report.passed
+    assert not report.checks["automorphism-full"]
+    assert report.counts["distinct-inner-maps"] == 132
+    # reference: the center from every L_{a,b}, one value of a at a time
+    fixed = np.ones(256, dtype=bool)
+    for a in range(256):
+        fixed &= (q._inner_perms(a) == idx[None, :]).all(axis=0)
+    assert q.center_indices() == [int(i) for i in np.nonzero(fixed)[0]] == [0, 3]
+
+
 def test_center_is_the_final_tail_block():
     q = make_quotient(2)
     center = q.center_indices()
@@ -169,6 +206,24 @@ def test_validator_rejects_garbage(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError):
         validate_table_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("caloop-table n=2 order=256 ordering=lex", "no m= field"),
+        ("caloop-table m=2 size=256 ordering=lex", "no order= field"),
+        ("caloop-table m=2 order=256 lex", "'lex' is not key=value"),
+        ("caloop-table m=two order=256 ordering=lex", "m='two' is not an integer"),
+        ("caloop-table m=5 order=2 ordering=lex", "order=2 is not m\\^8 = 390625"),
+    ],
+)
+def test_validator_names_bad_header_field(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,1\n1,0\n")
+    with pytest.raises(ValueError, match=message) as info:
+        validate_table_file(str(path))
+    assert str(path) in str(info.value)
 
 
 def test_table_cache_reused():
