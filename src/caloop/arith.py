@@ -23,7 +23,8 @@ def alpha(n: int) -> int:
     """Return (n^3 - n) / 3, which is an integer for every integer n."""
     m = n * n * n - n
     q, r = divmod(m, 3)
-    assert r == 0, f"3 does not divide {n}^3 - {n}"
+    if r:
+        raise ValueError(f"3 does not divide {n}^3 - {n}: {n} is not an integer")
     return q
 
 

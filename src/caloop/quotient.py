@@ -18,6 +18,14 @@ Whether that law holds depends only on the permutation L, not on the pair
 (a, b) that produced it, so the check still decides every one of the
 256^4 quadruples (a, b, c, d).  The center is computed from the same set:
 the elements fixed by every distinct inner mapping.
+
+The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
+index maps) is written once on coordinate tuples and runs unchanged on
+tuples of int64 numpy arrays, since the kernel formula uses only + - * and
+an exact // 3.  The product table is one broadcast call of that code over
+all pairs, and the sampled check evaluates its trials a chunk at a time.
+Every array path first checks that no intermediate of the kernel can
+overflow int64 at the modulus (:func:`_intermediate_bound`).
 """
 
 from __future__ import annotations
@@ -52,10 +60,63 @@ LEVELS = ("axioms", "automorphic-sampled", "automorphic-full")
 # are allowed; 256 means m = 2 only.
 MAX_TABLE_ORDER = 256
 MAX_SAMPLED_MODULUS = 5
+# trials evaluated per array call in the sampled check; bounds its memory
+SAMPLE_CHUNK = 2048
 
 
 class BudgetExceeded(ValueError):
     """Raised when a requested enumeration is over the configured budget."""
+
+
+class _Magnitude:
+    """An upper bound on |x|, carried through the kernel's + - * and exact // 3.
+
+    |x + y| and |x - y| are at most |x| + |y|, |x * y| is |x| |y|, and an
+    exact x // 3 is |x| / 3, so running the kernel on magnitudes bounds every
+    value the same run forms on integers.  ``peak`` holds the largest bound.
+    """
+
+    __slots__ = ("bound", "peak")
+
+    def __init__(self, bound: int, peak: list):
+        self.bound = bound
+        self.peak = peak
+        if bound > peak[0]:
+            peak[0] = bound
+
+    def __add__(self, other) -> "_Magnitude":
+        return _Magnitude(self.bound + _magnitude(other), self.peak)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other) -> "_Magnitude":
+        return _Magnitude(self.bound * _magnitude(other), self.peak)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other: int) -> "_Magnitude":
+        return _Magnitude(-(-self.bound // abs(other)), self.peak)
+
+
+def _magnitude(x) -> int:
+    return x.bound if isinstance(x, _Magnitude) else abs(x)
+
+
+def _intermediate_bound(m: int) -> int:
+    """Largest |value| that ``mul_coords`` or ``left_div_coords`` can form
+    on coordinates in (-m, m), including every intermediate.
+
+    Computed by running the kernel itself on magnitudes m - 1, so it follows
+    the formula: it grows like m^5, the degree of the product polynomial.
+    """
+    peak = [0]
+    x = tuple(_Magnitude(m - 1, peak) for _ in range(8))
+    mul_coords(x, x)
+    left_div_coords(x, x)  # runs the product on its own, larger, intermediates
+    return peak[0]
+
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 def make_quotient(m: int) -> "QuotientLoop":
@@ -83,6 +144,9 @@ class QuotientLoop:
         self._inner_maps: Optional[np.ndarray] = None
 
     # -- element arithmetic -------------------------------------------------
+    #
+    # Each method takes coordinate tuples of ints, or of broadcastable int64
+    # arrays (one array per coordinate) after _require_int64.
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         m = self.modulus
@@ -126,6 +190,20 @@ class QuotientLoop:
 
     # -- tables ---------------------------------------------------------------
 
+    def _require_int64(self, what: str) -> None:
+        """Refuse an int64 array path whose kernel intermediates could overflow.
+
+        Array inputs are residues in [0, m), inside (-m, m), so every value
+        formed is at most _intermediate_bound(m) in absolute value.
+        """
+        bound = _intermediate_bound(self.modulus)
+        if bound > _INT64_MAX:
+            raise BudgetExceeded(
+                f"{what} runs on int64 arrays, but the product formula forms "
+                f"values up to {bound} at m = {self.modulus}, past the int64 "
+                f"maximum {_INT64_MAX}"
+            )
+
     def _require_table_budget(self, what: str) -> None:
         if self.order > MAX_TABLE_ORDER:
             raise BudgetExceeded(
@@ -135,15 +213,17 @@ class QuotientLoop:
             )
 
     def product_table(self) -> np.ndarray:
-        """order x order table of element indices; cached after first build."""
+        """order x order table of element indices; cached after first build.
+
+        One broadcast product of every element with every other; the indices
+        stay below order, which the table budget keeps within uint16.
+        """
         self._require_table_budget("product table")
         if self._table is None:
-            m, order = self.modulus, self.order
-            elems = [self.element_coords(i) for i in range(order)]
-            table = np.empty((order, order), dtype=np.uint16)
-            for i, a in enumerate(elems):
-                table[i] = [self.element_index(self.mul(a, b)) for b in elems]
-            self._table = table
+            self._require_int64("product table")
+            cols = self.element_coords(np.arange(self.order, dtype=np.int64))
+            prod = self.mul([c[:, None] for c in cols], [c[None, :] for c in cols])
+            self._table = self.element_index(prod).astype(np.uint16)
         return self._table
 
     def left_division_table(self) -> np.ndarray:
@@ -160,8 +240,11 @@ class QuotientLoop:
         """perms[b, c] = index of L_{a,b}(c), for one fixed a, all b and c."""
         t = self.product_table()
         ldiv = self.left_division_table()
-        mid = t[:, t[a]]  # mid[b, c] = b * (a * c)
-        return ldiv[t[a][:, None], mid]  # divide by b * a (= a * b)
+        order = self.order
+        ta = t[a].astype(np.intp)  # a * c
+        # flat gathers: row r, column k of a table is entry r * order + k
+        mid = np.take(t, np.arange(0, order * order, order)[:, None] + ta)  # b * (a * c)
+        return np.take(ldiv, (ta * order)[:, None] + mid)  # divide by b * a (= a * b)
 
     def _distinct_inner_maps(self) -> np.ndarray:
         """k x order array of the distinct inner mappings L_{a,b}; cached.
@@ -193,6 +276,8 @@ class QuotientLoop:
     ) -> "QuotientReport":
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
         start = time.perf_counter()
         report = QuotientReport(modulus=self.modulus, order=self.order, level=level)
         if level == "axioms":
@@ -237,19 +322,28 @@ class QuotientLoop:
     def _check_automorphic_sampled(
         self, report: "QuotientReport", trials: int, seed: int
     ) -> None:
+        report.checks["automorphism-sampled"] = self._sampled_failures(trials, seed) == 0
+        report.counts["quadruples-checked"] = trials
+
+    def _sampled_failures(self, trials: int, seed: int) -> int:
+        """Count random quadruples (a, b, c, d) with L_{a,b}(c d) != L_{a,b}(c) L_{a,b}(d).
+
+        Each trial draws the 8 coordinates of a, b, c, then d from
+        random.Random(seed); at most SAMPLE_CHUNK trials are evaluated at once.
+        """
+        self._require_int64("sampled automorphism check")
         rng = random.Random(seed)
         m = self.modulus
         bad = 0
-        for _ in range(trials):
-            a, b, c, d = (
-                tuple(rng.randrange(m) for _ in range(8)) for _ in range(4)
-            )
+        for start in range(0, trials, SAMPLE_CHUNK):
+            n = min(SAMPLE_CHUNK, trials - start)
+            draws = np.array([rng.randrange(m) for _ in range(32 * n)], dtype=np.int64)
+            # draws[trial, element, coordinate] -> one array per (element, coordinate)
+            a, b, c, d = (tuple(e) for e in draws.reshape(n, 4, 8).transpose(1, 2, 0))
             lhs = self.inner_l(a, b, self.mul(c, d))
             rhs = self.mul(self.inner_l(a, b, c), self.inner_l(a, b, d))
-            if lhs != rhs:
-                bad += 1
-        report.checks["automorphism-sampled"] = bad == 0
-        report.counts["quadruples-checked"] = trials
+            bad += int((np.array(lhs) != np.array(rhs)).any(axis=0).sum())
+        return bad
 
     def _check_automorphic_full(self, report: "QuotientReport") -> None:
         t = self.product_table()
@@ -292,7 +386,12 @@ class QuotientLoop:
 
 @dataclass
 class QuotientReport:
-    """Outcome of a brute-force quotient check."""
+    """Outcome of a brute-force quotient check.
+
+    ``millis`` is the wall time of the call that made the report.  Tables and
+    inner maps that an earlier call cached on the same loop are reused and
+    not timed again, so on a fresh loop it is the full cost of the check.
+    """
 
     modulus: int
     order: int

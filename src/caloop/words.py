@@ -18,6 +18,9 @@ printed from.  The product is *not* associative; an unparenthesized chain
 of three or more factors is legal but grouped to the left, and the parser
 reports a warning for it (surfaced by the CLI).
 
+Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
+of a left-grouped chain, are refused with a :class:`ParseError`.
+
 Associators use the named ``assoc(a, b, c)`` form rather than bare tuples
 so parentheses stay unambiguous grouping.
 """
@@ -40,6 +43,7 @@ __all__ = [
     "Assoc",
     "InnerL",
     "ParseError",
+    "MAX_DEPTH",
     "parse",
     "parse_with_warnings",
     "evaluate",
@@ -110,6 +114,13 @@ class ParseError(ValueError):
 
 _PUNCT = set("*.^()[],")
 
+# Deepest expression parse accepts, counting both the height of the tree
+# (a left-grouped chain of n factors is n - 1 levels) and the nesting of
+# parentheses, including those of calls.  It keeps the recursive parser and
+# evaluate well inside the interpreter's default recursion limit of 1000
+# frames: the parser spends at most 4 frames per open parenthesis.
+MAX_DEPTH = 200
+
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -156,15 +167,41 @@ class _Tokenizer:
         return tok
 
 
+# A generator parses to a shared leaf of depth 0; nodes are immutable.
+_GENERATOR_LEAVES = {name: (Generator(name), 0) for name in _GENERATORS}
+
+
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
-    """Recursive descent over the token stream; LL(1) throughout."""
+    """Recursive descent over the token stream; LL(1) throughout.
+
+    Each parsing method returns the expression with its depth, the height
+    of its tree (a leaf has depth 0), so the depth limit is enforced as the
+    tree is built.  The parser recurses once per open '(', so the nesting
+    of parentheses is checked on the tokens before parsing starts.
+    """
 
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.warnings = []
+        if len(self.toks.tokens) > MAX_DEPTH:  # fewer tokens cannot nest deeper
+            self._check_nesting()
+
+    def _check_nesting(self) -> None:
+        open_groups = 0
+        for kind, _, pos in self.toks.tokens:
+            if kind == "(":
+                open_groups += 1
+                if open_groups > MAX_DEPTH:
+                    raise _too_deep(pos)
+            elif kind == ")":
+                open_groups -= 1
 
     def parse(self) -> Expr:
-        expr = self._product()
+        expr, _ = self._product()
         kind, value, pos = self.toks.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r} after expression", pos)
@@ -179,35 +216,40 @@ class _Parser:
     def _starts_unit(self, kind: str) -> bool:
         return kind in ("name", "int", "(")
 
-    def _product(self) -> Expr:
-        expr = self._unit()
+    def _product(self) -> tuple:
+        expr, depth = self._unit()
         factors = 1
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, pos = self.toks.peek()
             if kind in ("*", "."):
                 self.toks.next()
-                expr = Product(expr, self._unit())
-                factors += 1
-            elif self._starts_unit(kind):
-                expr = Product(expr, self._unit())
-                factors += 1
-            else:
+            elif not self._starts_unit(kind):
                 break
+            right, right_depth = self._unit()
+            expr = Product(expr, right)
+            # a left-grouped chain of n factors is n - 1 levels deep
+            depth = (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(pos)
+            factors += 1
         if factors >= 3:
             self.warnings.append(
                 f"nonassociative product: unparenthesized chain of {factors} "
                 f"factors grouped from the left"
             )
-        return expr
+        return expr, depth
 
-    def _unit(self) -> Expr:
-        atom = self._atom()
-        kind, _, _ = self.toks.peek()
+    def _unit(self) -> tuple:
+        unit = self._atom()
+        kind, _, pos = self.toks.peek()
         if kind == "^":
             self.toks.next()
             n = self._int("exponent")
-            return Power(atom, n)
-        return atom
+            atom, depth = unit
+            if depth >= MAX_DEPTH:
+                raise _too_deep(pos)
+            return Power(atom, n), depth + 1
+        return unit
 
     def _int(self, what: str) -> int:
         kind, value, pos = self.toks.next()
@@ -215,48 +257,55 @@ class _Parser:
             raise ParseError(f"expected integer {what}, found {value!r}", pos)
         return value
 
-    def _atom(self) -> Expr:
+    def _atom(self) -> tuple:
         kind, value, pos = self.toks.next()
         if kind == "(":
-            expr = self._product()
+            inner = self._product()
             self._expect(")")
-            return expr
+            return inner
         if kind == "int":
             if value == 1:
-                return Literal((0,) * 8)
+                return Literal((0,) * 8), 0
             raise ParseError(f"unexpected integer literal {value}", pos)
         if kind == "name":
-            if value in _GENERATORS:
-                return Generator(value)
+            if value in _GENERATOR_LEAVES:
+                return _GENERATOR_LEAVES[value]
             if value == "elem":
-                return self._literal()
+                return self._literal(), 0
             if value == "assoc":
-                a, b, c = self._args(3)
-                return Assoc(a, b, c)
-            if value == "innL":
-                a, b, c = self._args(3)
-                return InnerL(a, b, c)
-            if value == "inv":
-                (arg,) = self._args(1)
-                return Inverse(arg)
-            if value == "pow":
+                (a, b, c), depth = self._args(3)
+                node = Assoc(a, b, c)
+            elif value == "innL":
+                (a, b, c), depth = self._args(3)
+                node = InnerL(a, b, c)
+            elif value == "inv":
+                (arg,), depth = self._args(1)
+                node = Inverse(arg)
+            elif value == "pow":
                 self._expect("(")
-                base = self._product()
+                base, depth = self._product()
                 self._expect(",")
-                n = self._int("exponent")
+                node = Power(base, self._int("exponent"))
                 self._expect(")")
-                return Power(base, n)
-            raise ParseError(f"unknown identifier {value!r}", pos)
+            else:
+                raise ParseError(f"unknown identifier {value!r}", pos)
+            if depth >= MAX_DEPTH:
+                raise _too_deep(pos)
+            return node, depth + 1
         raise ParseError(f"unexpected {value!r}", pos)
 
-    def _args(self, count: int) -> list:
+    def _args(self, count: int) -> tuple:
+        """Parse '(' expr, ... ')' into (list of expressions, their greatest depth)."""
         self._expect("(")
-        out = [self._product()]
+        expr, depth = self._product()
+        out = [expr]
         for _ in range(count - 1):
             self._expect(",")
-            out.append(self._product())
+            expr, d = self._product()
+            out.append(expr)
+            depth = depth if depth > d else d
         self._expect(")")
-        return out
+        return out, depth
 
     def _literal(self) -> Literal:
         self._expect("[")

@@ -14,6 +14,11 @@ def test_alpha_values():
     assert alpha(3) == 8
 
 
+def test_alpha_rejects_a_non_integer():
+    with pytest.raises(ValueError, match="3 does not divide"):
+        alpha(Rat(1, 2))
+
+
 def test_beta_values():
     assert beta(0) == 0
     assert beta(1) == 0

@@ -164,6 +164,27 @@ def test_check_quotient_full_m2(capsys):
     assert doc["counts"]["distinct-inner-maps"] == 43
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "x" + ")" * 3000, "*".join(["x"] * 5000)],
+    ids=["nested-parentheses", "long-chain"],
+)
+def test_eval_over_deep_word_exit_2(capsys, expr):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error: position ") and "nested deeper" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_quotient_nonpositive_trials_exit_2(capsys, trials):
+    code, out, err = run(
+        capsys, "check-quotient", "--mod", "5", "--level", "automorphic-sampled",
+        "--trials", trials, "--json",
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
 def test_check_quotient_budget_exit_2(capsys):
     code, _, err = run(capsys, "check-quotient", "--mod", "4", "--level", "automorphic-full")
     assert code == 2 and "budget" in err

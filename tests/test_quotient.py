@@ -1,10 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 
-from caloop.core import mul_coords
+from caloop.core import left_div_coords, mul_coords
 from caloop.quotient import (
+    SAMPLE_CHUNK,
     BudgetExceeded,
     QuotientLoop,
+    _intermediate_bound,
     exhaustive_check,
     export_table,
     make_quotient,
@@ -78,6 +82,104 @@ def test_axioms_check_m2():
     assert report.checks["commutative"]
     assert report.counts["products-checked"] == 65536
     assert report.counts["center-size"] == 16
+
+
+def test_product_table_matches_scalar_products():
+    q = make_quotient(2)
+    coords = [q.element_coords(i) for i in range(q.order)]
+    reference = np.array(
+        [[q.element_index(q.mul(a, b)) for b in coords] for a in coords]
+    )
+    assert np.array_equal(q.product_table(), reference)
+
+
+class _SkewedLoop(QuotientLoop):
+    """A product with an extra term in the last coordinate: not automorphic.
+
+    Written on coordinate tuples, so it runs on ints and on arrays alike.
+    """
+
+    def mul(self, a, b):
+        p = super().mul(a, b)
+        return p[:7] + ((p[7] + a[0] * b[0] * b[2]) % self.modulus,)
+
+
+def _scalar_sampled_failures(q: QuotientLoop, trials: int, seed: int) -> int:
+    """Reference for the sampled check: one trial at a time on int tuples."""
+    rng = random.Random(seed)
+    m = q.modulus
+    bad = 0
+    for _ in range(trials):
+        a, b, c, d = (tuple(rng.randrange(m) for _ in range(8)) for _ in range(4))
+        lhs = q.inner_l(a, b, q.mul(c, d))
+        rhs = q.mul(q.inner_l(a, b, c), q.inner_l(a, b, d))
+        bad += lhs != rhs
+    return bad
+
+
+@pytest.mark.parametrize("trials", [1, 150, SAMPLE_CHUNK + 1])
+def test_sampled_failures_match_a_scalar_reference(trials):
+    q = _SkewedLoop(5)
+    bad = q._sampled_failures(trials, seed=11)
+    assert bad == _scalar_sampled_failures(q, trials, seed=11)
+    if trials > 1:
+        assert 0 < bad < trials
+    report = q.exhaustive_check("automorphic-sampled", trials=trials, seed=11)
+    assert not report.passed and report.counts["quadruples-checked"] == trials
+
+
+def test_sampled_check_rejects_nonpositive_trials():
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            exhaustive_check(5, "automorphic-sampled", trials=trials)
+
+
+def _peak_formed(fn, *tuples) -> int:
+    """Largest |value| that fn forms from its integer arguments."""
+    peak = [0]
+
+    def traced(op):
+        def run(self, other):
+            value = Tracked(op(int(self), int(other)))
+            peak[0] = max(peak[0], abs(value))
+            return value
+        return run
+
+    class Tracked(int):
+        __add__ = traced(int.__add__)
+        __radd__ = traced(int.__radd__)
+        __sub__ = traced(int.__sub__)
+        __rsub__ = traced(int.__rsub__)
+        __mul__ = traced(int.__mul__)
+        __rmul__ = traced(int.__rmul__)
+        __floordiv__ = traced(int.__floordiv__)
+
+    fn(*(tuple(Tracked(c) for c in t) for t in tuples))
+    return peak[0]
+
+
+def test_intermediate_bound_covers_the_kernel():
+    rng = make_rng(73)
+    for m in (2, 5, 11, 1000):
+        bound = _intermediate_bound(m)
+        worst = 0
+        for _ in range(100):
+            # extreme coordinates come close to the bound
+            a, b = (tuple(rng.choice((1 - m, m - 1, rng.randint(1 - m, m - 1)))
+                          for _ in range(8)) for _ in range(2))
+            worst = max(worst, _peak_formed(mul_coords, a, b),
+                        _peak_formed(left_div_coords, a, b))
+        assert 0 < worst <= bound
+
+
+def test_int64_guard_refuses_a_modulus_past_its_bound():
+    assert _intermediate_bound(2000) < 2 ** 63 <= _intermediate_bound(3001)
+    QuotientLoop(2000)._require_int64("sampled check")
+    big = QuotientLoop(3001)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        big._require_int64("sampled check")
+    with pytest.raises(BudgetExceeded, match="int64"):
+        big._sampled_failures(1, seed=0)
 
 
 def _loop_with_table(table: np.ndarray) -> QuotientLoop:

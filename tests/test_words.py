@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from caloop.core import Elem8, mul_coords
 from caloop.words import (
+    MAX_DEPTH,
     Assoc,
     Generator,
     ParseError,
@@ -57,6 +58,42 @@ def test_error_position_reported():
     with pytest.raises(ParseError) as info:
         parse("x*y*z")
     assert info.value.position == 5
+
+
+def test_deep_parentheses_are_refused_at_the_limit():
+    # the error points at the (MAX_DEPTH + 1)-th open parenthesis
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        parse("(" * 3000 + "x" + ")" * 3000)
+    assert info.value.position == MAX_DEPTH + 1
+    depth = MAX_DEPTH
+    assert evaluate(parse("(" * depth + "x" + ")" * depth)) == evaluate(parse("x"))
+
+
+def test_long_chains_are_refused_at_the_limit():
+    # x*x*...*x with n factors is a left-grouped tree n - 1 levels deep
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        parse("*".join(["x"] * 5000))
+    assert info.value.position == 2 * (MAX_DEPTH + 1)  # the '*' before factor MAX_DEPTH + 2
+    value = evaluate(parse("*".join(["x"] * (MAX_DEPTH + 1))))
+    assert value == Elem8((MAX_DEPTH + 1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_nested_calls_count_toward_the_depth():
+    def nested(levels):
+        text = "x"
+        for _ in range(levels):
+            text = f"assoc({text}, x, y)"
+        return text
+
+    evaluate(parse(nested(MAX_DEPTH)))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(nested(MAX_DEPTH + 1))
+    # a call or a power around a chain is one level above the chain
+    parse("inv(" + "*".join(["x"] * MAX_DEPTH) + ")")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("inv(" + "*".join(["x"] * (MAX_DEPTH + 1)) + ")")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" + "*".join(["x"] * (MAX_DEPTH + 1)) + ")^2")
 
 
 def test_golden_words():
