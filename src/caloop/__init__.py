@@ -5,7 +5,7 @@ for the loop's identity catalog, a loop-word parser, and finite quotient
 loops with brute-force verification.
 """
 
-from .arith import ModInt, ModulusMismatch, Rat, alpha, beta
+from .arith import Rat, alpha, beta
 from .calculus import (
     NucleusKind,
     Witness,
@@ -37,8 +37,6 @@ __all__ = [
     "alpha",
     "beta",
     "Rat",
-    "ModInt",
-    "ModulusMismatch",
     "Elem8",
     "Elem4",
     "basis",

@@ -15,13 +15,15 @@ image of the class-3 loop under truncation to the first four coordinates.
 
 The `*_coords` functions are the raw kernel on plain tuples (hot paths use
 them directly); :class:`Elem8` / :class:`Elem4` wrap them with operators.
+The product and division use only + - * and an exact // 3, so the same
+code also runs on tuples of polynomials, where the identity catalog in
+:mod:`caloop.symbolic` proves its laws, and on tuples of int64 arrays, for
+the finite quotients in :mod:`caloop.quotient`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from .arith import alpha, beta
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Elem8",
@@ -113,20 +115,24 @@ def mul_coords(a: Sequence[int], b: Sequence[int]) -> Coords8:
     )
 
 
-def left_div_coords(a: Sequence[int], c: Sequence[int]) -> Coords8:
-    """The unique b with mul_coords(a, b) == c.
+def left_div_coords(
+    a: Sequence[int], c: Sequence[int], mul: Callable = mul_coords
+) -> Coords8:
+    """The unique b with mul(a, b) == c.
 
     Closed-form back-substitution: coordinates 1-2 of the product are linear
     in b, coordinates 3-4 depend additionally only on b1, b2, and
     coordinates 5-8 only on b1..b4, so each block is solved by subtracting a
-    product with the already-known block (no search involved).
+    product with the already-known block (no search involved).  ``mul`` is
+    the product to invert; the identity catalog passes a deliberately wrong
+    one in its mutation run.
     """
     b1 = c[0] - a[0]
     b2 = c[1] - a[1]
-    t = mul_coords(a, (b1, b2, 0, 0, 0, 0, 0, 0))
+    t = mul(a, (b1, b2, 0, 0, 0, 0, 0, 0))
     b3 = c[2] - t[2]
     b4 = c[3] - t[3]
-    t = mul_coords(a, (b1, b2, b3, b4, 0, 0, 0, 0))
+    t = mul(a, (b1, b2, b3, b4, 0, 0, 0, 0))
     return (b1, b2, b3, b4, c[4] - t[4], c[5] - t[5], c[6] - t[6], c[7] - t[7])
 
 

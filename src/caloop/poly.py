@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Only what the identity prover needs: ring arithmetic, structural zero
-testing, substitution and evaluation.  A polynomial is a map from monomials
-to nonzero coefficients; the zero polynomial is the empty map, so equality
-of the maps is equality of polynomials.  Monomials are canonical tuples of
-(variable index, positive exponent) pairs sorted by index.
+Only what the identity prover needs to run the integer kernel of
+:mod:`caloop.core` on polynomial coordinates: ring arithmetic, exact
+division by an integer, structural zero testing, substitution and
+evaluation.  A polynomial is a map from monomials to nonzero coefficients;
+the zero polynomial is the empty map, so equality of the maps is equality
+of polynomials.  Monomials are canonical tuples of (variable index,
+positive exponent) pairs sorted by index.
 
 Coefficients are stored as ints when integral and ``Fraction`` otherwise
 (the exponent map n -> (n^3 - n)/3 introduces thirds); mixed arithmetic and
@@ -23,8 +25,6 @@ __all__ = [
     "Polynomial",
     "VariableTableMismatch",
     "TermLimitExceeded",
-    "sym_alpha",
-    "sym_beta",
     "set_term_limit",
     "reset_stats",
     "peak_stats",
@@ -217,6 +217,17 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, n: int) -> "Polynomial":
+        """Exact division by a nonzero integer: multiplication by 1/n.
+
+        This is the kernel's ``// 3`` on polynomial coordinates.  There it
+        divides n^3 - n, which 3 divides at every integer point, so the
+        rational quotient takes the same integer values as the floor.
+        """
+        if not isinstance(n, int):
+            return NotImplemented
+        return self * Fraction(1, n)
+
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
@@ -292,12 +303,3 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
-
-def sym_alpha(p: Polynomial) -> Polynomial:
-    """The exponent map n -> (n^3 - n)/3 lifted to polynomial arguments."""
-    return (p * p * p - p) * Fraction(1, 3)
-
-
-def sym_beta(p: Polynomial) -> Polynomial:
-    """The exponent map n -> n^2 - n lifted to polynomial arguments."""
-    return p * p - p

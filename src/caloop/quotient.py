@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import left_div_coords, mul_coords
+from .core import left_div_coords, mul_coords, pow_coords
 
 __all__ = [
     "QuotientLoop",
@@ -160,14 +160,9 @@ class QuotientLoop:
         return self.reduce(left_div_coords(a, c))
 
     def power(self, a: Sequence[int], n: int) -> tuple:
-        acc = (0,) * 8
-        base = tuple(a)
-        if n < 0:
-            base = self.left_divide(base, acc)
-            n = -n
-        for _ in range(n):
-            acc = self.mul(acc, base)
-        return acc
+        # reduction mod m is a homomorphism, so reducing once at the end is
+        # the same as reducing after every product
+        return self.reduce(pow_coords(a, n))
 
     def inner_l(self, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
         return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
@@ -473,10 +468,12 @@ def _read_table_csv(path: str):
 
 def _read_table_bin(path: str):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"CLT1":
-            raise ValueError(f"{path}: bad magic {magic!r}, expected b'CLT1'")
-        (m,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(8)
+        if header[:4] != b"CLT1":
+            raise ValueError(f"{path}: bad magic {header[:4]!r}, expected b'CLT1'")
+        if len(header) < 8:
+            raise ValueError(f"{path}: {len(header)} bytes is shorter than the 8-byte header")
+        (m,) = struct.unpack("<I", header[4:])
         order = m ** 8
         data = np.frombuffer(fh.read(), dtype="<u4")
     if data.size != order * order:
@@ -493,6 +490,8 @@ def validate_table_file(path: str, fmt: Optional[str] = None) -> TableFileReport
         with open(path, "rb") as fh:
             fmt = "bin" if fh.read(4) == b"CLT1" else "csv"
     m, order, t = _read_table_csv(path) if fmt == "csv" else _read_table_bin(path)
+    if m < 2:
+        raise ValueError(f"{path}: header modulus m={m} is below 2; no quotient loop has it")
     if t.shape != (order, order):
         raise ValueError(f"{path}: table shape {t.shape} does not match order {order}")
     idx = np.arange(order)

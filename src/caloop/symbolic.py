@@ -2,15 +2,17 @@
 
 Every universally quantified law the library relies on is re-stated here as
 a zero-polynomial claim: both sides of the law are expanded over fully
-generic elements (8 fresh variables per element) using a symbolic copy of
-the multiplication formula, subtracted coordinate-wise, and the residuals
-are tested for structural zero.  A passing entry is a proof of the law for
-all integer coordinates, because a polynomial vanishing identically over
-the rationals vanishes at every integer point.
+generic elements (8 fresh variables per element), subtracted
+coordinate-wise, and the residuals are tested for structural zero.  A
+passing entry is a proof of the law for all integer coordinates, because a
+polynomial vanishing identically over the rationals vanishes at every
+integer point.
 
-The symbolic product below is transcribed independently of the integer
-kernel in :mod:`caloop.core`; agreement of the two at random integer points
-is one of the test suite's cross-checks.
+The expansion runs the shipped kernel itself: :func:`caloop.core.mul_coords`,
+:func:`caloop.core.left_div_coords` and :func:`caloop.core.mul4_coords` are
+called on tuples of :class:`~caloop.poly.Polynomial` coordinates, so the
+catalog proves the code that the integer, quotient and parser layers run,
+not a copy of it.
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -24,13 +26,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import poly
-from .poly import Polynomial, VarTable, sym_alpha, sym_beta
+from .core import left_div_coords, mul4_coords, mul_coords
+from .poly import Polynomial, VarTable
 
 __all__ = [
     "SymElem8",
     "SymLoopOps",
     "IdentityReport",
-    "product_polys",
     "mutated_product_polys",
     "catalog_names",
     "describe_identity",
@@ -58,81 +60,16 @@ class SymElem8:
         return tuple(out)
 
 
-def product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> tuple:
-    """The eight exponent formulas of the loop product, on polynomial coordinates."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b1, b2, b3, b4, b5, b6, b7, b8 = b
-
-    s1 = a1 + b1
-    s2 = a2 + b2
-    s3 = a3 + b3
-    s4 = a4 + b4
-    p11 = a1 * b1
-    p22 = a2 * b2
-    cross = a1 * b2 + a2 * b1
-
-    ba1 = sym_beta(a1)
-    bb1 = sym_beta(b1)
-    ba2 = sym_beta(a2)
-    bb2 = sym_beta(b2)
-    aa1 = sym_alpha(a1)
-    ab1 = sym_alpha(b1)
-    aa2 = sym_alpha(a2)
-    ab2 = sym_alpha(b2)
-
-    return (
-        s1,
-        s2,
-        s3 - p11 * s2,
-        s4 + p22 * s1,
-        a5 + b5
-        + s2 * (b1 * aa1 + a1 * ab1)
-        + a2 * (a1 * bb1 + b1 * b1 * ba1)
-        + b2 * (b1 * ba1 + a1 * a1 * bb1)
-        - p11 * s3,
-        a6 + b6
-        + 2 * p11 * p22 * s1
-        + s2 * (a1 * bb1 + b1 * ba1)
-        + (ba2 + bb2) * (a1 * b1 * b1 + b1 * a1 * a1)
-        - p22 * sym_alpha(s1)
-        - p11 * s4
-        - s3 * cross,
-        a7 + b7
-        - 2 * p11 * p22 * s2
-        - s1 * (a2 * bb2 + b2 * ba2)
-        - (ba1 + bb1) * (a2 * b2 * b2 + b2 * a2 * a2)
-        + p11 * sym_alpha(s2)
-        - p22 * s3
-        - s4 * cross,
-        a8 + b8
-        - s1 * (a2 * ab2 + b2 * aa2)
-        - a1 * (a2 * bb2 + b2 * b2 * ba2)
-        - b1 * (b2 * ba2 + a2 * a2 * bb2)
-        - p22 * s4,
-    )
-
-
 def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> tuple:
-    """The product formula with one coefficient deliberately wrong.
+    """The shipped product :func:`caloop.core.mul_coords` with one coefficient
+    deliberately wrong.
 
     Doubles the u1-correction term feeding the v1 coordinate.  Used only to
     demonstrate that the catalog has teeth.
     """
-    c = list(product_polys(a, b))
+    c = list(mul_coords(a, b))
     c[4] = c[4] - a[0] * b[0] * (a[2] + b[2])
     return tuple(c)
-
-
-def mul4_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> tuple:
-    """The class-2 loop product on polynomial coordinates (4-tuples)."""
-    a1, a2, a3, a4 = a
-    b1, b2, b3, b4 = b
-    return (
-        a1 + b1,
-        a2 + b2,
-        a3 + b3 - a1 * b1 * (a2 + b2),
-        a4 + b4 + a2 * b2 * (a1 + b1),
-    )
 
 
 class SymLoopOps:
@@ -140,8 +77,7 @@ class SymLoopOps:
 
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
         self.table = table
-        self.product = product or product_polys
-        self._zero = Polynomial.zero(table)
+        self.product = product or mul_coords
 
     def constant(self, coords: Sequence[int]) -> SymElem8:
         return SymElem8(tuple(Polynomial.const(self.table, c) for c in coords))
@@ -161,17 +97,7 @@ class SymLoopOps:
 
     def left_divide(self, a: SymElem8, c: SymElem8) -> SymElem8:
         """The unique b with a * b = c, by triangular back-substitution."""
-        z = self._zero
-        b1 = c.coords[0] - a.coords[0]
-        b2 = c.coords[1] - a.coords[1]
-        t = self.product(a.coords, (b1, b2, z, z, z, z, z, z))
-        b3 = c.coords[2] - t[2]
-        b4 = c.coords[3] - t[3]
-        t = self.product(a.coords, (b1, b2, b3, b4, z, z, z, z))
-        return SymElem8(
-            (b1, b2, b3, b4)
-            + tuple(c.coords[i] - t[i] for i in range(4, 8))
-        )
+        return SymElem8(left_div_coords(a.coords, c.coords, self.product))
 
     def inverse(self, a: SymElem8) -> SymElem8:
         return self.left_divide(a, self.identity)
@@ -491,7 +417,7 @@ def _build_center_pins(ops, elems):
 def _build_projection_homomorphism(ops, elems):
     a, b = elems
     m = ops.mul(a, b)
-    f2 = mul4_polys(a.coords[:4], b.coords[:4])
+    f2 = mul4_coords(a.coords[:4], b.coords[:4])
     return [_pad(ops.table, {i: m.coords[i] - f2[i] for i in range(4)})]
 
 

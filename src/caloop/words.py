@@ -113,6 +113,8 @@ class ParseError(ValueError):
 
 
 _PUNCT = set("*.^()[],")
+# ASCII only: str.isdigit() also accepts digits such as '²' and '٣'
+_DIGITS = set("0123456789")
 
 # Deepest expression parse accepts, counting both the height of the tree
 # (a left-grouped chain of n factors is n - 1 levels) and the nesting of
@@ -140,15 +142,21 @@ class _Tokenizer:
             elif ch in _PUNCT:
                 self.tokens.append((ch, ch, i + 1))
                 i += 1
-            elif ch == "-" or ch.isdigit():
+            elif ch == "-" or ch in _DIGITS:
                 start = i
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 body = text[start:i]
                 if body == "-":
                     raise ParseError("dangling '-'", start + 1)
-                self.tokens.append(("int", int(body), start + 1))
+                try:
+                    value = int(body)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(
+                        f"integer of {len(body)} characters is too long", start + 1
+                    ) from None
+                self.tokens.append(("int", value, start + 1))
             elif ch.isalpha():
                 start = i
                 while i < n and (text[i].isalnum() or text[i] == "_"):

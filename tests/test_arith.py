@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caloop.arith import ModInt, ModulusMismatch, Rat, alpha, beta
+from caloop.arith import Rat, alpha, beta
 
 ints = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
 
@@ -60,23 +60,3 @@ def test_rat_embeds_int_arithmetic(a, b):
     assert Rat(a) + Rat(b) == Rat(a + b)
     assert Rat(a) * Rat(b) == Rat(a * b)
     assert -Rat(a) == Rat(-a)
-
-
-def test_modint_examples():
-    assert ModInt(3, 5) + ModInt(4, 5) == ModInt(2, 5)
-    assert ModInt(2, 5) * ModInt(3, 5) == ModInt(1, 5)
-    with pytest.raises(ModulusMismatch):
-        ModInt(3, 5) + ModInt(1, 7)
-
-
-def test_modint_normalizes_residue():
-    assert ModInt(-1, 5).residue == 4
-    assert ModInt(12, 5) == ModInt(2, 5)
-    assert (-ModInt(2, 5)).residue == 3
-
-
-def test_modint_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        ModInt(0, 0)
-    with pytest.raises(ValueError):
-        ModInt(1, -3)

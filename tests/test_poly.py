@@ -9,8 +9,6 @@ from caloop.poly import (
     VariableTableMismatch,
     VarTable,
     set_term_limit,
-    sym_alpha,
-    sym_beta,
 )
 
 from support import make_rng
@@ -42,22 +40,48 @@ def test_evaluate_examples():
     x = _x()
     p = x * x * x - x
     assert p.evaluate((4, 0)) == 60
-    v = sym_alpha(x).evaluate((2, 0))
+    v = ((x * x * x - x) // 3).evaluate((2, 0))
     assert v == alpha(2) == 2
     assert isinstance(v, int)
 
 
+# alpha(n) = (n^3 - n) / 3 and beta(n) = n^2 - n, written as the kernel
+# mul_coords writes them, on polynomial arguments
 def test_sym_alpha_expansion():
     x = _x()
     third = Fraction(1, 3)
     expected = Polynomial(XY, {(((0, 3),)): third, (((0, 1),)): -third})
-    assert sym_alpha(x) == expected
+    assert (x * x * x - x) // 3 == expected
 
 
 def test_sym_beta_expansion():
     x, y = _x(), _y()
     s = x + y
-    assert sym_beta(s) == x * x + 2 * x * y + y * y - x - y
+    assert s * s - s == x * x + 2 * x * y + y * y - x - y
+
+
+def test_floordiv_is_exact_rational_division():
+    x, y = _x(), _y()
+    p = x * y - 2 * x
+    assert p // 3 == p * Fraction(1, 3)
+    assert p // -2 == x * y * Fraction(-1, 2) + x
+    assert (p * 6) // 3 == 2 * p
+    with pytest.raises(ZeroDivisionError):
+        p // 0
+    with pytest.raises(TypeError):
+        p // Fraction(1, 2)
+
+
+def test_alpha_form_takes_alpha_values():
+    rng = make_rng(41)
+    x, y = _x(), _y()
+    s = x + 2 * y
+    a = (s * s * s - s) // 3
+    for _ in range(200):
+        point = (rng.randint(-50, 50), rng.randint(-50, 50))
+        v = a.evaluate(point)
+        assert v == alpha(point[0] + 2 * point[1])
+        assert isinstance(v, int)
 
 
 def test_zero_and_scalar_behaviour():
@@ -126,3 +150,46 @@ def test_evaluation_is_ring_homomorphism():
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
         assert (-p).evaluate(point) == -p.evaluate(point)
+
+
+def test_ring_operations_agree_with_sympy():
+    # sympy is a test-only oracle; the package never imports it
+    sympy = pytest.importorskip("sympy")
+    table = VarTable(("X", "Y", "Z"))
+    syms = sympy.symbols("X Y Z")
+    rng = make_rng(42)
+
+    def random_poly():
+        p = Polynomial.zero(table)
+        for _ in range(rng.randint(0, 4)):
+            mon = Polynomial.const(table, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                mon = mon * Polynomial.var(table, rng.randrange(3))
+            p = p + mon
+        return p
+
+    def to_sympy(p):
+        total = sympy.Integer(0)
+        for mon, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for v, e in mon:
+                term *= syms[v] ** e
+            total += term
+        return total
+
+    def same(p, expr):
+        return sympy.expand(to_sympy(p) - expr) == 0
+
+    for _ in range(150):
+        p, q = random_poly(), random_poly()
+        sp, sq = to_sympy(p), to_sympy(q)
+        assert same(p + q, sp + sq)
+        assert same(p - q, sp - sq)
+        assert same(p * q, sp * sq)
+        k = rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        assert same(p // k, sp / k)
+        v = rng.randrange(3)
+        assert same(p.substitute({v: q}), sp.subs(syms[v], sq))
+        point = tuple(rng.randint(-6, 6) for _ in range(3))
+        value = sp.subs(dict(zip(syms, point)))
+        assert p.evaluate(point) == Fraction(int(value.p), int(value.q))

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ def test_division_and_powers():
         a = tuple(rng.randrange(5) for _ in range(8))
         b = tuple(rng.randrange(5) for _ in range(8))
         assert q.left_divide(a, q.mul(a, b)) == b
+
+
+def test_power_matches_reduced_iterated_products():
+    rng = make_rng(73)
+    q = make_quotient(5)
+    for _ in range(40):
+        a = tuple(rng.randrange(5) for _ in range(8))
+        acc = (0,) * 8
+        for n in range(8):
+            assert q.power(a, n) == acc
+            assert q.power(a, -n) == q.left_divide(acc, (0,) * 8)
+            acc = q.mul(acc, a)
 
 
 def test_element_indexing_is_lexicographic():
@@ -331,3 +344,37 @@ def test_validator_names_bad_header_field(tmp_path, header, message):
 def test_table_cache_reused():
     q = QuotientLoop(2)
     assert q.product_table() is q.product_table()
+
+
+@pytest.mark.parametrize("fmt", [None, "bin"])
+def test_validator_refuses_a_bin_file_shorter_than_its_header(tmp_path, fmt):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"CLT1\x02\x00")
+    with pytest.raises(ValueError, match="6 bytes is shorter than the 8-byte header") as info:
+        validate_table_file(str(path), fmt)
+    assert str(path) in str(info.value)
+
+
+def test_validator_refuses_a_bin_file_with_modulus_zero(tmp_path):
+    path = tmp_path / "m0.bin"
+    path.write_bytes(b"CLT1" + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="m=0 is below 2") as info:
+        validate_table_file(str(path))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("m1.csv", b"caloop-table m=1 order=1 ordering=lex\n0\n"),
+        ("m1.bin", b"CLT1" + struct.pack("<I", 1) + struct.pack("<I", 0)),
+    ],
+    ids=["csv", "bin"],
+)
+def test_validator_refuses_modulus_one(tmp_path, name, data):
+    # a one-element table is a Latin square, but make_quotient refuses m < 2
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="m=1 is below 2") as info:
+        validate_table_file(str(path))
+    assert str(path) in str(info.value)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caloop.core import Elem8, mul_coords
@@ -58,6 +58,40 @@ def test_error_position_reported():
     with pytest.raises(ParseError) as info:
         parse("x*y*z")
     assert info.value.position == 5
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x^\u00b2", 3), ("x^\u0663", 3), ("elem[1,2,3,4,5,6,7,\u0968]", 20)],
+)
+def test_only_ascii_digits_are_integers(text, position):
+    # '\u00b2' (superscript two), '\u0663' (Arabic-Indic three) and '\u0968'
+    # (Devanagari two) are digits to str.isdigit() but not to the grammar
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse(text)
+    assert info.value.position == position
+
+
+def test_overlong_integer_is_a_parse_error():
+    text = "x^" + "9" * 5000
+    with pytest.raises(ParseError, match="too long") as info:
+        parse(text)
+    assert info.value.position == 3
+
+
+# Texts over the grammar's own characters, plus some that are not in it:
+# each one parses or is refused with a ParseError, never anything else.
+# Only parsing is fuzzed; evaluating x^n costs n products.
+_WORD_CHARS = "xyuv1234567890-^*.()[], elmasocinLpw\u00b2\u0663\u00e9&"
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(max_size=40), st.text(alphabet=_WORD_CHARS, max_size=80)))
+def test_parse_fuzz_parses_or_raises_parse_error(text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert 1 <= exc.position <= len(text) + 1
 
 
 def test_deep_parentheses_are_refused_at_the_limit():
