@@ -11,9 +11,10 @@ Subcommands::
     check-quotient --mod M --level L   brute-force checks on (Z/m)^8
 
 Exit codes: 0 success / all checks pass, 1 verification or check failure,
-2 usage or parse errors.  ``--json`` prints machine-readable output with a
-stable schema; coordinates outside the signed 64-bit range are emitted as
-decimal strings so nothing is ever rounded.
+2 usage, parse, input or file errors (an ``error:`` line on stderr).
+``--json`` prints machine-readable output with a stable schema; coordinates
+outside the signed 64-bit range are emitted as decimal strings so nothing is
+ever rounded.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, BudgetExceeded, ValueError) as exc:
+    except (ParseError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,12 +13,19 @@ it is total, commutative, and has exact two-sided division.
 The class-2 loop lives on 4-tuples (exponents of x, y, u1, u2) and is the
 image of the class-3 loop under truncation to the first four coordinates.
 
+Powers have a closed form: every coordinate of a^n is a polynomial in n of
+degree at most 5, so :func:`pow_coords` evaluates one formula P(n; a) for
+any integer n, in O(1) arithmetic operations, instead of multiplying |n|
+times.
+
 The `*_coords` functions are the raw kernel on plain tuples (hot paths use
 them directly); :class:`Elem8` / :class:`Elem4` wrap them with operators.
-The product and division use only + - * and an exact // 3, so the same
-code also runs on tuples of polynomials, where the identity catalog in
-:mod:`caloop.symbolic` proves its laws, and on tuples of int64 arrays, for
-the finite quotients in :mod:`caloop.quotient`.
+The product, division and power use only + - * and exact // (by 3, and by
+15 in the power), so the same code also runs on tuples of polynomials,
+where the identity catalog in :mod:`caloop.symbolic` proves its laws
+(including, with ``power-*`` entries, that P(n; a) is the iterated
+product), and on tuples of int64 arrays, for the finite quotients in
+:mod:`caloop.quotient`.
 """
 
 from __future__ import annotations
@@ -142,15 +149,46 @@ def inv_coords(a: Sequence[int]) -> Coords8:
 
 
 def pow_coords(a: Sequence[int], n: int) -> Coords8:
-    """n-th power by iterated multiplication (inverse first for n < 0)."""
-    base = tuple(a)
-    if n < 0:
-        base = inv_coords(base)
-        n = -n
-    acc = _ZERO8
-    for _ in range(n):
-        acc = mul_coords(acc, base)
-    return acc
+    """n-th power a^n for every integer n, in one closed form P(n; a).
+
+    Each coordinate of a^n is a polynomial in n of degree at most 5 (its
+    sixth forward difference in n vanishes): coordinates 1-2 are n*a1 and
+    n*a2, coordinates 3-4 add alpha(n) = (n^3 - n)/3 times a cubic in a1, a2,
+    and coordinates 5-8 add a degree-5 part over the common denominator
+    45 = 3 * 15.  Negative n needs no inverse.  The catalog entries
+    ``power-zero``, ``power-recurrence`` and ``power-negation`` prove
+    P(0; a) = 1, P(n+1; a) = P(n; a) * a and P(-n; a) = P(n; a^-1), so P is
+    the iterated power a * a * ... * a for every integer n.
+
+    Each ``// 15`` is exact on integers: its dividend is alpha(n) times an
+    integer polynomial, so its residue mod 15 depends only on n mod 45 and
+    a1, a2 mod 15, and every such class is divisible (checked by the tests).
+    The code uses only + - * and exact //, so it also runs on polynomials.
+    """
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
+    nn = n * n
+    al = (nn * n - n) // 3  # alpha(n)
+    p11 = a1 * a1
+    p22 = a2 * a2
+    p12 = a1 * a2
+    return (
+        n * a1,
+        n * a2,
+        n * a3 - al * p11 * a2,
+        n * a4 + al * p12 * a2,
+        n * a5
+        - al * p11 * a3
+        + al * p11 * a2 * (p11 * (6 * nn + 1) - 25) // 15,
+        n * a6
+        - al * (p11 * a4 + 2 * p12 * a3)
+        + al * p12 * (p11 * a2 * (9 * nn + 4) - 30 * a1 + 5 * a2) // 15,
+        n * a7
+        - al * (p22 * a3 + 2 * p12 * a4)
+        - al * p12 * (p22 * a1 * (9 * nn + 4) + 5 * a1 - 30 * a2) // 15,
+        n * a8
+        - al * p22 * a4
+        - al * p12 * a2 * (p22 * (6 * nn + 1) - 25) // 15,
+    )
 
 
 def mul4_coords(a: Sequence[int], b: Sequence[int]) -> Coords4:

@@ -160,8 +160,8 @@ class QuotientLoop:
         return self.reduce(left_div_coords(a, c))
 
     def power(self, a: Sequence[int], n: int) -> tuple:
-        # reduction mod m is a homomorphism, so reducing once at the end is
-        # the same as reducing after every product
+        # reduction mod m is a homomorphism, so it maps the closed-form power
+        # a^n in Z^8 to the n-th power in the quotient
         return self.reduce(pow_coords(a, n))
 
     def inner_l(self, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
@@ -445,9 +445,18 @@ def _header_int(path: str, fields: dict, key: str) -> int:
         raise ValueError(f"{path}: header field {key}={fields[key]!r} is not an integer") from None
 
 
+def _csv_line(path: str, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: line {lineno} has the non-ASCII byte {raw[exc.start:exc.start + 1]!r}"
+        ) from None
+
+
 def _read_table_csv(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split()
+    with open(path, "rb") as fh:
+        header = _csv_line(path, 1, fh.readline()).strip().split()
         if len(header) != 4 or header[0] != "caloop-table":
             raise ValueError(f"{path}: not a caloop CSV table (header {header!r})")
         fields = {}
@@ -462,7 +471,20 @@ def _read_table_csv(path: str):
             raise ValueError(f"{path}: header order={order} is not m^8 = {m ** 8}")
         if fields.get("ordering") != "lex":
             raise ValueError(f"{path}: unknown element ordering {fields.get('ordering')!r}")
-        rows = [[int(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+        rows = []
+        for lineno, raw in enumerate(fh, start=2):
+            line = _csv_line(path, lineno, raw).strip()
+            if not line:
+                continue
+            try:
+                row = [int(v) for v in line.split(",")]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"
+                )
+            rows.append(row)
     return m, order, np.array(rows, dtype=np.int64)
 
 

@@ -9,10 +9,13 @@ polynomial vanishing identically over the rationals vanishes at every
 integer point.
 
 The expansion runs the shipped kernel itself: :func:`caloop.core.mul_coords`,
-:func:`caloop.core.left_div_coords` and :func:`caloop.core.mul4_coords` are
-called on tuples of :class:`~caloop.poly.Polynomial` coordinates, so the
-catalog proves the code that the integer, quotient and parser layers run,
-not a copy of it.
+:func:`caloop.core.left_div_coords`, :func:`caloop.core.mul4_coords` and
+:func:`caloop.core.pow_coords` are called on tuples of
+:class:`~caloop.poly.Polynomial` coordinates, so the catalog proves the code
+that the integer, quotient and parser layers run, not a copy of it.  The
+``power-*`` entries take the exponent n as one more variable; together they
+prove that the closed-form power equals the iterated product for every
+integer n.
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import poly
-from .core import left_div_coords, mul4_coords, mul_coords
+from .core import left_div_coords, mul4_coords, mul_coords, pow_coords
 from .poly import Polynomial, VarTable
 
 __all__ = [
@@ -102,6 +105,16 @@ class SymLoopOps:
     def inverse(self, a: SymElem8) -> SymElem8:
         return self.left_divide(a, self.identity)
 
+    def power(self, a: SymElem8, n, _pow: Callable = pow_coords) -> SymElem8:
+        """The closed-form power P(n; a); n is an int or a polynomial.
+
+        ``_pow`` is :func:`caloop.core.pow_coords`, bound at import like the
+        ``mul`` default of ``left_div_coords``: a call tracer that wraps
+        ``pow_coords`` by name and sums its integer exponents (the one in
+        ``perfbench``) then sees only integer powers, not polynomial ones.
+        """
+        return SymElem8(_pow(a.coords, n))
+
     def associator(self, a: SymElem8, b: SymElem8, c: SymElem8) -> SymElem8:
         return self.left_divide(
             self.mul(a, self.mul(b, c)), self.mul(self.mul(a, b), c)
@@ -115,17 +128,18 @@ class SymLoopOps:
         return tuple(lhs.coords[i] - rhs.coords[i] for i in range(8))
 
 
-def _make_context(layout: Sequence, product: Optional[ProductFn]):
+def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequence = ()):
     """Build a variable table for the requested generic elements.
 
     `layout` is a sequence of (prefix, pinned) pairs; `pinned` leading
     coordinates are the constant 0 and the rest are fresh variables named
-    prefix1..prefix8.
+    prefix1..prefix8.  Each name in `integers` adds one more variable, an
+    integer such as an exponent, returned after the elements.
     """
     names = []
     for prefix, pinned in layout:
         names.extend(f"{prefix}{i}" for i in range(pinned + 1, 9))
-    table = VarTable(tuple(names))
+    table = VarTable(tuple(names) + tuple(integers))
     ops = SymLoopOps(table, product)
     elems = []
     k = 0
@@ -135,6 +149,7 @@ def _make_context(layout: Sequence, product: Optional[ProductFn]):
             coords.append(Polynomial.var(table, k))
             k += 1
         elems.append(SymElem8(tuple(coords)))
+    elems.extend(Polynomial.var(table, k + i) for i in range(len(integers)))
     return ops, elems
 
 
@@ -171,6 +186,7 @@ class _Entry:
     summary: str
     layout: tuple  # ((prefix, pinned_zero_coords), ...)
     build: Callable  # (ops, elems) -> list of residual 8-tuples
+    integers: tuple = ()  # names of integer variables, passed after the elements
 
 
 def _pad(table: VarTable, slots: dict) -> tuple:
@@ -428,6 +444,21 @@ def _build_l_automorphism(ops, elems):
     return [ops.difference(lhs, rhs)]
 
 
+def _build_power_zero(ops, elems):
+    (a,) = elems
+    return [ops.difference(ops.power(a, 0), ops.identity)]
+
+
+def _build_power_recurrence(ops, elems):
+    a, n = elems
+    return [ops.difference(ops.power(a, n + 1), ops.mul(ops.power(a, n), a))]
+
+
+def _build_power_negation(ops, elems):
+    a, n = elems
+    return [ops.difference(ops.power(a, -n), ops.power(ops.inverse(a), n))]
+
+
 def _g(*prefixes: str, pins: dict = {}) -> tuple:
     return tuple((p, pins.get(p, 0)) for p in prefixes)
 
@@ -568,6 +599,21 @@ _CATALOG = [
         _g("a", "b", "c", "d"),
         _build_l_automorphism,
     ),
+    _Entry("power-zero", "a^0 = 1", _g("a"), _build_power_zero),
+    _Entry(
+        "power-recurrence",
+        "a^(n+1) = a^n * a for the closed-form power a^n",
+        _g("a"),
+        _build_power_recurrence,
+        integers=("n",),
+    ),
+    _Entry(
+        "power-negation",
+        "a^-n = (a^-1)^n for the closed-form power a^n",
+        _g("a"),
+        _build_power_negation,
+        integers=("n",),
+    ),
 ]
 
 _BY_NAME = {entry.name: entry for entry in _CATALOG}
@@ -594,7 +640,7 @@ def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityR
     entry = _lookup(name)
     poly.reset_stats()
     start = time.perf_counter()
-    ops, elems = _make_context(entry.layout, product)
+    ops, elems = _make_context(entry.layout, product, entry.integers)
     blocks = entry.build(ops, elems)
     millis = int((time.perf_counter() - start) * 1000)
     max_degree, _ = poly.peak_stats()

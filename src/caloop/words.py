@@ -19,7 +19,11 @@ of three or more factors is legal but grouped to the left, and the parser
 reports a warning for it (surfaced by the CLI).
 
 Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
-of a left-grouped chain, are refused with a :class:`ParseError`.
+of a left-grouped chain, are refused with a :class:`ParseError`.  Powers
+cost O(1) products whatever the exponent, so values can grow fast: each
+product or power multiplies the bit length of a coordinate by up to about
+five.  :func:`evaluate` therefore refuses, with a ``ValueError``, any value
+with a coordinate longer than ``MAX_BITS`` bits.
 
 Associators use the named ``assoc(a, b, c)`` form rather than bare tuples
 so parentheses stay unambiguous grouping.
@@ -44,6 +48,7 @@ __all__ = [
     "InnerL",
     "ParseError",
     "MAX_DEPTH",
+    "MAX_BITS",
     "parse",
     "parse_with_warnings",
     "evaluate",
@@ -122,6 +127,17 @@ _DIGITS = set("0123456789")
 # evaluate well inside the interpreter's default recursion limit of 1000
 # frames: the parser spends at most 4 frames per open parenthesis.
 MAX_DEPTH = 200
+
+# Longest coordinate, in bits, of any value evaluate builds.  A coordinate
+# this long prints in at most 4 215 decimal digits, under the interpreter's
+# default limit of 4 300 digits for int-to-str conversion, so every value
+# evaluate returns can be printed; and one node over such values costs at
+# most tens of milliseconds (an associator of three, the costliest, ~60 ms
+# on a 2-CPU x86_64 host), so evaluation time stays linear in the word's
+# length.
+MAX_BITS = 14_000
+_BIT_LIMIT = 1 << MAX_BITS
+_NEG_BIT_LIMIT = -_BIT_LIMIT  # negating a 14 000-bit int on every check costs ~0.3 us
 
 
 class _Tokenizer:
@@ -337,22 +353,33 @@ def parse(text: str) -> Expr:
 
 
 def evaluate(expr: Expr) -> Elem8:
-    """Evaluate an expression tree to canonical coordinates."""
+    """Evaluate an expression tree to canonical coordinates.
+
+    Raises ``ValueError`` as soon as a subexpression's value has a
+    coordinate longer than ``MAX_BITS`` bits.
+    """
     if isinstance(expr, Generator):
         return _GENERATORS[expr.name]
     if isinstance(expr, Literal):
-        return Elem8(expr.coords)
-    if isinstance(expr, Product):
-        return evaluate(expr.left) * evaluate(expr.right)
-    if isinstance(expr, Power):
-        return evaluate(expr.base) ** expr.exponent
-    if isinstance(expr, Inverse):
-        return evaluate(expr.arg).inverse()
-    if isinstance(expr, Assoc):
-        return associator(evaluate(expr.a), evaluate(expr.b), evaluate(expr.c))
-    if isinstance(expr, InnerL):
-        return inner_l(evaluate(expr.a), evaluate(expr.b), evaluate(expr.arg))
-    raise TypeError(f"not an expression node: {expr!r}")
+        value = Elem8(expr.coords)
+    elif isinstance(expr, Product):
+        value = evaluate(expr.left) * evaluate(expr.right)
+    elif isinstance(expr, Power):
+        value = evaluate(expr.base) ** expr.exponent
+    elif isinstance(expr, Inverse):
+        value = evaluate(expr.arg).inverse()
+    elif isinstance(expr, Assoc):
+        value = associator(evaluate(expr.a), evaluate(expr.b), evaluate(expr.c))
+    elif isinstance(expr, InnerL):
+        value = inner_l(evaluate(expr.a), evaluate(expr.b), evaluate(expr.arg))
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    if _NEG_BIT_LIMIT < min(value) and max(value) < _BIT_LIMIT:
+        return value
+    bits = max(abs(c).bit_length() for c in value)
+    raise ValueError(
+        f"value too large: a coordinate of {bits} bits passes the {MAX_BITS}-bit bound"
+    )
 
 
 def _factor(name: str, exp: int) -> Optional[str]:

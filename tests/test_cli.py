@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,45 @@ def test_eval_over_deep_word_exit_2(capsys, expr):
     code, out, err = run(capsys, "eval", expr)
     assert code == 2 and out == ""
     assert err.startswith("error: position ") and "nested deeper" in err
+
+
+def test_eval_huge_exponents(capsys):
+    code, out, _ = run(capsys, "eval", "x^100000000")
+    assert code == 0 and out == "x^100000000\ncoords: [100000000, 0, 0, 0, 0, 0, 0, 0]\n"
+    n = 10 ** 100
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", f"x^{n}", "--json")
+    assert code == 0 and json.loads(out)["coords"] == [str(n), 0, 0, 0, 0, 0, 0, 0]
+    code, out, _ = run(capsys, "eval", f"(x*y)^{n + 7}", "--json")
+    assert code == 0
+    coords = [int(c) for c in json.loads(out)["coords"]]
+    assert coords[:3] == [n + 7, n + 7, -((n + 7) ** 3 - (n + 7)) // 3]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_eval_huge_value_exit_2(capsys):
+    text = "x*y"
+    for _ in range(20):
+        text = f"({text})^{10 ** 50}"
+    code, out, err = run(capsys, "eval", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: value too large: ") and err.count("\n") == 1
+
+
+def test_table_to_missing_directory_exit_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "t.csv"
+    code, out, err = run(capsys, "table", "--mod", "2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
+def test_verify_power_recurrence(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "power-recurrence", "--json")
+    assert code == 0
+    (doc,) = json.loads(out)
+    assert doc["name"] == "power-recurrence" and doc["pass"] is True
+    assert doc["residual_term_counts"] == [0] * 8
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

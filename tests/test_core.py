@@ -15,7 +15,7 @@ from caloop.core import (
     project_coords,
 )
 
-from support import ZERO8, make_rng, random_coords
+from support import ZERO8, PowCache, make_rng, random_coords
 
 coords8 = st.tuples(*[st.integers(min_value=-10 ** 9, max_value=10 ** 9)] * 8)
 
@@ -93,6 +93,39 @@ def test_negative_powers_agree_with_repeated_division():
         for n in range(1, 7):
             acc = left_div_coords(a, acc)  # divide by a once more
             assert pow_coords(a, -n) == acc
+
+
+@pytest.mark.parametrize("span", [4, 10 ** 6])
+def test_closed_form_power_matches_iterated_products(span):
+    rng = make_rng(14)
+    for _ in range(15):
+        a = random_coords(rng, span)
+        powers = PowCache(a)
+        for n in range(-70, 71):
+            assert pow_coords(a, n) == powers.get(n)
+
+
+def test_closed_form_divisions_are_exact_on_every_residue_class():
+    # Each // 15 in pow_coords divides alpha(n) times an integer polynomial
+    # in n, a1, a2, whose residue mod 15 depends only on n mod 45 and a1, a2
+    # mod 15.  Matching the iterated power on one full period of residues
+    # shows every division is exact, for all integer inputs.
+    for a1 in range(15):
+        for a2 in range(15):
+            a = (a1, a2, 0, 0, 0, 0, 0, 0)
+            powers = PowCache(a)
+            for n in range(45):
+                assert pow_coords(a, n) == powers.get(n)
+
+
+def test_huge_exponents_cost_one_evaluation():
+    a = (1, 1, 0, 0, 0, 0, 0, 0)
+    n = 10 ** 100
+    p = pow_coords(a, n)
+    assert p[:2] == (n, n)
+    assert p[2] == -(n ** 3 - n) // 3
+    assert mul_coords(p, a) == pow_coords(a, n + 1)
+    assert mul_coords(p, pow_coords(a, -n)) == ZERO8
 
 
 def test_pow_addition_and_composition_laws():

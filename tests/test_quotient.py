@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 
 import numpy as np
@@ -16,7 +17,7 @@ from caloop.quotient import (
     validate_table_file,
 )
 
-from support import make_rng
+from support import PowCache, make_rng
 
 
 def test_modulus_validation():
@@ -77,6 +78,19 @@ def test_power_matches_reduced_iterated_products():
             assert q.power(a, n) == acc
             assert q.power(a, -n) == q.left_divide(acc, (0,) * 8)
             acc = q.mul(acc, a)
+
+
+def test_power_at_a_huge_exponent():
+    # a generates a cyclic subloop whose order divides the loop's order 5^8
+    # (Lagrange's theorem holds in commutative automorphic loops), and 5^8
+    # divides 10^30, so a^(10^30 + r) = a^r
+    rng = make_rng(74)
+    q = make_quotient(5)
+    for _ in range(20):
+        a = tuple(rng.randrange(5) for _ in range(8))
+        powers = PowCache(a)
+        for r in range(-3, 8):
+            assert q.power(a, 10 ** 30 + r) == q.reduce(powers.get(r))
 
 
 def test_element_indexing_is_lexicographic():
@@ -337,6 +351,23 @@ def test_validator_names_bad_header_field(tmp_path, header, message):
     path = tmp_path / "bad.csv"
     path.write_text(header + "\n0,1\n1,0\n")
     with pytest.raises(ValueError, match=message) as info:
+        validate_table_file(str(path))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1\n1,x\n", "line 3 has a cell that is not an integer"),
+        ("0,1\n1,0,1\n", "line 3 has 3 cells where the first row has 2"),
+        ("0,1\n1,\u00e90\n", "line 3 has the non-ASCII byte b'\\xc3'"),
+    ],
+    ids=["non-integer-cell", "ragged-rows", "non-ascii-byte"],
+)
+def test_validator_names_bad_csv_row(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("caloop-table m=2 order=256 ordering=lex\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         validate_table_file(str(path))
     assert str(path) in str(info.value)
 

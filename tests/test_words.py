@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caloop.core import Elem8, mul_coords
 from caloop.words import (
+    MAX_BITS,
     MAX_DEPTH,
     Assoc,
     Generator,
@@ -80,8 +83,8 @@ def test_overlong_integer_is_a_parse_error():
 
 
 # Texts over the grammar's own characters, plus some that are not in it:
-# each one parses or is refused with a ParseError, never anything else.
-# Only parsing is fuzzed; evaluating x^n costs n products.
+# each one parses and evaluates, or is refused with a ParseError or the
+# size-bound ValueError, never anything else.
 _WORD_CHARS = "xyuv1234567890-^*.()[], elmasocinLpw\u00b2\u0663\u00e9&"
 
 
@@ -89,9 +92,41 @@ _WORD_CHARS = "xyuv1234567890-^*.()[], elmasocinLpw\u00b2\u0663\u00e9&"
 @given(st.one_of(st.text(max_size=40), st.text(alphabet=_WORD_CHARS, max_size=80)))
 def test_parse_fuzz_parses_or_raises_parse_error(text):
     try:
-        parse(text)
+        expr = parse(text)
     except ParseError as exc:
         assert 1 <= exc.position <= len(text) + 1
+        return
+    try:
+        evaluate(expr)
+    except ValueError as exc:
+        assert f"{MAX_BITS}-bit bound" in str(exc)
+
+
+def test_nested_powers_are_refused_quickly():
+    text = "x*y"
+    for _ in range(20):
+        text = f"({text})^{10 ** 50}"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"passes the {MAX_BITS}-bit bound"):
+        evaluate(parse(text))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nested_products_of_large_literals_are_refused():
+    big = 10 ** 1000
+    text = f"elem[{big},{big},0,0,0,0,0,0]"
+    for _ in range(5):
+        text = f"({text})*({text})"
+    with pytest.raises(ValueError, match=f"{MAX_BITS}-bit bound"):
+        evaluate(parse(text))
+
+
+def test_values_up_to_the_bit_bound_are_accepted():
+    top = 2 ** MAX_BITS - 1
+    assert evaluate(parse(f"elem[0,0,0,0,0,0,0,{top}]"))[7] == top
+    assert evaluate(parse(f"elem[0,0,0,0,0,0,0,-{top}]"))[7] == -top
+    with pytest.raises(ValueError, match=f"{MAX_BITS + 1} bits"):
+        evaluate(parse(f"elem[0,0,0,0,0,0,0,{top + 1}]"))
 
 
 def test_deep_parentheses_are_refused_at_the_limit():
