@@ -14,22 +14,25 @@ The class-2 loop lives on 4-tuples (exponents of x, y, u1, u2) and is the
 image of the class-3 loop under truncation to the first four coordinates.
 
 Powers have a closed form: every coordinate of a^n is a polynomial in n of
-degree at most 5, so :func:`pow_coords` evaluates one formula P(n; a) for
-any integer n, in O(1) arithmetic operations, instead of multiplying |n|
-times.
+degree at most 5, so :func:`pow_closed_form` evaluates one formula P(n; a)
+in O(1) arithmetic operations instead of multiplying |n| times.
+:func:`pow_coords` is that formula for an integer exponent: it refuses any
+other n, which the formula alone would accept (a float n gives float
+coordinates).
 
 The `*_coords` functions are the raw kernel on plain tuples (hot paths use
 them directly); :class:`Elem8` / :class:`Elem4` wrap them with operators.
 The product, division and power use only + - * and exact // (by 3, and by
 15 in the power), so the same code also runs on tuples of polynomials,
 where the identity catalog in :mod:`caloop.symbolic` proves its laws
-(including, with ``power-*`` entries, that P(n; a) is the iterated
-product), and on tuples of int64 arrays, for the finite quotients in
-:mod:`caloop.quotient`.
+(including, with ``power-*`` entries and a polynomial exponent, that
+P(n; a) is the iterated product), and on tuples of int64 arrays, for the
+finite quotients in :mod:`caloop.quotient`.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "left_div_coords",
     "inv_coords",
     "pow_coords",
+    "pow_closed_form",
     "mul4_coords",
     "project_coords",
 ]
@@ -149,7 +153,16 @@ def inv_coords(a: Sequence[int]) -> Coords8:
 
 
 def pow_coords(a: Sequence[int], n: int) -> Coords8:
-    """n-th power a^n for every integer n, in one closed form P(n; a).
+    """n-th power a^n for an integer n; TypeError for any other n.
+
+    Evaluates :func:`pow_closed_form` after ``operator.index(n)``, the same
+    check ``range(n)`` makes.
+    """
+    return pow_closed_form(a, operator.index(n))
+
+
+def pow_closed_form(a: Sequence, n) -> tuple:
+    """n-th power a^n in one closed form P(n; a); n is an int or a polynomial.
 
     Each coordinate of a^n is a polynomial in n of degree at most 5 (its
     sixth forward difference in n vanishes): coordinates 1-2 are n*a1 and

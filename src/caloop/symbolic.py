@@ -10,7 +10,7 @@ integer point.
 
 The expansion runs the shipped kernel itself: :func:`caloop.core.mul_coords`,
 :func:`caloop.core.left_div_coords`, :func:`caloop.core.mul4_coords` and
-:func:`caloop.core.pow_coords` are called on tuples of
+:func:`caloop.core.pow_closed_form` are called on tuples of
 :class:`~caloop.poly.Polynomial` coordinates, so the catalog proves the code
 that the integer, quotient and parser layers run, not a copy of it.  The
 ``power-*`` entries take the exponent n as one more variable; together they
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import poly
-from .core import left_div_coords, mul4_coords, mul_coords, pow_coords
+from .core import left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
 
 __all__ = [
@@ -105,15 +105,9 @@ class SymLoopOps:
     def inverse(self, a: SymElem8) -> SymElem8:
         return self.left_divide(a, self.identity)
 
-    def power(self, a: SymElem8, n, _pow: Callable = pow_coords) -> SymElem8:
-        """The closed-form power P(n; a); n is an int or a polynomial.
-
-        ``_pow`` is :func:`caloop.core.pow_coords`, bound at import like the
-        ``mul`` default of ``left_div_coords``: a call tracer that wraps
-        ``pow_coords`` by name and sums its integer exponents (the one in
-        ``perfbench``) then sees only integer powers, not polynomial ones.
-        """
-        return SymElem8(_pow(a.coords, n))
+    def power(self, a: SymElem8, n) -> SymElem8:
+        """The closed-form power P(n; a); n is an int or a polynomial."""
+        return SymElem8(pow_closed_form(a.coords, n))
 
     def associator(self, a: SymElem8, b: SymElem8, c: SymElem8) -> SymElem8:
         return self.left_divide(

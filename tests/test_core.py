@@ -106,7 +106,7 @@ def test_closed_form_power_matches_iterated_products(span):
 
 
 def test_closed_form_divisions_are_exact_on_every_residue_class():
-    # Each // 15 in pow_coords divides alpha(n) times an integer polynomial
+    # Each // 15 in pow_closed_form divides alpha(n) times an integer polynomial
     # in n, a1, a2, whose residue mod 15 depends only on n mod 45 and a1, a2
     # mod 15.  Matching the iterated power on one full period of residues
     # shows every division is exact, for all integer inputs.
@@ -126,6 +126,14 @@ def test_huge_exponents_cost_one_evaluation():
     assert p[2] == -(n ** 3 - n) // 3
     assert mul_coords(p, a) == pow_coords(a, n + 1)
     assert mul_coords(p, pow_coords(a, -n)) == ZERO8
+
+
+def test_powers_refuse_a_non_integral_exponent():
+    a = (1, 2, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(TypeError):
+        pow_coords(a, 2.5)
+    with pytest.raises(TypeError):
+        Elem8(a) ** 2.0
 
 
 def test_pow_addition_and_composition_laws():

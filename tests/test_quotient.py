@@ -93,6 +93,11 @@ def test_power_at_a_huge_exponent():
             assert q.power(a, 10 ** 30 + r) == q.reduce(powers.get(r))
 
 
+def test_power_refuses_a_non_integral_exponent():
+    with pytest.raises(TypeError):
+        make_quotient(5).power((1, 2, 3, 4, 0, 0, 0, 0), 2.5)
+
+
 def test_element_indexing_is_lexicographic():
     q = make_quotient(2)
     assert q.element_index((0,) * 8) == 0
