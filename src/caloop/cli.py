@@ -12,6 +12,8 @@ Subcommands::
 
 Exit codes: 0 success / all checks pass, 1 verification or check failure,
 2 usage, parse, input or file errors (an ``error:`` line on stderr).
+Coordinate inputs and results are held to :data:`caloop.words.MAX_BITS`
+bits, as ``eval``'s values are; a longer one is an input error.
 ``--json`` prints machine-readable output with a stable schema; coordinates
 outside the signed 64-bit range are emitted as decimal strings so nothing is
 ever rounded.
@@ -29,7 +31,14 @@ from .calculus import NucleusKind, associator, inner_l, is_member, witness_nonce
 from .core import Elem8
 from .quotient import LEVELS, BudgetExceeded, make_quotient
 from .symbolic import catalog_names, verify_all, verify_identity
-from .words import ParseError, evaluate, format_canonical, parse_with_warnings
+from .words import (
+    MAX_BITS,
+    ParseError,
+    check_bits,
+    evaluate,
+    format_canonical,
+    parse_with_warnings,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -46,16 +55,26 @@ def _coords_doc(e: Elem8) -> dict:
 
 
 def _parse_coords(text: str) -> Elem8:
+    """The element written ``[i1,...,i8]``, within the ``MAX_BITS`` bound."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    try:
-        coords = tuple(int(part.strip()) for part in body.split(","))
-    except ValueError:
-        raise ValueError(f"bad coordinate list {text!r}; expected [i1,...,i8]") from None
+    coords = []
+    for part in body.split(","):
+        part = part.strip()
+        try:
+            coords.append(int(part))
+        except ValueError:
+            digits = part[1:] if part[:1] in ("+", "-") else part
+            if digits.isdigit():  # int() refuses only a digit string too long to convert
+                raise ValueError(
+                    f"value too large: a coordinate of {len(digits)} digits "
+                    f"passes the {MAX_BITS}-bit bound"
+                ) from None
+            raise ValueError(f"bad coordinate list {text!r}; expected [i1,...,i8]") from None
     if len(coords) != 8:
         raise ValueError(f"expected 8 coordinates, got {len(coords)} in {text!r}")
-    return Elem8(coords)
+    return check_bits(Elem8(coords))
 
 
 def _dump(doc) -> str:
@@ -63,6 +82,7 @@ def _dump(doc) -> str:
 
 
 def _emit_element(e: Elem8, as_json: bool) -> None:
+    check_bits(e)
     if as_json:
         print(_dump({"canonical": format_canonical(e), **_coords_doc(e)}))
     else:
@@ -109,6 +129,8 @@ def _cmd_member(args) -> int:
     kind = NucleusKind(args.kind)
     member = is_member(z, kind)
     witness = None if member else witness_noncentral(kind, z)
+    if witness is not None:
+        check_bits(witness.value)
     if args.json:
         doc = {"kind": kind.value, "member": member, "witness": None}
         if witness is not None:

@@ -23,7 +23,8 @@ of a left-grouped chain, are refused with a :class:`ParseError`.  Powers
 cost O(1) products whatever the exponent, so values can grow fast: each
 product or power multiplies the bit length of a coordinate by up to about
 five.  :func:`evaluate` therefore refuses, with a ``ValueError``, any value
-with a coordinate longer than ``MAX_BITS`` bits.
+with a coordinate longer than ``MAX_BITS`` bits.  :func:`check_bits` is that
+check; the CLI's coordinate commands apply it to their inputs and results.
 
 Associators use the named ``assoc(a, b, c)`` form rather than bare tuples
 so parentheses stay unambiguous grouping.
@@ -49,6 +50,7 @@ __all__ = [
     "ParseError",
     "MAX_DEPTH",
     "MAX_BITS",
+    "check_bits",
     "parse",
     "parse_with_warnings",
     "evaluate",
@@ -374,6 +376,12 @@ def evaluate(expr: Expr) -> Elem8:
         value = inner_l(evaluate(expr.a), evaluate(expr.b), evaluate(expr.arg))
     else:
         raise TypeError(f"not an expression node: {expr!r}")
+    return check_bits(value)
+
+
+def check_bits(value: Elem8) -> Elem8:
+    """Return ``value``, or raise ``ValueError`` naming the bound if a
+    coordinate is longer than ``MAX_BITS`` bits."""
     if _NEG_BIT_LIMIT < min(value) and max(value) < _BIT_LIMIT:
         return value
     bits = max(abs(c).bit_length() for c in value)

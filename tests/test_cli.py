@@ -6,6 +6,7 @@ import pytest
 from caloop import symbolic
 from caloop.cli import main
 from caloop.quotient import validate_table_file
+from caloop.words import MAX_BITS
 
 
 def run(capsys, *argv):
@@ -197,6 +198,50 @@ def test_eval_huge_value_exit_2(capsys):
     code, out, err = run(capsys, "eval", text)
     assert code == 2 and out == ""
     assert err.startswith("error: value too large: ") and err.count("\n") == 1
+
+
+def _coords(*head):
+    return "[" + ",".join(head + ("0",) * (8 - len(head))) + "]"
+
+
+# 4 000 nines are 13 288 bits, within the bound; what they make passes it
+_BIG = "9" * 4000
+_PAST = str(1 << MAX_BITS)  # 14 001 bits
+_GRAND = _coords(_BIG, _BIG, _BIG)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mul", _coords(_BIG, _BIG), _coords(_BIG, _BIG)),
+        ("mul", _coords(_PAST), "[1,2,3,4,5,6,7,8]"),
+        ("mul", _coords("9" * 5000), "[1,2,3,4,5,6,7,8]"),  # past int()'s digit limit
+        ("inv", _coords("-" + _PAST)),
+        ("inv", _coords("+" + "9" * 5000)),
+        ("assoc", _GRAND, "[1,2,3,4,5,6,7,8]", _coords(_BIG, "1")),
+        ("assoc", "[1,2,3,4,5,6,7,8]", _coords(_PAST), _GRAND),
+        ("inner", _coords(_BIG, _BIG), _coords(_BIG, "1"), _coords("1", _BIG)),
+        ("inner", _coords(_PAST), "[1,2,3,4,5,6,7,8]", "[1,0,0,0,0,0,0,0]"),
+        ("member", "--kind", "center", _coords(_BIG, _BIG)),
+        ("member", "--kind", "full", _coords("0", "0", _PAST)),
+    ],
+    ids=lambda argv: " ".join(a if len(a) < 20 else f"<{len(a)} chars>" for a in argv),
+)
+def test_coordinate_commands_hold_the_bit_bound(capsys, argv):
+    # oversized inputs and results end as one error line naming the bound
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: value too large: ") and err.count("\n") == 1
+        assert f"passes the {MAX_BITS}-bit bound" in err
+
+
+def test_coordinate_commands_accept_values_at_the_bound(capsys):
+    top = str((1 << MAX_BITS) - 1)
+    code, out, _ = run(capsys, "inv", _coords(top, "-" + top), "--json")
+    assert code == 0 and json.loads(out)["coords"][:2] == [str(-int(top)), top]
+    code, out, _ = run(capsys, "mul", _coords(_BIG), _coords(_BIG), "--json")
+    assert code == 0 and json.loads(out)["coords"][0] == str(2 * int(_BIG))
 
 
 def test_table_to_missing_directory_exit_2(capsys, tmp_path):

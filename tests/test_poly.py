@@ -1,13 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caloop.arith import alpha
 from caloop.poly import (
+    MAX_DEGREE,
+    DegreeLimitExceeded,
     Polynomial,
     TermLimitExceeded,
     VariableTableMismatch,
     VarTable,
+    peak_stats,
+    reset_stats,
     set_term_limit,
 )
 
@@ -193,3 +199,146 @@ def test_ring_operations_agree_with_sympy():
         point = tuple(rng.randint(-6, 6) for _ in range(3))
         value = sp.subs(dict(zip(syms, point)))
         assert p.evaluate(point) == Fraction(int(value.p), int(value.q))
+
+
+# -- packed monomials: the exponent fields and the degree field ------------
+
+
+def test_product_past_the_degree_field_raises():
+    x, y = _x(), _y()
+    top = x ** MAX_DEGREE
+    with pytest.raises(DegreeLimitExceeded):
+        top * x
+    with pytest.raises(DegreeLimitExceeded):
+        (x ** 200 + 1) * (y ** 100 - x)
+    # degree MAX_DEGREE itself is allowed, and x^a * x^b never spills into Y
+    p = x ** 100 * x ** (MAX_DEGREE - 100)
+    assert dict(p.terms) == {((0, MAX_DEGREE),): 1}
+    assert p.degree() == MAX_DEGREE
+    assert p.evaluate((2, 3)) == 2 ** MAX_DEGREE
+    with pytest.raises(DegreeLimitExceeded):
+        Polynomial(XY, {((0, MAX_DEGREE), (1, 1)): 1})
+
+
+def test_largest_exponent_round_trips_through_terms():
+    wide = VarTable(tuple(f"v{i}" for i in range(56)))
+    for mon in [((0, MAX_DEGREE),), ((55, MAX_DEGREE),), ((0, 1), (55, MAX_DEGREE - 1))]:
+        p = Polynomial(wide, {mon: Fraction(-7, 3)})
+        assert dict(p.terms) == {mon: Fraction(-7, 3)}
+        assert p.terms[mon] == Fraction(-7, 3)
+        assert Polynomial(wide, p.terms) == p
+        assert p.degree() == MAX_DEGREE
+
+
+def test_degree_is_exact_after_cancellation():
+    x, y = _x(), _y()
+    assert ((x ** 3 + y) - x ** 3).degree() == 1
+    assert (x ** 3 - x ** 3).degree() == 0
+    assert ((x + y) * (x - y) + y * y).degree() == 2
+
+
+def test_peak_stats_report_the_exact_peak():
+    x, y = _x(), _y()
+    reset_stats()
+    p = (x * y + 1) * (x * x * y - 2)  # degree 5, 4 terms
+    p - p
+    assert peak_stats() == (5, 4)
+    reset_stats()
+    assert peak_stats() == (0, 0)
+
+
+# -- differential test against a plain tuple-of-pairs reference -----------
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for mon, c in q.items():
+        out[mon] = out.get(mon, 0) + c
+    return {mon: c for mon, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            e = dict(m1)
+            for v, k in m2:
+                e[v] = e.get(v, 0) + k
+            mon = tuple(sorted(e.items()))
+            out[mon] = out.get(mon, 0) + c1 * c2
+    return {mon: c for mon, c in out.items() if c}
+
+
+def _ref_degree(p):
+    return max((sum(e for _, e in mon) for mon in p), default=0)
+
+
+def _ref_evaluate(p, point):
+    total = 0
+    for mon, c in p.items():
+        for v, e in mon:
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+@st.composite
+def _monomial(draw, n, cap):
+    # split a total degree of at most cap among up to 3 variables; an
+    # exponent often takes all that is left, so fields reach the limit
+    left = draw(st.one_of(st.just(cap), st.integers(0, cap)))
+    exps = {}
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        if left == 0:
+            break
+        e = draw(st.one_of(st.just(left), st.integers(1, left)))
+        exps[v] = e
+        left -= e
+    return tuple(sorted(exps.items()))
+
+
+_COEFFS = st.one_of(
+    st.integers(-5, 5), st.fractions(-5, 5, max_denominator=3)
+).filter(lambda c: c != 0)
+
+
+def _ref_polys(n, cap):
+    return st.dictionaries(_monomial(n, cap), _COEFFS, max_size=4)
+
+
+@st.composite
+def _wide_case(draw):
+    # tables of 1 to 56 variables (the catalog reaches 56); the two degree
+    # caps sum to MAX_DEGREE or just past it, so products fill the degree
+    # field and sometimes must be refused
+    n = draw(st.integers(1, 56))
+    cap = draw(st.integers(0, MAX_DEGREE))
+    over = draw(st.integers(0, 1))
+    p = draw(_ref_polys(n, cap))
+    q = draw(_ref_polys(n, min(MAX_DEGREE, MAX_DEGREE - cap + over)))
+    point = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 7]))
+    return n, p, q, point, k
+
+
+@settings(max_examples=300)
+@given(_wide_case())
+def test_packed_arithmetic_matches_tuple_reference(case):
+    n, p, q, point, k = case
+    table = VarTable(tuple(f"v{i}" for i in range(n)))
+    P, Q = Polynomial(table, p), Polynomial(table, q)
+    assert dict(P.terms) == p
+    assert P.degree() == _ref_degree(p)
+    assert P.evaluate(point) == _ref_evaluate(p, point)
+    assert dict((P + Q).terms) == _ref_add(p, q)
+    assert dict((P - Q).terms) == _ref_add(p, {m: -c for m, c in q.items()})
+    assert (P + Q).degree() == _ref_degree(_ref_add(p, q))
+    assert dict((P // k).terms) == {m: c * Fraction(1, k) for m, c in p.items()}
+    if P.degree() + Q.degree() > MAX_DEGREE:
+        with pytest.raises(DegreeLimitExceeded):
+            P * Q
+        return
+    pq = _ref_mul(p, q)
+    assert dict((P * Q).terms) == pq
+    assert (P * Q).degree() == _ref_degree(pq)
+    assert (P * Q).evaluate(point) == _ref_evaluate(pq, point)

@@ -45,10 +45,6 @@ EXPECTED_CATALOG = {
     "power-negation",
 }
 
-# entries whose table adds the exponent n to the element's 8 coordinates
-POWER_ENTRIES = {"power-recurrence", "power-negation"}
-
-
 def _generic_pair():
     table = VarTable(tuple(f"a{i}" for i in range(1, 9)) + tuple(f"b{i}" for i in range(1, 9)))
     ops = SymLoopOps(table)
@@ -71,15 +67,45 @@ def test_full_catalog_passes():
         assert r.residual_term_counts == (0,) * 8
 
 
+# (max_degree, variables) of every entry: the largest total degree seen while
+# expanding it, and the size of its variable table.  The closed-form power
+# has total degree 10 in (n, a): alpha(n) n^2 is degree 5 in n and
+# multiplies a1^4 a2 in the v1 coordinate.
+EXPECTED_SIZES = {
+    "identity-element": (3, 8),
+    "commutativity": (5, 16),
+    "division-round-trip": (5, 16),
+    "aip": (5, 16),
+    "flexibility": (5, 16),
+    "reversal": (5, 24),
+    "swap-expansion": (5, 24),
+    "compounded-reversal": (5, 40),
+    "compounded-middle-expansion": (5, 40),
+    "double-compounded-middle-right": (5, 56),
+    "double-compounded-left-right": (5, 56),
+    "double-compounded-left-middle": (5, 56),
+    "inner-map-closed-form": (5, 24),
+    "product-expansion-left": (5, 32),
+    "product-expansion-right": (5, 32),
+    "product-expansion-middle": (5, 32),
+    "middle-nucleus-contains": (5, 22),
+    "middle-nucleus-pins": (4, 8),
+    "compounded-central-left": (5, 40),
+    "compounded-central-middle": (5, 40),
+    "compounded-central-right": (5, 40),
+    "center-contains": (5, 20),
+    "center-pins": (4, 8),
+    "projection-homomorphism": (5, 16),
+    "L-automorphism": (5, 32),
+    "power-zero": (3, 8),
+    "power-recurrence": (10, 9),
+    "power-negation": (10, 9),
+}
+
+
 def test_report_degrees_are_bounded():
-    # largest total degree seen while expanding any entry; documented bound.
-    # The closed-form power has total degree 10 in (n, a): alpha(n) n^2 is
-    # degree 5 in n and multiplies a1^4 a2 in the v1 coordinate.
-    for r in verify_all():
-        if r.name in POWER_ENTRIES:
-            assert r.max_degree == 10 and r.variables == 9
-        else:
-            assert r.max_degree <= 6
+    reports = verify_all()
+    assert {r.name: (r.max_degree, r.variables) for r in reports} == EXPECTED_SIZES
 
 
 def test_automorphism_report_shape():
@@ -91,16 +117,18 @@ def test_automorphism_report_shape():
     assert doc["residual_term_counts"] == [0] * 8
 
 
-# the entries a doubled u1-correction in the v1 coordinate breaks;
-# power-negation holds because the mutated term vanishes on a * a^-1
-MUTATION_FLIPS = {
-    "product-expansion-left",
-    "product-expansion-right",
-    "product-expansion-middle",
-    "center-pins",
-    "L-automorphism",
-    "power-recurrence",
+# the entries a doubled u1-correction in the v1 coordinate breaks, with the
+# residual terms left in that coordinate; power-negation holds because the
+# mutated term vanishes on a * a^-1
+MUTATION_RESIDUALS = {
+    "product-expansion-left": 11,
+    "product-expansion-right": 11,
+    "product-expansion-middle": 10,
+    "center-pins": 1,
+    "L-automorphism": 11,
+    "power-recurrence": 4,
 }
+MUTATION_FLIPS = set(MUTATION_RESIDUALS)
 
 
 def test_mutation_flips_at_least_one_identity():
@@ -108,8 +136,9 @@ def test_mutation_flips_at_least_one_identity():
     failed = [r for r in reports if not r.passed]
     assert {r.name for r in failed} == MUTATION_FLIPS
     for r in failed:
-        assert any(c > 0 for c in r.residual_term_counts)
+        assert r.residual_term_counts == (0, 0, 0, 0, MUTATION_RESIDUALS[r.name], 0, 0, 0)
         assert any(not p.is_zero() for block in r.residual_blocks for p in block)
+    assert {r.name: (r.max_degree, r.variables) for r in reports} == EXPECTED_SIZES
 
 
 def test_unknown_identity_rejected():
