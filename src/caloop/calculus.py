@@ -1,9 +1,15 @@
 """Associator calculus: associators, inner mappings, nuclei and the center.
 
-The associator (a, b, c) is the unique t with (a*b)*c = (a*(b*c))*t; it is
-computed from that defining equation by exact division, never from derived
-identities, so the identity catalog in :mod:`caloop.symbolic` and the
-sampled checks in the tests remain independent evidence.
+The associator (a, b, c) is the unique t with (a*b)*c = (a*(b*c))*t, and
+the inner mapping L_{a,b} = L_a L_b L_{ba}^-1 sends c to the unique z with
+(b*a)*z = b*(a*c).  Both are computed by one hand-factored polynomial
+formula each (:func:`assoc_coords`, :func:`inner_l_coords`), in the
+kernel's + - * and exact // 3, so the same code runs on ints, on
+polynomials and on int64 arrays.  Each formula is proved equal to its
+defining equation, solved by exact left division through the loop product,
+by the identity catalog in :mod:`caloop.symbolic` (entries
+``associator-formula`` and ``inner-map-formula``), for all integer
+coordinates.
 
 Membership in the structural subloops uses the coordinate description
 
@@ -19,7 +25,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Optional, Sequence
 
-from .core import IDENTITY, X, Y, Elem8, left_div_coords, mul_coords
+from .core import IDENTITY, X, Y, Elem8
+from .core import mul_coords  # noqa: F401  (perfbench's tracer rebinds calculus.mul_coords)
 
 __all__ = [
     "associator",
@@ -35,13 +42,78 @@ __all__ = [
 
 
 def assoc_coords(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
-    """Raw-tuple associator: solves (a*(b*c)) * t = (a*b)*c for t."""
-    return left_div_coords(mul_coords(a, mul_coords(b, c)), mul_coords(mul_coords(a, b), c))
+    """Raw-tuple associator (a, b, c), in closed form.
+
+    It depends on a1..a4, b1, b2 and c1..c4 only, and its coordinates 1-2
+    are 0.  With d = a1 c2 - a2 c1, coordinates 3-4 are b1 d and b2 d;
+    coordinates 5-8 are terms linear in a3, a4, c3, c4, less one exact
+    third of a polynomial of degree 5 in a1, a2, b1, b2, c1, c2.  Each
+    ``// 3`` is exact: its dividend is d times an integer polynomial plus
+    b_i (a1^3 c2 - a2 c1^3) or b_i (a1 c2^3 - a2^3 c1), which is 0 mod 3
+    at every integer point (its residue depends only on the inputs mod 3;
+    checked over one full period by the tests).
+    """
+    a1, a2, a3, a4, _, _, _, _ = a
+    b1, b2, _, _, _, _, _, _ = b
+    c1, c2, c3, c4, _, _, _, _ = c
+    d = a1 * c2 - a2 * c1
+    e3 = a1 * c3 - a3 * c1
+    f4 = a2 * c4 - a4 * c2
+    m = a1 * c4 - a4 * c1 + a2 * c3 - a3 * c2
+    g1 = a1 * a1 * a1 * c2 - a2 * c1 * c1 * c1
+    g2 = a1 * c2 * c2 * c2 - a2 * a2 * a2 * c1
+    s1 = a1 + c1
+    s2 = a2 + c2
+    p11 = 3 * a1 * c1
+    p22 = 3 * a2 * c2
+    return (
+        0,
+        0,
+        b1 * d,
+        b2 * d,
+        b1 * e3 - b1 * ((b1 * (b1 + 3 * s1) + p11 - 5) * d + g1) // 3,
+        b1 * m + b2 * e3
+        - ((3 * b1 * (b1 * (s2 + b2) + s1 * (s2 + 2 * b2)) - 6 * b1 + b2 * (p11 - 1)) * d
+           + b2 * g1) // 3,
+        b2 * m + b1 * f4
+        - ((3 * b2 * (b2 * (s1 + b1) + s2 * (s1 + 2 * b1)) - 6 * b2 + b1 * (p22 - 1)) * d
+           + b1 * g2) // 3,
+        b2 * f4 - b2 * ((b2 * (b2 + 3 * s2) + p22 - 5) * d + g2) // 3,
+    )
 
 
 def inner_l_coords(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
-    """Raw-tuple image of c under the inner mapping L_{a,b} = L_a L_b L_{ba}^-1."""
-    return left_div_coords(mul_coords(b, a), mul_coords(b, mul_coords(a, c)))
+    """Raw-tuple image of c under the inner mapping L_{a,b}, in closed form.
+
+    It depends on a1, a2, b1..b4 and all of c, and fixes c1 and c2.  With
+    w = b1 c2 - b2 c1, coordinates 3-4 are c3 - a1 w and c4 - a2 w;
+    coordinates 5-8 add terms linear in b3, b4, c3, c4, and one exact
+    third of a polynomial of degree 5 in a1, a2, b1, b2, c1, c2, which is 0
+    mod 3 at every integer point for the same reason as in
+    :func:`assoc_coords` (with b1^3 c2 - b2 c1^3 and b1 c2^3 - b2^3 c1).
+    """
+    a1, a2, _, _, _, _, _, _ = a
+    b1, b2, b3, b4, _, _, _, _ = b
+    c1, c2, c3, c4, c5, c6, c7, c8 = c
+    w = b1 * c2 - b2 * c1
+    x3 = b1 * c3 - b3 * c1
+    y4 = b2 * c4 - b4 * c2
+    m = b1 * c4 - b4 * c1 + b2 * c3 - b3 * c2
+    h1 = b1 * b1 * b1 * c2 - b2 * c1 * c1 * c1
+    h2 = b1 * c2 * c2 * c2 - b2 * b2 * b2 * c1
+    q = b1 * b2 + c1 * c2 - 2
+    return (
+        c1,
+        c2,
+        c3 - a1 * w,
+        c4 - a2 * w,
+        c5 - a1 * x3 + a1 * (h1 + (a1 * (a1 + 3 * b1) - 5) * w) // 3,
+        c6 - a1 * m - a2 * x3
+        + (a2 * h1 + (3 * a1 * (a1 * (a2 + b2) + 2 * a2 * b1 + q) - a2) * w) // 3,
+        c7 - a2 * m - a1 * y4
+        + (a1 * h2 + (3 * a2 * (a2 * (a1 + b1) + 2 * a1 * b2 + q) - a1) * w) // 3,
+        c8 - a2 * y4 + a2 * (h2 + (a2 * (a2 + 3 * b2) - 5) * w) // 3,
+    )
 
 
 def associator(a: Elem8, b: Elem8, c: Elem8) -> Elem8:

@@ -13,6 +13,10 @@ it is total, commutative, and has exact two-sided division.
 The class-2 loop lives on 4-tuples (exponents of x, y, u1, u2) and is the
 image of the class-3 loop under truncation to the first four coordinates.
 
+The inverse of a is -a, coordinate by coordinate (:func:`inv_coords`); the
+catalog entry ``inverse-negation`` proves it equal to the left division of
+the identity by a.
+
 Powers have a closed form: every coordinate of a^n is a polynomial in n of
 degree at most 5, so :func:`pow_closed_form` evaluates one formula P(n; a)
 in O(1) arithmetic operations instead of multiplying |n| times.
@@ -148,8 +152,14 @@ def left_div_coords(
 
 
 def inv_coords(a: Sequence[int]) -> Coords8:
-    """Inverse element: the unique b with a * b = identity."""
-    return left_div_coords(a, _ZERO8)
+    """Inverse element: the unique b with a * b = identity.
+
+    It is the negation of every coordinate; the catalog entry
+    ``inverse-negation`` proves -a equal to the left division of the
+    identity by a.
+    """
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
+    return (-a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8)
 
 
 def pow_coords(a: Sequence[int], n: int) -> Coords8:

@@ -266,7 +266,10 @@ class Polynomial:
             return NotImplemented
         return self.table == other.table and self._terms == other._terms
 
-    def __hash__(self):  # pragma: no cover
+    def __hash__(self):
+        # a constant equals its scalar (see __eq__), so it hashes like it
+        if self._degree == 0:
+            return hash(self._terms.get(0, 0))
         return hash((self.table, tuple(sorted(self._terms.items()))))
 
     def _check(self, other: "Polynomial") -> None:

@@ -21,8 +21,9 @@ the elements fixed by every distinct inner mapping.
 
 The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
 index maps) is written once on coordinate tuples and runs unchanged on
-tuples of int64 numpy arrays, since the kernel formula uses only + - * and
-an exact // 3.  The product table is one broadcast call of that code over
+tuples of int64 numpy arrays, since the kernel formulas use only + - * and
+an exact // 3; ``inner_l`` is the closed form
+:func:`caloop.calculus.inner_l_coords`, reduced mod m.  The product table is one broadcast call of that code over
 all pairs, and the sampled check evaluates its trials a chunk at a time.
 Every array path first checks that no intermediate of the kernel can
 overflow int64 at the modulus (:func:`_intermediate_bound`).
@@ -38,6 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .calculus import inner_l_coords
 from .core import left_div_coords, mul_coords, pow_coords
 
 __all__ = [
@@ -103,16 +105,18 @@ def _magnitude(x) -> int:
 
 
 def _intermediate_bound(m: int) -> int:
-    """Largest |value| that ``mul_coords`` or ``left_div_coords`` can form
-    on coordinates in (-m, m), including every intermediate.
+    """Largest |value| that ``mul_coords``, ``left_div_coords`` or
+    ``inner_l_coords`` can form on coordinates in (-m, m), including every
+    intermediate.
 
     Computed by running the kernel itself on magnitudes m - 1, so it follows
-    the formula: it grows like m^5, the degree of the product polynomial.
+    the formulas: it grows like m^5, the degree of the product polynomial.
     """
     peak = [0]
     x = tuple(_Magnitude(m - 1, peak) for _ in range(8))
     mul_coords(x, x)
     left_div_coords(x, x)  # runs the product on its own, larger, intermediates
+    inner_l_coords(x, x, x)
     return peak[0]
 
 
@@ -165,7 +169,9 @@ class QuotientLoop:
         return self.reduce(pow_coords(a, n))
 
     def inner_l(self, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
-        return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
+        # reduction mod m is a homomorphism, so it maps L_{a,b}(c) in Z^8 to
+        # the inner mapping of the quotient
+        return self.reduce(inner_l_coords(a, b, c))
 
     # -- indexing (lexicographic on coordinate tuples) -----------------------
 

@@ -15,7 +15,11 @@ The expansion runs the shipped kernel itself: :func:`caloop.core.mul_coords`,
 that the integer, quotient and parser layers run, not a copy of it.  The
 ``power-*`` entries take the exponent n as one more variable; together they
 prove that the closed-form power equals the iterated product for every
-integer n.
+integer n.  The entries ``associator-formula``, ``inner-map-formula`` and
+``inverse-negation`` prove the closed forms of
+:func:`caloop.calculus.assoc_coords`, :func:`caloop.calculus.inner_l_coords`
+and :func:`caloop.core.inv_coords` equal to their defining equations, which
+:class:`SymLoopOps` solves by left division through its bound product.
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import poly
-from .core import left_div_coords, mul4_coords, mul_coords, pow_closed_form
+from .calculus import assoc_coords, inner_l_coords
+from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
 
 __all__ = [
@@ -453,6 +458,23 @@ def _build_power_negation(ops, elems):
     return [ops.difference(ops.power(a, -n), ops.power(ops.inverse(a), n))]
 
 
+def _build_associator_formula(ops, elems):
+    a, b, c = elems
+    closed = SymElem8(assoc_coords(a.coords, b.coords, c.coords))
+    return [ops.difference(closed, ops.associator(a, b, c))]
+
+
+def _build_inner_map_formula(ops, elems):
+    a, b, c = elems
+    closed = SymElem8(inner_l_coords(a.coords, b.coords, c.coords))
+    return [ops.difference(closed, ops.inner_l(a, b, c))]
+
+
+def _build_inverse_negation(ops, elems):
+    (a,) = elems
+    return [ops.difference(SymElem8(inv_coords(a.coords)), ops.inverse(a))]
+
+
 def _g(*prefixes: str, pins: dict = {}) -> tuple:
     return tuple((p, pins.get(p, 0)) for p in prefixes)
 
@@ -608,6 +630,19 @@ _CATALOG = [
         _build_power_negation,
         integers=("n",),
     ),
+    _Entry(
+        "associator-formula",
+        "the closed-form associator (a, b, c) solves (a * (b * c)) * t = (a * b) * c",
+        _g("a", "b", "c"),
+        _build_associator_formula,
+    ),
+    _Entry(
+        "inner-map-formula",
+        "the closed-form L_{a,b}(c) solves (b * a) * z = b * (a * c)",
+        _g("a", "b", "c"),
+        _build_inner_map_formula,
+    ),
+    _Entry("inverse-negation", "-a = a \\ 1", _g("a"), _build_inverse_negation),
 ]
 
 _BY_NAME = {entry.name: entry for entry in _CATALOG}

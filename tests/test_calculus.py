@@ -1,3 +1,7 @@
+import itertools
+
+import pytest
+
 from caloop.calculus import (
     NucleusKind,
     assoc_coords,
@@ -262,3 +266,35 @@ def test_center_coordinate_description_sampled():
         z = (0, 0, 0, 0) + tuple(rng.randint(-6, 6) for _ in range(4))
         a, b = random_coords(rng), random_coords(rng)
         assert inner_l_coords(a, b, z) == z
+
+
+def _assoc_by_definition(a, b, c):
+    """The t with (a*(b*c))*t = (a*b)*c, by left division."""
+    return left_div_coords(mul_coords(a, mul_coords(b, c)), mul_coords(mul_coords(a, b), c))
+
+
+def _inner_l_by_definition(a, b, c):
+    """The z with (b*a)*z = b*(a*c), by left division."""
+    return left_div_coords(mul_coords(b, a), mul_coords(b, mul_coords(a, c)))
+
+
+@pytest.mark.parametrize("span", [4, 10 ** 6, 10 ** 30])
+def test_closed_forms_match_the_defining_equations(span):
+    rng = make_rng(33)
+    for _ in range(1000):
+        a, b, c = (random_coords(rng, span) for _ in range(3))
+        assert assoc_coords(a, b, c) == _assoc_by_definition(a, b, c)
+        assert inner_l_coords(a, b, c) == _inner_l_by_definition(a, b, c)
+
+
+def test_closed_form_divisions_are_exact_on_every_residue_class():
+    # Each // 3 in assoc_coords and inner_l_coords divides an integer
+    # polynomial in a1, a2, b1, b2, c1, c2 only, so its residue mod 3 depends
+    # only on those six mod 3.  Matching the defining equation on one full
+    # period of residues shows every division is exact, for all integers.
+    for a1, a2, b1, b2, c1, c2 in itertools.product(range(3), repeat=6):
+        a = (a1, a2, 0, 0, 0, 0, 0, 0)
+        b = (b1, b2, 0, 0, 0, 0, 0, 0)
+        c = (c1, c2, 0, 0, 0, 0, 0, 0)
+        assert assoc_coords(a, b, c) == _assoc_by_definition(a, b, c)
+        assert inner_l_coords(a, b, c) == _inner_l_by_definition(a, b, c)

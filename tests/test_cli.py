@@ -2,8 +2,11 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from caloop import symbolic
+from caloop.calculus import NucleusKind
 from caloop.cli import main
 from caloop.quotient import validate_table_file
 from caloop.words import MAX_BITS
@@ -294,3 +297,57 @@ def test_json_output_deterministic(capsys):
                         "[3,4,5,6,7,8,9,10]", "--json")
         outs.add(out)
     assert len(outs) == 1
+
+
+_fuzz_int = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 1300, 10 ** 1300))
+_fuzz_coords = st.one_of(
+    st.lists(_fuzz_int, min_size=8, max_size=8), st.lists(_fuzz_int, max_size=9)
+).map(lambda xs: "[" + ",".join(map(str, xs)) + "]")
+_fuzz_garbage = st.one_of(st.text(alphabet="[]0123456789,+-xyuv*.^() ", max_size=30),
+                          st.text(max_size=12))
+_fuzz_word = st.one_of(
+    st.sampled_from(["assoc(x,x,y)", "innL(x,y,x*y)", "pow(x,-3)", "inv(u1)", "x^2 y . u1^-1",
+                     "elem[1,2,3,4,5,6,7,8]", "pow(x*y,10^400)"]),
+    _fuzz_garbage,
+)
+# (positional arguments, extra flags) of each fuzzed command
+_FUZZ_COMMANDS = {
+    "mul": (2, st.just([])),
+    "inv": (1, st.just([])),
+    "assoc": (3, st.just([])),
+    "inner": (3, st.just([])),
+    "member": (1, st.sampled_from([k.value for k in NucleusKind] + ["bogus"]).map(
+        lambda kind: [f"--kind={kind}"])),
+    "eval": (1, st.just([])),
+}
+
+
+def _fuzz_command(command):
+    arity, flags = _FUZZ_COMMANDS[command]
+    arg = _fuzz_word if command == "eval" else st.one_of(_fuzz_coords, _fuzz_coords, _fuzz_garbage)
+    return st.tuples(
+        st.just([command]),
+        flags,
+        st.lists(st.just("--json"), max_size=1),
+        st.lists(arg, min_size=arity, max_size=arity),
+        # now and then one argument too many
+        st.integers(0, 7).flatmap(lambda k: st.lists(arg, min_size=k // 7, max_size=k // 7)),
+    ).map(lambda parts: sum(parts, []))
+
+
+_fuzz_argv = st.sampled_from(sorted(_FUZZ_COMMANDS)).flatmap(_fuzz_command)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_argv)
+def test_argv_fuzz_exits_cleanly(capsys, argv):
+    # any argv ends in a result (exit 0) or an error: line (exit 2); argparse
+    # reports its usage errors by raising SystemExit(2)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert any("error:" in line for line in err.splitlines())

@@ -8,6 +8,7 @@ from caloop.core import (
     Elem4,
     Elem8,
     basis,
+    inv_coords,
     left_div_coords,
     mul4_coords,
     mul_coords,
@@ -74,6 +75,14 @@ def test_inverse_examples():
         assert (a * b).inverse() == a.inverse() * b.inverse()
         assert a * a.inverse() == IDENTITY
         assert a.inverse() * a == IDENTITY
+
+
+@pytest.mark.parametrize("span", [4, 10 ** 6, 10 ** 30])
+def test_inverse_is_the_negation_and_the_left_division_of_one(span):
+    rng = make_rng(15)
+    for _ in range(1000):
+        a = random_coords(rng, span)
+        assert inv_coords(a) == left_div_coords(a, ZERO8) == tuple(-x for x in a)
 
 
 def test_pow_examples():

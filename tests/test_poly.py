@@ -101,6 +101,18 @@ def test_zero_and_scalar_behaviour():
     assert (x * 2).evaluate((3, 0)) == 6
 
 
+def test_hash_agrees_with_equality():
+    x = _x()
+    five, half, zero = Polynomial.const(XY, 5), Polynomial.const(XY, Fraction(1, 2)), x - x
+    for p, scalar in ((five, 5), (five, Fraction(5)), (half, Fraction(1, 2)),
+                      (zero, 0), (Polynomial.zero(XY), Fraction(0))):
+        assert p == scalar and hash(p) == hash(scalar)
+    assert hash(x * 3 - x) == hash(2 * x)
+    mixed = {five, 5, Fraction(5), half, Fraction(1, 2), zero, 0, x, x + 0, 2 * x}
+    assert mixed == {5, Fraction(1, 2), 0, x, 2 * x}
+    assert len(mixed) == 5
+
+
 def test_integral_fractions_normalize_to_int():
     x = _x()
     p = x * Fraction(1, 3) * 3

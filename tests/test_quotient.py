@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from caloop.calculus import inner_l_coords
 from caloop.core import left_div_coords, mul_coords
 from caloop.quotient import (
     SAMPLE_CHUNK,
@@ -135,6 +136,11 @@ class _SkewedLoop(QuotientLoop):
         p = super().mul(a, b)
         return p[:7] + ((p[7] + a[0] * b[0] * b[2]) % self.modulus,)
 
+    def inner_l(self, a, b, c):
+        # the inner map from its defining equation, so the skew reaches it;
+        # QuotientLoop.inner_l is the closed form of the unskewed loop
+        return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
+
 
 def _scalar_sampled_failures(q: QuotientLoop, trials: int, seed: int) -> int:
     """Reference for the sampled check: one trial at a time on int tuples."""
@@ -192,6 +198,7 @@ def _peak_formed(fn, *tuples) -> int:
 
 def test_intermediate_bound_covers_the_kernel():
     rng = make_rng(73)
+    third = make_rng(75)  # the inner map's third argument
     for m in (2, 5, 11, 1000):
         bound = _intermediate_bound(m)
         worst = 0
@@ -199,9 +206,28 @@ def test_intermediate_bound_covers_the_kernel():
             # extreme coordinates come close to the bound
             a, b = (tuple(rng.choice((1 - m, m - 1, rng.randint(1 - m, m - 1)))
                           for _ in range(8)) for _ in range(2))
+            c = tuple(third.choice((1 - m, m - 1, third.randint(1 - m, m - 1)))
+                      for _ in range(8))
             worst = max(worst, _peak_formed(mul_coords, a, b),
-                        _peak_formed(left_div_coords, a, b))
+                        _peak_formed(left_div_coords, a, b),
+                        _peak_formed(inner_l_coords, a, b, c))
         assert 0 < worst <= bound
+
+
+@pytest.mark.parametrize("m", [2, 5, 7])
+def test_inner_l_is_the_reduced_defining_equation(m):
+    # the closed form, reduced once, equals L_{a,b}(c) solved in the quotient
+    # from its defining equation (b * a) * z = b * (a * c); on int64 arrays too
+    q = make_quotient(m)
+    rng = make_rng(74)
+    triples = [tuple(tuple(rng.randrange(m) for _ in range(8)) for _ in range(3))
+               for _ in range(300)]
+    for a, b, c in triples:
+        assert q.inner_l(a, b, c) == q.left_divide(q.mul(b, a), q.mul(b, q.mul(a, c)))
+    a, b, c = (tuple(np.array(col, dtype=np.int64) for col in zip(*elems))
+               for elems in zip(*triples))
+    batch = np.array(q.inner_l(a, b, c)).T
+    assert [tuple(int(v) for v in row) for row in batch] == [q.inner_l(*t) for t in triples]
 
 
 def test_int64_guard_refuses_a_modulus_past_its_bound():

@@ -43,6 +43,9 @@ EXPECTED_CATALOG = {
     "power-zero",
     "power-recurrence",
     "power-negation",
+    "associator-formula",
+    "inner-map-formula",
+    "inverse-negation",
 }
 
 def _generic_pair():
@@ -100,6 +103,9 @@ EXPECTED_SIZES = {
     "power-zero": (3, 8),
     "power-recurrence": (10, 9),
     "power-negation": (10, 9),
+    "associator-formula": (5, 24),
+    "inner-map-formula": (5, 24),
+    "inverse-negation": (5, 8),
 }
 
 
@@ -118,8 +124,10 @@ def test_automorphism_report_shape():
 
 
 # the entries a doubled u1-correction in the v1 coordinate breaks, with the
-# residual terms left in that coordinate; power-negation holds because the
-# mutated term vanishes on a * a^-1
+# residual terms left in that coordinate; power-negation and
+# inverse-negation hold because the mutated term vanishes on a * a^-1, and
+# the closed-form associator and inner map, which do not run the product,
+# now differ from their defining equations
 MUTATION_RESIDUALS = {
     "product-expansion-left": 11,
     "product-expansion-right": 11,
@@ -127,6 +135,8 @@ MUTATION_RESIDUALS = {
     "center-pins": 1,
     "L-automorphism": 11,
     "power-recurrence": 4,
+    "associator-formula": 8,
+    "inner-map-formula": 10,
 }
 MUTATION_FLIPS = set(MUTATION_RESIDUALS)
 
