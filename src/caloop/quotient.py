@@ -23,8 +23,9 @@ The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
 index maps) is written once on coordinate tuples and runs unchanged on
 tuples of int64 numpy arrays, since the kernel formulas use only + - * and
 an exact // 3; ``inner_l`` is the closed form
-:func:`caloop.calculus.inner_l_coords`, reduced mod m.  The product table is one broadcast call of that code over
-all pairs, and the sampled check evaluates its trials a chunk at a time.
+:func:`caloop.calculus.inner_l_coords`, reduced mod m.  The product table
+is one broadcast call of that code over all pairs, and the sampled check
+evaluates its trials a chunk at a time.
 Every array path first checks that no intermediate of the kernel can
 overflow int64 at the modulus (:func:`_intermediate_bound`).
 """

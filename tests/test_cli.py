@@ -310,32 +310,27 @@ _fuzz_word = st.one_of(
                      "elem[1,2,3,4,5,6,7,8]", "pow(x*y,10^400)"]),
     _fuzz_garbage,
 )
-# (positional arguments, extra flags) of each fuzzed command
-_FUZZ_COMMANDS = {
-    "mul": (2, st.just([])),
-    "inv": (1, st.just([])),
-    "assoc": (3, st.just([])),
-    "inner": (3, st.just([])),
-    "member": (1, st.sampled_from([k.value for k in NucleusKind] + ["bogus"]).map(
-        lambda kind: [f"--kind={kind}"])),
-    "eval": (1, st.just([])),
-}
+# positional arguments of each fuzzed command
+_FUZZ_ARITY = {"mul": 2, "inv": 1, "assoc": 3, "inner": 3, "member": 1, "eval": 1}
+_fuzz_kind = st.sampled_from([k.value for k in NucleusKind] + ["bogus"])
 
 
 def _fuzz_command(command):
-    arity, flags = _FUZZ_COMMANDS[command]
+    arity = _FUZZ_ARITY[command]
+    # coordinate commands get coordinate lists twice as often as garbage
     arg = _fuzz_word if command == "eval" else st.one_of(_fuzz_coords, _fuzz_coords, _fuzz_garbage)
+    kind = _fuzz_kind.map(lambda k: [f"--kind={k}"]) if command == "member" else st.just([])
     return st.tuples(
         st.just([command]),
-        flags,
+        kind,
         st.lists(st.just("--json"), max_size=1),
         st.lists(arg, min_size=arity, max_size=arity),
-        # now and then one argument too many
+        # one argument too many, one time in eight
         st.integers(0, 7).flatmap(lambda k: st.lists(arg, min_size=k // 7, max_size=k // 7)),
     ).map(lambda parts: sum(parts, []))
 
 
-_fuzz_argv = st.sampled_from(sorted(_FUZZ_COMMANDS)).flatmap(_fuzz_command)
+_fuzz_argv = st.sampled_from(sorted(_FUZZ_ARITY)).flatmap(_fuzz_command)
 
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
