@@ -62,16 +62,17 @@ def _parse_coords(text: str) -> Elem8:
     coords = []
     for part in body.split(","):
         part = part.strip()
+        digits = part[1:] if part[:1] in ("+", "-") else part
+        # the word parser's rule: ASCII 0-9 only, so no '²', '١' or '1_0'
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad coordinate list {text!r}; expected [i1,...,i8]")
         try:
             coords.append(int(part))
-        except ValueError:
-            digits = part[1:] if part[:1] in ("+", "-") else part
-            if digits.isdigit():  # int() refuses only a digit string too long to convert
-                raise ValueError(
-                    f"value too large: a coordinate of {len(digits)} digits "
-                    f"passes the {MAX_BITS}-bit bound"
-                ) from None
-            raise ValueError(f"bad coordinate list {text!r}; expected [i1,...,i8]") from None
+        except ValueError:  # a digit string too long for int() to convert
+            raise ValueError(
+                f"value too large: a coordinate of {len(digits)} digits "
+                f"passes the {MAX_BITS}-bit bound"
+            ) from None
     if len(coords) != 8:
         raise ValueError(f"expected 8 coordinates, got {len(coords)} in {text!r}")
     return check_bits(Elem8(coords))

@@ -37,10 +37,29 @@ view in the documented form ``{((var, exp), ...): coeff}``, with the pairs
 sorted by variable index and every exponent positive; the constructor takes
 that form too.
 
-Coefficients are stored as ints when integral and ``Fraction`` otherwise
-(the exponent map n -> (n^3 - n)/3 introduces thirds); mixed arithmetic and
-equality between the two are exact, and int coefficients keep the common
-case fast.
+Coefficients are ints over one common denominator, the layout of FLINT's
+``fmpq_poly``: a polynomial stores int numerators on its packed keys and
+one int ``den > 0``, and its value is ``sum(c * mon) / den``.  The
+denominator is kept reduced, ``gcd(den, *numerators) == 1``, so the zero
+polynomial has ``den == 1`` and equal polynomials have equal numerators and
+denominators.  In the prover the denominators come only from the kernel's
+``// 3`` and ``// 15``, and the ring operations run on ints:
+
+* ``+`` and ``-`` scale the numerators by the lcm only when the two
+  denominators differ;
+* ``*`` multiplies numerators and denominators;
+* ``// n`` multiplies ``den`` by ``|n|`` and moves the sign of n onto the
+  numerators;
+* whenever the result's ``den != 1``, one C-level ``math.gcd(den,
+  *numerators)`` reduces it.
+
+Short-cuts skip work the prover does often: about 40% of its products,
+and of its sums and differences, have a zero operand.  A
+product with a zero operand returns that operand, and a sum or difference
+with a zero operand returns the other one (negated for ``0 - p``), so no
+copy is built.  An ``int`` factor scales the numerators without building a
+constant polynomial.  Neither builds a polynomial larger than the full
+operation would, so :func:`peak_stats` reads the same.
 """
 
 from __future__ import annotations
@@ -48,6 +67,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 __all__ = [
@@ -126,12 +146,6 @@ class VarTable:
         return self.names.index(name)
 
 
-def _norm_coeff(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def _pack(table: VarTable, mon: Monomial) -> int:
     """The packed key of ``((var, exp), ...)``; repeated variables add up."""
     n = len(table.names)
@@ -174,23 +188,46 @@ def _track(table: VarTable, terms: dict) -> int:
     return degree
 
 
-def _new(table: VarTable, terms: dict) -> "Polynomial":
-    """A polynomial on packed terms with nonzero coefficients."""
+def _new(table: VarTable, terms: dict, den: int = 1) -> "Polynomial":
+    """A polynomial on packed terms with nonzero int numerators over a
+    reduced denominator ``den > 0``.  No terms dict is changed once it is
+    wrapped, so polynomials may share one."""
     p = object.__new__(Polynomial)
     _set_degree(p, _track(table, terms))
     _set_table(p, table)
     _set_terms(p, terms)
+    _set_den(p, den)
     return p
+
+
+def _reduced(table: VarTable, terms: dict, den: int) -> "Polynomial":
+    """:func:`_new` after dividing numerators and ``den > 0`` by their gcd;
+    an empty ``terms`` gets ``den == 1``, since ``gcd(den) == den``."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return _new(table, terms, den)
+
+
+def _decode(c: int, den: int) -> Scalar:
+    """The coefficient ``c / den`` as an int when integral, else a Fraction."""
+    if den == 1:
+        return c
+    q = Fraction(c, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 class _TermsView(Mapping):
     """Read-only ``{((var, exp), ...): coeff}`` view of packed terms."""
 
-    __slots__ = ("_table", "_packed")
+    __slots__ = ("_table", "_packed", "_den")
 
-    def __init__(self, table: VarTable, packed: dict):
+    def __init__(self, table: VarTable, packed: dict, den: int):
         self._table = table
         self._packed = packed
+        self._den = den
 
     def __len__(self) -> int:
         return len(self._packed)
@@ -207,25 +244,33 @@ class _TermsView(Mapping):
         # only the canonical form is a key: ((0, 1), (0, 1)) packs like ((0, 2),)
         if key not in self._packed or _unpack(key, len(self._table.names)) != mon:
             raise KeyError(mon)
-        return self._packed[key]
+        return _decode(self._packed[key], self._den)
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a :class:`VarTable`."""
+    """Immutable sparse polynomial over a :class:`VarTable`.
 
-    __slots__ = ("table", "_terms", "_degree")
+    ``den`` is the common denominator of the coefficients (see the module
+    docstring); the numerators on the packed keys are internal.
+    """
+
+    __slots__ = ("table", "_terms", "den", "_degree")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, Scalar]):
         """The polynomial ``sum(c * mon)`` over ``{mon: c}`` in the form of
-        :attr:`terms`; zero coefficients are dropped."""
+        :attr:`terms`, with int or Fraction coefficients; zero coefficients
+        are dropped."""
         packed: dict = {}
         for mon, c in terms.items():
             key = _pack(table, mon)
             packed[key] = packed.get(key, 0) + c
-        packed = {k: _norm_coeff(c) for k, c in packed.items() if c}
+        # the lcm of reduced denominators is already coprime to the numerators
+        den = lcm(*(c.denominator for c in packed.values()))
+        packed = {k: c.numerator * (den // c.denominator) for k, c in packed.items() if c}
         _set_degree(self, _track(table, packed))
         _set_table(self, table)
         _set_terms(self, packed)
+        _set_den(self, den)
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -233,7 +278,7 @@ class Polynomial:
     @property
     def terms(self) -> Mapping:
         """``{((var, exp), ...): coeff}``, decoded from the packed keys."""
-        return _TermsView(self.table, self._terms)
+        return _TermsView(self.table, self._terms, self.den)
 
     @classmethod
     def zero(cls, table: VarTable) -> "Polynomial":
@@ -241,8 +286,8 @@ class Polynomial:
 
     @classmethod
     def const(cls, table: VarTable, value: Scalar) -> "Polynomial":
-        value = _norm_coeff(value)
-        return _new(table, {0: value} if value != 0 else {})
+        num, den = value.numerator, value.denominator
+        return _new(table, {0: num} if num else {}, den if num else 1)
 
     @classmethod
     def var(cls, table: VarTable, index: int) -> "Polynomial":
@@ -264,13 +309,14 @@ class Polynomial:
             other = Polynomial.const(self.table, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.table == other.table and self._terms == other._terms
+        return (self.table == other.table and self.den == other.den
+                and self._terms == other._terms)
 
     def __hash__(self):
         # a constant equals its scalar (see __eq__), so it hashes like it
         if self._degree == 0:
-            return hash(self._terms.get(0, 0))
-        return hash((self.table, tuple(sorted(self._terms.items()))))
+            return hash(Fraction(self._terms.get(0, 0), self.den))
+        return hash((self.table, self.den, tuple(sorted(self._terms.items()))))
 
     def _check(self, other: "Polynomial") -> None:
         # polynomials of one computation share one table object
@@ -290,41 +336,80 @@ class Polynomial:
 
     # -- ring operations -------------------------------------------------
 
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign * other`` for two nonzero operands, sign = +-1."""
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        big, small = self._terms, other._terms
+        f_big, f_small = den // d1, sign * (den // d2)
+        if len(big) < len(small):
+            big, small, f_big, f_small = small, big, f_small, f_big
+        terms = dict(big) if f_big == 1 else {m: c * f_big for m, c in big.items()}
+        get = terms.get
+        for m, c in small.items():
+            s = get(m, 0) + c * f_small
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return _reduced(self.table, terms, den)
+
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
-            big, small = small, big
-        terms = dict(big)
-        for mon, c in small.items():
-            s = terms.get(mon, 0) + c
-            if s == 0:
-                del terms[mon]
-            else:
-                terms[mon] = _norm_coeff(s)
-        return _new(self.table, terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _new(self.table, {m: -c for m, c in self._terms.items()})
+        if not self._terms:
+            return self
+        return _new(self.table, {m: -c for m, c in self._terms.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def _scale(self, k: int) -> "Polynomial":
+        """``k * self`` for an int k, without a constant polynomial."""
+        if not self._terms:
+            return self
+        if not k:
+            return Polynomial.zero(self.table)
+        # gcd(k/g, den/g) == 1, so the result is already reduced
+        g = gcd(k, self.den)
+        if g != 1:
+            k //= g
+        return _new(self.table, {m: c * k for m, c in self._terms.items()}, self.den // g)
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, int):
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._terms, other._terms
+        if not a:
+            return self
+        if not b:
+            return other
         if len(a) * len(b) > _term_limit:
             raise TermLimitExceeded(
                 f"product of {len(a)} x {len(b)} terms "
@@ -342,10 +427,8 @@ class Polynomial:
             for m2, c2 in b_items:
                 m = m1 + m2
                 terms[m] = get(m, 0) + c1 * c2
-        return _new(self.table, {
-            m: int(c) if c.__class__ is Fraction and c.denominator == 1 else c
-            for m, c in terms.items() if c
-        })
+        return _reduced(self.table, {m: c for m, c in terms.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -358,7 +441,12 @@ class Polynomial:
         """
         if not isinstance(n, int):
             return NotImplemented
-        return self * Fraction(1, n)
+        if n == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self._terms:
+            return self
+        terms = self._terms if n > 0 else {m: -c for m, c in self._terms.items()}
+        return _reduced(self.table, terms, self.den * abs(n))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -379,7 +467,7 @@ class Polynomial:
         n = len(self.table)
         acc = Polynomial.zero(self.table)
         for key, c in self._terms.items():
-            term = Polynomial.const(self.table, c)
+            term = Polynomial.const(self.table, Fraction(c, self.den))
             for v, e in _unpack(key, n):
                 if v in repl:
                     term = term * repl[v] ** e
@@ -393,12 +481,12 @@ class Polynomial:
         n = len(self.table)
         if len(point) != n:
             raise ValueError(f"need {n} values, got {len(point)}")
-        total: Scalar = 0
+        total = 0
         for key, c in self._terms.items():
             for var, e in _unpack(key, n):
                 c *= point[var] ** e
             total += c
-        return _norm_coeff(total)
+        return _decode(total, self.den)
 
     # -- display -----------------------------------------------------------
 
@@ -409,7 +497,7 @@ class Polynomial:
         parts = []
         # decreasing keys: graded lexicographic, highest degree first
         for key in sorted(self._terms, reverse=True):
-            c = self._terms[key]
+            c = _decode(self._terms[key], self.den)
             factors = "*".join(
                 f"{self.table.names[v]}^{e}" if e > 1 else self.table.names[v]
                 for v, e in _unpack(key, n)
@@ -432,4 +520,5 @@ class Polynomial:
 # Slot setters that bypass the immutability guard of Polynomial.__setattr__.
 _set_table = Polynomial.table.__set__
 _set_terms = Polynomial._terms.__set__
+_set_den = Polynomial.den.__set__
 _set_degree = Polynomial._degree.__set__

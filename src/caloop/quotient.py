@@ -54,7 +54,7 @@ __all__ = [
     "validate_table_file",
     "LEVELS",
     "MAX_TABLE_ORDER",
-    "MAX_SAMPLED_MODULUS",
+    "MAX_SAMPLED_TRIALS",
 ]
 
 LEVELS = ("axioms", "automorphic-sampled", "automorphic-full")
@@ -62,7 +62,9 @@ LEVELS = ("axioms", "automorphic-sampled", "automorphic-full")
 # order m^8 up to which full product tables (and order^2 / order^4 scans)
 # are allowed; 256 means m = 2 only.
 MAX_TABLE_ORDER = 256
-MAX_SAMPLED_MODULUS = 5
+# trials the sampled check may run: it costs ~20 us per trial at any modulus
+# the int64 guard admits (2-CPU host), so the largest run takes ~20 s
+MAX_SAMPLED_TRIALS = 10 ** 6
 # trials evaluated per array call in the sampled check; bounds its memory
 SAMPLE_CHUNK = 2048
 
@@ -285,10 +287,10 @@ class QuotientLoop:
         if level == "axioms":
             self._check_axioms(report)
         elif level == "automorphic-sampled":
-            if self.modulus > MAX_SAMPLED_MODULUS:
+            if trials > MAX_SAMPLED_TRIALS:
                 raise BudgetExceeded(
-                    f"sampled automorphism check is budgeted to m <= "
-                    f"{MAX_SAMPLED_MODULUS}; m = {self.modulus} has order {self.order}"
+                    f"sampled automorphism check is budgeted to "
+                    f"{MAX_SAMPLED_TRIALS} trials; {trials} requested"
                 )
             self._check_automorphic_sampled(report, trials, seed)
         else:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from caloop import symbolic
 from caloop.calculus import NucleusKind
 from caloop.cli import main
-from caloop.quotient import validate_table_file
+from caloop.quotient import QuotientLoop, validate_table_file
 from caloop.words import MAX_BITS
 
 
@@ -66,6 +66,16 @@ def test_mul_inv_assoc_inner(capsys):
 def test_bad_coords_exit_2(capsys):
     code, _, err = run(capsys, "mul", "[1,2]", "[1,2,3,4,5,6,7,8]")
     assert code == 2 and "8 coordinates" in err
+
+
+# str.isdigit() accepts '²' and '١', and int() accepts '١' and '1_0'; the
+# coordinate lists take only an optional sign and ASCII 0-9, as eval does
+@pytest.mark.parametrize("head", ["\u00b2", "\u0661", "1_0"])
+def test_coords_take_ascii_digits_only(capsys, head):
+    text = "[" + head + ",0,0,0,0,0,0,0]"
+    code, out, err = run(capsys, "mul", text, "[0,0,0,0,0,0,0,0]")
+    assert code == 2 and out == ""
+    assert err == f"error: bad coordinate list {text!r}; expected [i1,...,i8]\n"
 
 
 def test_big_coordinates_become_strings_in_json(capsys):
@@ -273,9 +283,20 @@ def test_check_quotient_nonpositive_trials_exit_2(capsys, trials):
     assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
-def test_check_quotient_budget_exit_2(capsys):
-    code, _, err = run(capsys, "check-quotient", "--mod", "4", "--level", "automorphic-full")
-    assert code == 2 and "budget" in err
+@pytest.mark.parametrize("argv", [
+    ("--mod", "4", "--level", "automorphic-full"),
+    ("--mod", "7", "--level", "automorphic-full"),
+    ("--mod", "5", "--level", "automorphic-sampled", "--trials", "100000000000"),
+])
+def test_check_quotient_budget_exit_2(capsys, monkeypatch, argv):
+    # refused before any work: no sampled trial may run
+    def no_trials(*_):
+        raise AssertionError("sampled trials ran past the budget")
+
+    monkeypatch.setattr(QuotientLoop, "_sampled_failures", no_trials)
+    code, out, err = run(capsys, "check-quotient", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
 
 
 def test_check_quotient_mod3_exit_2(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -354,3 +355,116 @@ def test_packed_arithmetic_matches_tuple_reference(case):
     assert dict((P * Q).terms) == pq
     assert (P * Q).degree() == _ref_degree(pq)
     assert (P * Q).evaluate(point) == _ref_evaluate(pq, point)
+
+
+# -- integer numerators over one reduced denominator -----------------------
+
+
+def _assert_reduced(p):
+    """The representation invariant: den > 0, gcd(den, *numerators) == 1,
+    and the zero polynomial has den == 1."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) and c for c in p._terms.values())
+    assert gcd(p.den, *p._terms.values()) == 1
+    assert p._terms or p.den == 1
+    # terms decode to int when integral, else to a Fraction
+    assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+def test_equal_polynomials_built_by_different_routes_are_identical():
+    x, y = _x(), _y()
+    routes = [
+        ((x // 3) * 3, x),
+        (x // 6 + x // 3, x // 2),
+        ((x * 2) // 4, x // 2),
+        (x // -2, -(x // 2)),
+        ((x * y) // 3 - (x * y) // 3, Polynomial.zero(XY)),
+        ((x + 1) // 3 * 6 - 2, 2 * x),
+        (x * Fraction(5, 6) // 5 * 2, Polynomial(XY, {((0, 1),): Fraction(1, 3)})),
+        (Fraction(2, 3) - x // 3, (2 - x) // 3),
+    ]
+    for p, q in routes:
+        _assert_reduced(p)
+        _assert_reduced(q)
+        assert p == q and hash(p) == hash(q)
+        assert p.den == q.den and p._terms == q._terms
+
+
+def test_zero_and_scalar_short_cuts_leave_peak_stats_as_the_full_operation():
+    x, y = _x(), _y()
+    p = ((x + y + 1) ** 3) // 3  # 10 terms, degree 3
+    zero = Polynomial.zero(XY)
+    reset_stats()
+    small = x * y
+    before = peak_stats()
+    # a zero operand builds nothing, so p's size is not recorded
+    assert p * zero is zero and zero * p is zero
+    assert p * 0 == 0 and 0 * p == 0
+    assert p + zero is p and zero + p is p and p - zero is p and p + 0 is p
+    assert peak_stats() == before == (2, 1) and small.degree() == 2
+    # an int factor builds the product only, as the full product does
+    for k in (3, -6, Fraction(3, 2)):
+        reset_stats()
+        scaled = p * k
+        short = peak_stats()
+        reset_stats()
+        full = p * Polynomial.const(XY, k)
+        assert full == scaled and peak_stats() == short
+        _assert_reduced(scaled)
+
+
+_OPERAND_KINDS = ("poly", "zero", "const", "int")
+
+
+@st.composite
+def _rational_case(draw):
+    # coefficients with denominators up to 12, so the two sides' common
+    # denominators differ and their lcm is not their product; either side may
+    # be the zero polynomial, a constant or a plain int
+    n = draw(st.integers(1, 6))
+    coeffs = st.fractions(-20, 20, max_denominator=12).filter(lambda c: c != 0)
+    sides = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(_OPERAND_KINDS))
+        if kind == "poly":
+            ref = draw(st.dictionaries(_monomial(n, 6), coeffs, max_size=5))
+        elif kind == "zero":
+            ref = {}
+        elif kind == "const":
+            ref = {(): draw(coeffs)}
+        else:
+            ref = {(): draw(st.integers(-6, 6))}
+        sides.append((kind, ref))
+    k = draw(st.integers(-9, 9).filter(lambda v: v != 0))
+    point = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return n, sides, k, point
+
+
+@settings(max_examples=300)
+@given(_rational_case())
+def test_rational_arithmetic_matches_fraction_reference(case):
+    n, ((kind_p, p), (kind_q, q)), k, point = case
+    table = VarTable(tuple(f"v{i}" for i in range(n)))
+
+    def build(kind, ref):
+        return ref.get((), 0) if kind == "int" else Polynomial(table, ref)
+
+    P, Q = build(kind_p, p), build(kind_q, q)
+    if kind_p == "int":
+        if kind_q == "int":
+            return
+        P, Q, p, q = Q, P, q, p  # keep a Polynomial on the left of //
+    neg_q = {m: -c for m, c in q.items()}
+    for result, ref in (
+        (P + Q, _ref_add(p, q)), (Q + P, _ref_add(p, q)),
+        (P - Q, _ref_add(p, neg_q)), (Q - P, _ref_add(q, {m: -c for m, c in p.items()})),
+        (P * Q, _ref_mul(p, q)), (Q * P, _ref_mul(p, q)),
+        (P // k, {m: c / k for m, c in p.items()}),
+        (-P, {m: -c for m, c in p.items()}),
+    ):
+        _assert_reduced(result)
+        assert dict(result.terms) == ref
+        assert result.degree() == _ref_degree(ref)
+        assert result.evaluate(point) == _ref_evaluate(ref, point)
+        again = Polynomial(table, ref)
+        assert result == again and hash(result) == hash(again)

@@ -8,6 +8,7 @@ import pytest
 from caloop.calculus import inner_l_coords
 from caloop.core import left_div_coords, mul_coords
 from caloop.quotient import (
+    MAX_SAMPLED_TRIALS,
     SAMPLE_CHUNK,
     BudgetExceeded,
     QuotientLoop,
@@ -302,13 +303,29 @@ def test_sampled_automorphic_checks():
         assert report.counts["quadruples-checked"] == 150
 
 
+def test_sampled_check_is_budgeted_by_trials_not_modulus(monkeypatch):
+    # the check costs O(trials) at any modulus the int64 guard admits
+    for m in (7, 2434):
+        report = exhaustive_check(m, "automorphic-sampled", trials=150)
+        assert report.passed and report.counts["quadruples-checked"] == 150
+
+    def no_trials(*_):
+        raise AssertionError("sampled trials ran past the budget")
+
+    monkeypatch.setattr(QuotientLoop, "_sampled_failures", no_trials)
+    with pytest.raises(BudgetExceeded, match=f"{MAX_SAMPLED_TRIALS} trials"):
+        exhaustive_check(5, "automorphic-sampled", trials=10 ** 11)
+
+
 def test_budgets_enforced():
     with pytest.raises(BudgetExceeded):
         exhaustive_check(4, "axioms")
     with pytest.raises(BudgetExceeded):
         exhaustive_check(4, "automorphic-full")
-    with pytest.raises(BudgetExceeded):
-        exhaustive_check(7, "automorphic-sampled")
+    with pytest.raises(BudgetExceeded, match="trials"):
+        exhaustive_check(7, "automorphic-sampled", trials=MAX_SAMPLED_TRIALS + 1)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        exhaustive_check(3001, "automorphic-sampled", trials=1)
     with pytest.raises(ValueError, match="unknown level"):
         exhaustive_check(2, "everything")
 
