@@ -283,13 +283,16 @@ def test_check_quotient_nonpositive_trials_exit_2(capsys, trials):
     assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
+def test_check_quotient_budget_exit_2(capsys):
+    code, _, err = run(capsys, "check-quotient", "--mod", "4", "--level", "automorphic-full")
+    assert code == 2 and "budget" in err
+
+
 @pytest.mark.parametrize("argv", [
-    ("--mod", "4", "--level", "automorphic-full"),
     ("--mod", "7", "--level", "automorphic-full"),
     ("--mod", "5", "--level", "automorphic-sampled", "--trials", "100000000000"),
 ])
-def test_check_quotient_budget_exit_2(capsys, monkeypatch, argv):
-    # refused before any work: no sampled trial may run
+def test_check_quotient_refuses_past_budget_before_any_trial(capsys, monkeypatch, argv):
     def no_trials(*_):
         raise AssertionError("sampled trials ran past the budget")
 

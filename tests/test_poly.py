@@ -401,9 +401,9 @@ def test_zero_and_scalar_short_cuts_leave_peak_stats_as_the_full_operation():
     assert p * zero is zero and zero * p is zero
     assert p * 0 == 0 and 0 * p == 0
     assert p + zero is p and zero + p is p and p - zero is p and p + 0 is p
-    assert peak_stats() == before == (2, 1) and small.degree() == 2
+    assert peak_stats() == before == (small.degree(), len(small.terms)) == (2, 1)
     # an int factor builds the product only, as the full product does
-    for k in (3, -6, Fraction(3, 2)):
+    for k in (3, -6):
         reset_stats()
         scaled = p * k
         short = peak_stats()
