@@ -5,13 +5,12 @@ for the loop's identity catalog, a loop-word parser, and finite quotient
 loops with brute-force verification.
 """
 
-from .arith import Rat, alpha, beta
+from .arith import alpha, beta
 from .calculus import (
     NucleusKind,
     Witness,
     associator,
     inner_l,
-    inner_t,
     is_member,
     witness_noncentral,
 )
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "alpha",
     "beta",
-    "Rat",
     "Elem8",
     "Elem4",
     "basis",
@@ -52,7 +50,6 @@ __all__ = [
     "V4",
     "associator",
     "inner_l",
-    "inner_t",
     "NucleusKind",
     "is_member",
     "witness_noncentral",

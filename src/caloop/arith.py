@@ -1,22 +1,16 @@
-"""Exact scalars: the exponent maps alpha and beta, and rationals.
+"""The exponent maps alpha and beta.
 
-Every quantity in this package is an exact integer or rational; nothing is
-ever rounded.  Python ints are already arbitrary precision, so the integer
-"type" of the library is plain ``int``.  Rationals are ``fractions.Fraction``
-(always reduced, positive denominator, structural equality).  The finite
-quotient loops need no residue type: they reduce the exact integer (or int64
-array) results of the kernel mod m.
+alpha(n) = (n^3 - n)/3 and beta(n) = n^2 - n are the exponents of the
+paper's power formulas.  The kernel in :mod:`caloop.core` inlines them in
+its ``+ - *`` and exact ``// 3``, so that one formula runs on ints,
+polynomials and int64 arrays; these functions are their exact integer
+form.  Every quantity in this package is an exact integer or rational;
+nothing is ever rounded.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-__all__ = ["alpha", "beta", "Rat"]
-
-# Exact rational scalar; reduced form and positive denominator are guaranteed
-# by the Fraction constructor, so == is both structural and semantic.
-Rat = Fraction
+__all__ = ["alpha", "beta"]
 
 
 def alpha(n: int) -> int:

@@ -31,7 +31,6 @@ from .core import mul_coords  # noqa: F401  (perfbench's tracer rebinds calculus
 __all__ = [
     "associator",
     "inner_l",
-    "inner_t",
     "NucleusKind",
     "is_member",
     "witness_noncentral",
@@ -124,15 +123,6 @@ def associator(a: Elem8, b: Elem8, c: Elem8) -> Elem8:
 def inner_l(a: Elem8, b: Elem8, c: Elem8) -> Elem8:
     """Image of c under the inner mapping L_{a,b}."""
     return Elem8(inner_l_coords(a, b, c))
-
-
-def inner_t(a: Elem8, c: Elem8) -> Elem8:
-    """Image of c under T_a = R_a L_a^-1.
-
-    The loop is commutative, so R_a = L_a and T_a is the identity map; the
-    operation exists to complete the inner-mapping interface.
-    """
-    return c
 
 
 class NucleusKind(enum.Enum):

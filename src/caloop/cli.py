@@ -8,7 +8,11 @@ Subcommands::
     member --kind KIND A           subloop membership (witness on failure)
     verify [--identity NAME]       run the symbolic identity catalog
     table --mod M --out PATH       export a Cayley table (csv or bin)
-    check-quotient --mod M --level L   brute-force checks on (Z/m)^8
+    check-quotient --mod M --level L [--trials N] [--seed S]
+                                   brute-force checks on (Z/m)^8
+
+Every subcommand takes ``--json``; only ``check-quotient`` takes
+``--trials`` and ``--seed``, the size and seed of its sampled level.
 
 Exit codes: 0 success / all checks pass, 1 verification or check failure,
 2 usage, parse, input or file errors (an ``error:`` line on stderr).
@@ -29,7 +33,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .calculus import NucleusKind, associator, inner_l, is_member, witness_noncentral
 from .core import Elem8
-from .quotient import LEVELS, BudgetExceeded, make_quotient
+from .quotient import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS, BudgetExceeded, make_quotient
 from .symbolic import catalog_names, verify_all, verify_identity
 from .words import (
     MAX_BITS,
@@ -209,8 +213,6 @@ def _cmd_check_quotient(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=20260808, help="seed for randomized suites")
-    common.add_argument("--trials", type=int, default=1000, help="trial count for randomized suites")
 
     parser = argparse.ArgumentParser(
         prog="caloop",
@@ -262,6 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-quotient", parents=[common], help="brute-force quotient checks")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--level", choices=LEVELS, default="axioms")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="quadruples the automorphic-sampled level draws")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the automorphic-sampled level's random.Random")
     p.set_defaults(func=_cmd_check_quotient)
 
     return parser

@@ -12,6 +12,8 @@ it is total, commutative, and has exact two-sided division.
 
 The class-2 loop lives on 4-tuples (exponents of x, y, u1, u2) and is the
 image of the class-3 loop under truncation to the first four coordinates.
+Its product :func:`mul4_coords` is :func:`mul_coords` on zero-padded
+4-tuples, cut to four coordinates, so the formula is written once.
 
 The inverse of a is -a, coordinate by coordinate (:func:`inv_coords`); the
 catalog entry ``inverse-negation`` proves it equal to the left division of
@@ -215,15 +217,16 @@ def pow_closed_form(a: Sequence, n) -> tuple:
 
 
 def mul4_coords(a: Sequence[int], b: Sequence[int]) -> Coords4:
-    """Product in the class-2 loop on 4-tuples of exponents."""
+    """Product in the class-2 loop on 4-tuples of exponents.
+
+    Coordinates 1-4 of :func:`mul_coords` on the zero-padded inputs.  The
+    catalog entry ``projection-homomorphism`` proves that coordinates 1-4 of
+    a product do not depend on coordinates 5-8, so this is the product of
+    the image of truncation.
+    """
     a1, a2, a3, a4 = a
     b1, b2, b3, b4 = b
-    return (
-        a1 + b1,
-        a2 + b2,
-        a3 + b3 - a1 * b1 * (a2 + b2),
-        a4 + b4 + a2 * b2 * (a1 + b1),
-    )
+    return mul_coords((a1, a2, a3, a4, 0, 0, 0, 0), (b1, b2, b3, b4, 0, 0, 0, 0))[:4]
 
 
 def project_coords(a: Sequence[int]) -> Coords4:

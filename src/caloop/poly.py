@@ -31,6 +31,8 @@ The guard: a field holds at most ``MAX_DEGREE = 2**BITS - 1``, and no
 exponent exceeds the total degree.  So a product of degrees d and e cannot
 carry out of any field when d + e <= MAX_DEGREE, and ``*`` refuses every
 other product with :class:`DegreeLimitExceeded` before it adds a key.
+Sizes are bounded too: no polynomial, and no product's term pairs, may
+pass the module constant ``TERM_LIMIT`` (:class:`TermLimitExceeded`).
 
 The packed keys are internal.  :attr:`Polynomial.terms` is a read-only
 view in the documented form ``{((var, exp), ...): coeff}``, with the pairs
@@ -78,7 +80,7 @@ __all__ = [
     "VariableTableMismatch",
     "TermLimitExceeded",
     "DegreeLimitExceeded",
-    "set_term_limit",
+    "TERM_LIMIT",
     "reset_stats",
     "peak_stats",
 ]
@@ -104,17 +106,12 @@ class DegreeLimitExceeded(OverflowError):
     """Raised when a monomial's total degree would pass ``MAX_DEGREE``."""
 
 
-_term_limit = 10_000_000
+# Most terms any intermediate polynomial may have; read at each check.
+TERM_LIMIT = 10_000_000
 
 # Peak sizes seen since the last reset; the identity prover reports these.
 _peak_degree = 0
 _peak_terms = 0
-
-
-def set_term_limit(limit: int) -> None:
-    """Set the global cap on term counts of intermediate polynomials."""
-    global _term_limit
-    _term_limit = limit
 
 
 def reset_stats() -> None:
@@ -176,9 +173,9 @@ def _track(table: VarTable, terms: dict) -> int:
     return the degree of ``terms`` (packed keys, nonzero coefficients)."""
     global _peak_degree, _peak_terms
     n = len(terms)
-    if n > _term_limit:
+    if n > TERM_LIMIT:
         raise TermLimitExceeded(
-            f"polynomial with {n} terms exceeds the {_term_limit}-term budget"
+            f"polynomial with {n} terms exceeds the {TERM_LIMIT}-term budget"
         )
     if n > _peak_terms:
         _peak_terms = n
@@ -410,10 +407,10 @@ class Polynomial:
             return self
         if not b:
             return other
-        if len(a) * len(b) > _term_limit:
+        if len(a) * len(b) > TERM_LIMIT:
             raise TermLimitExceeded(
                 f"product of {len(a)} x {len(b)} terms "
-                f"exceeds the {_term_limit}-term budget"
+                f"exceeds the {TERM_LIMIT}-term budget"
             )
         if self._degree + other._degree > MAX_DEGREE:
             raise DegreeLimitExceeded(

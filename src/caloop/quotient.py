@@ -55,6 +55,8 @@ __all__ = [
     "LEVELS",
     "MAX_TABLE_ORDER",
     "MAX_SAMPLED_TRIALS",
+    "DEFAULT_TRIALS",
+    "DEFAULT_SEED",
 ]
 
 LEVELS = ("axioms", "automorphic-sampled", "automorphic-full")
@@ -62,11 +64,14 @@ LEVELS = ("axioms", "automorphic-sampled", "automorphic-full")
 # order m^8 up to which full product tables (and order^2 / order^4 scans)
 # are allowed; 256 means m = 2 only.
 MAX_TABLE_ORDER = 256
-# trials the sampled check may run: it costs ~20 us per trial at any modulus
-# the int64 guard admits (2-CPU host), so the largest run takes ~20 s
+# trials the sampled check may run: it costs ~2 us per trial at any modulus
+# the int64 guard admits (2-CPU host), so the largest run takes ~2 s
 MAX_SAMPLED_TRIALS = 10 ** 6
 # trials evaluated per array call in the sampled check; bounds its memory
 SAMPLE_CHUNK = 2048
+# the sampled check's trial count and random.Random seed when none is given
+DEFAULT_TRIALS = 1000
+DEFAULT_SEED = 20260808
 
 
 class BudgetExceeded(ValueError):
@@ -126,6 +131,12 @@ def _intermediate_bound(m: int) -> int:
 _INT64_MAX = 2 ** 63 - 1
 
 
+def _size(n: int) -> str:
+    """n in decimal if it fits in 64 bits, else its bit length, so that no
+    message prints an unbounded int in full."""
+    return str(n) if n.bit_length() <= 64 else f"an int of {n.bit_length()} bits"
+
+
 def make_quotient(m: int) -> "QuotientLoop":
     """Validate m and return a handle for the quotient loop (Z/m)^8."""
     return QuotientLoop(m)
@@ -136,10 +147,10 @@ class QuotientLoop:
 
     def __init__(self, modulus: int):
         if modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {modulus}")
+            raise ValueError(f"modulus must be at least 2, got {_size(modulus)}")
         if modulus % 3 == 0:
             raise ValueError(
-                f"modulus {modulus} is divisible by 3: the exponent map "
+                f"modulus {_size(modulus)} is divisible by 3: the exponent map "
                 "n -> (n^3 - n)/3 is not periodic mod 3 (it maps 3 to 8 but 0 "
                 "to 0, and 8 != 0 mod 3), so the multiplication formula does "
                 "not descend to (Z/m)^8"
@@ -204,16 +215,16 @@ class QuotientLoop:
         if bound > _INT64_MAX:
             raise BudgetExceeded(
                 f"{what} runs on int64 arrays, but the product formula forms "
-                f"values up to {bound} at m = {self.modulus}, past the int64 "
-                f"maximum {_INT64_MAX}"
+                f"values up to {_size(bound)} at m = {_size(self.modulus)}, past "
+                f"the int64 maximum {_INT64_MAX}"
             )
 
-    def _require_table_budget(self, what: str) -> None:
+    def _require_table_budget(self) -> None:
         if self.order > MAX_TABLE_ORDER:
             raise BudgetExceeded(
-                f"{what} needs a full product table with {self.order}^2 = "
-                f"{self.order ** 2} entries (m = {self.modulus}); the budget "
-                f"allows order <= {MAX_TABLE_ORDER}"
+                f"a product table of (Z/m)^8 has order m^8 = {_size(self.order)} "
+                f"at m = {_size(self.modulus)}, past the budget of order <= "
+                f"{MAX_TABLE_ORDER} (m = 2)"
             )
 
     def product_table(self) -> np.ndarray:
@@ -222,7 +233,7 @@ class QuotientLoop:
         One broadcast product of every element with every other; the indices
         stay below order, which the table budget keeps within uint16.
         """
-        self._require_table_budget("product table")
+        self._require_table_budget()
         if self._table is None:
             self._require_int64("product table")
             cols = self.element_coords(np.arange(self.order, dtype=np.int64))
@@ -268,7 +279,6 @@ class QuotientLoop:
 
     def center_indices(self) -> list:
         """Brute-force center: elements fixed by every inner mapping L_{a,b}."""
-        self._require_table_budget("center computation")
         maps = self._distinct_inner_maps()
         fixed = (maps == np.arange(self.order)[None, :]).all(axis=0)
         return [int(i) for i in np.nonzero(fixed)[0]]
@@ -276,51 +286,40 @@ class QuotientLoop:
     # -- checks ---------------------------------------------------------------
 
     def exhaustive_check(
-        self, level: str, trials: int = 1000, seed: int = 20260808
+        self, level: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
     ) -> "QuotientReport":
+        """Run one check level; every budget is checked before any work."""
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
         if trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
+            raise ValueError(f"trials must be at least 1, got {_size(trials)}")
+        if level != "automorphic-sampled":
+            self._require_table_budget()
+        elif trials > MAX_SAMPLED_TRIALS:
+            raise BudgetExceeded(
+                f"sampled automorphism check is budgeted to "
+                f"{MAX_SAMPLED_TRIALS} trials; {_size(trials)} requested"
+            )
         start = time.perf_counter()
         report = QuotientReport(modulus=self.modulus, order=self.order, level=level)
         if level == "axioms":
             self._check_axioms(report)
         elif level == "automorphic-sampled":
-            if trials > MAX_SAMPLED_TRIALS:
-                raise BudgetExceeded(
-                    f"sampled automorphism check is budgeted to "
-                    f"{MAX_SAMPLED_TRIALS} trials; {trials} requested"
-                )
             self._check_automorphic_sampled(report, trials, seed)
         else:
-            if self.order > MAX_TABLE_ORDER:
-                raise BudgetExceeded(
-                    f"full automorphism check enumerates order^4 = "
-                    f"{self.order ** 4} quadruples; budget allows order <= "
-                    f"{MAX_TABLE_ORDER} (m = 2)"
-                )
             self._check_automorphic_full(report)
         report.millis = int((time.perf_counter() - start) * 1000)
         return report
 
     def _check_axioms(self, report: "QuotientReport") -> None:
-        self._require_table_budget("axioms check")
-        t = self.product_table()
-        order = self.order
-        idx = np.arange(order)
-        report.checks["identity-row"] = bool((t[0] == idx).all())
-        report.checks["identity-column"] = bool((t[:, 0] == idx).all())
-        report.checks["commutative"] = bool((t == t.T).all())
-        report.checks["latin-rows"] = bool((np.sort(t, axis=1) == idx[None, :]).all())
-        report.checks["latin-columns"] = bool((np.sort(t, axis=0) == idx[:, None]).all())
+        report.checks.update(_table_checks(self.product_table()))
         center = self.center_indices()
         expected = sorted(
             self.element_index((0, 0, 0, 0) + tail)
             for tail in np.ndindex(*(self.modulus,) * 4)
         )
         report.checks["center-matches-coordinate-description"] = center == expected
-        report.counts["products-checked"] = order * order
+        report.counts["products-checked"] = self.order ** 2
         report.counts["center-size"] = len(center)
 
     def _check_automorphic_sampled(
@@ -332,16 +331,20 @@ class QuotientLoop:
     def _sampled_failures(self, trials: int, seed: int) -> int:
         """Count random quadruples (a, b, c, d) with L_{a,b}(c d) != L_{a,b}(c) L_{a,b}(d).
 
-        Each trial draws the 8 coordinates of a, b, c, then d from
-        random.Random(seed); at most SAMPLE_CHUNK trials are evaluated at once.
+        Each trial takes 32 little-endian 32-bit words from
+        random.Random(seed).randbytes, the 8 coordinates of a, b, c, then d,
+        and maps each word x to the residue (x * m) >> 32; the bias is at
+        most m / 2^32.  A chunk of at most SAMPLE_CHUNK trials is drawn in one
+        call and evaluated at once.
         """
         self._require_int64("sampled automorphism check")
         rng = random.Random(seed)
-        m = self.modulus
+        m = np.uint64(self.modulus)
         bad = 0
         for start in range(0, trials, SAMPLE_CHUNK):
             n = min(SAMPLE_CHUNK, trials - start)
-            draws = np.array([rng.randrange(m) for _ in range(32 * n)], dtype=np.int64)
+            words = np.frombuffer(rng.randbytes(4 * 32 * n), dtype="<u4")
+            draws = ((words.astype(np.uint64) * m) >> np.uint64(32)).astype(np.int64)
             # draws[trial, element, coordinate] -> one array per (element, coordinate)
             a, b, c, d = (tuple(e) for e in draws.reshape(n, 4, 8).transpose(1, 2, 0))
             lhs = self.inner_l(a, b, self.mul(c, d))
@@ -388,6 +391,19 @@ class QuotientLoop:
             raise ValueError(f"unknown table format {fmt!r}; use 'csv' or 'bin'")
 
 
+def _table_checks(t: np.ndarray) -> dict:
+    """Identity, commutativity and Latin-square checks of a product table,
+    keyed by the names the axioms report uses."""
+    idx = np.arange(len(t))
+    return {
+        "identity-row": bool((t[0] == idx).all()),
+        "identity-column": bool((t[:, 0] == idx).all()),
+        "commutative": bool((t == t.T).all()),
+        "latin-rows": bool((np.sort(t, axis=1) == idx[None, :]).all()),
+        "latin-columns": bool((np.sort(t, axis=0) == idx[:, None]).all()),
+    }
+
+
 @dataclass
 class QuotientReport:
     """Outcome of a brute-force quotient check.
@@ -421,7 +437,7 @@ class QuotientReport:
 
 
 def exhaustive_check(
-    m: int, level: str, trials: int = 1000, seed: int = 20260808
+    m: int, level: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> QuotientReport:
     return make_quotient(m).exhaustive_check(level, trials=trials, seed=seed)
 
@@ -498,10 +514,10 @@ def _read_table_csv(path: str):
 
 
 def _read_table_bin(path: str):
+    """(m, order, table) of a binary table file, whose magic b'CLT1' the
+    caller has matched."""
     with open(path, "rb") as fh:
         header = fh.read(8)
-        if header[:4] != b"CLT1":
-            raise ValueError(f"{path}: bad magic {header[:4]!r}, expected b'CLT1'")
         if len(header) < 8:
             raise ValueError(f"{path}: {len(header)} bytes is shorter than the 8-byte header")
         (m,) = struct.unpack("<I", header[4:])
@@ -512,27 +528,24 @@ def _read_table_bin(path: str):
     return m, order, data.reshape(order, order).astype(np.int64)
 
 
-def validate_table_file(path: str, fmt: Optional[str] = None) -> TableFileReport:
+def validate_table_file(path: str) -> TableFileReport:
     """Check a table file for the Latin-square and symmetry properties.
 
+    The magic b'CLT1' marks a binary table; any other file is read as CSV.
     Reads only the file; does not consult the loop implementation.
     """
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "bin" if fh.read(4) == b"CLT1" else "csv"
-    m, order, t = _read_table_csv(path) if fmt == "csv" else _read_table_bin(path)
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == b"CLT1"
+    m, order, t = _read_table_bin(path) if binary else _read_table_csv(path)
     if m < 2:
         raise ValueError(f"{path}: header modulus m={m} is below 2; no quotient loop has it")
     if t.shape != (order, order):
         raise ValueError(f"{path}: table shape {t.shape} does not match order {order}")
-    idx = np.arange(order)
+    checks = _table_checks(t)
     return TableFileReport(
         modulus=m,
         order=order,
-        latin=bool(
-            (np.sort(t, axis=1) == idx[None, :]).all()
-            and (np.sort(t, axis=0) == idx[:, None]).all()
-        ),
-        symmetric=bool((t == t.T).all()),
-        identity_row=bool((t[0] == idx).all()),
+        latin=checks["latin-rows"] and checks["latin-columns"],
+        symmetric=checks["commutative"],
+        identity_row=checks["identity-row"],
     )

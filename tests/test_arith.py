@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caloop.arith import Rat, alpha, beta
+from caloop.arith import alpha, beta
 
 ints = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
 
@@ -16,7 +18,7 @@ def test_alpha_values():
 
 def test_alpha_rejects_a_non_integer():
     with pytest.raises(ValueError, match="3 does not divide"):
-        alpha(Rat(1, 2))
+        alpha(Fraction(1, 2))
 
 
 def test_beta_values():
@@ -41,22 +43,3 @@ def test_alpha_beta_negation(n):
     assert alpha(-n) == -alpha(n)
     assert beta(-n) == 2 * n * n - beta(n)
 
-
-def test_rat_examples():
-    assert Rat(1, 3) + Rat(2, 3) == 1
-    assert Rat(2, 4) == Rat(1, 2)
-    assert Rat(2, 4).numerator == 1 and Rat(2, 4).denominator == 2
-    with pytest.raises(ZeroDivisionError):
-        1 / Rat(0)
-
-
-def test_rat_reduced_with_positive_denominator():
-    r = Rat(6, -9)
-    assert r.numerator == -2 and r.denominator == 3
-
-
-@given(ints, ints)
-def test_rat_embeds_int_arithmetic(a, b):
-    assert Rat(a) + Rat(b) == Rat(a + b)
-    assert Rat(a) * Rat(b) == Rat(a * b)
-    assert -Rat(a) == Rat(-a)

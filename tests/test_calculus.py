@@ -8,7 +8,6 @@ from caloop.calculus import (
     associator,
     inner_l,
     inner_l_coords,
-    inner_t,
     is_member,
     witness_noncentral,
 )
@@ -185,7 +184,6 @@ def test_inner_l_fixes_identity_and_is_trivial_at_identity():
         a, b, c = (Elem8(random_coords(rng)) for _ in range(3))
         assert inner_l(a, b, IDENTITY) == IDENTITY
         assert inner_l(IDENTITY, b, c) == c
-        assert inner_t(a, c) == c
 
 
 def test_inner_l_closed_form_sampled():

@@ -161,7 +161,7 @@ def test_table_and_check_quotient(capsys, tmp_path):
 
     code, out, _ = run(
         capsys, "check-quotient", "--mod", "5", "--level", "automorphic-sampled",
-        "--trials", "50", "--json",
+        "--trials", "50", "--seed", "-3", "--json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -300,6 +300,44 @@ def test_check_quotient_refuses_past_budget_before_any_trial(capsys, monkeypatch
     code, out, err = run(capsys, "check-quotient", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-quotient", "--level", "axioms"),
+    ("check-quotient", "--level", "automorphic-sampled"),
+    ("check-quotient", "--level", "automorphic-full"),
+    ("table", "--out", "unused.csv"),
+], ids=["axioms", "automorphic-sampled", "automorphic-full", "table"])
+def test_a_1001_digit_modulus_is_a_short_budget_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv[0], "--mod", str(10 ** 1000), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and ("budget" in err or "int64" in err)
+    assert len(err) < 300 and not list(tmp_path.iterdir())
+
+
+# every subcommand but check-quotient, with valid arguments
+_COMMAND_ARGS = {
+    "eval": ["x"],
+    "mul": ["[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]"],
+    "inv": ["[1,0,0,0,0,0,0,0]"],
+    "assoc": ["[1,0,0,0,0,0,0,0]"] * 3,
+    "inner": ["[1,0,0,0,0,0,0,0]"] * 3,
+    "member": ["--kind", "center", "[1,0,0,0,0,0,0,0]"],
+    "verify": [],
+    "table": ["--mod", "2", "--out", "unused.csv"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trials"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_only_check_quotient_takes_seed_and_trials(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([command, *_COMMAND_ARGS[command], flag, "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag} 1" in err
 
 
 def test_check_quotient_mod3_exit_2(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caloop import poly
 from caloop.arith import alpha
 from caloop.poly import (
     MAX_DEGREE,
@@ -15,7 +16,6 @@ from caloop.poly import (
     VarTable,
     peak_stats,
     reset_stats,
-    set_term_limit,
 )
 
 from support import make_rng
@@ -135,15 +135,12 @@ def test_table_mismatch_raises():
         _x() + Polynomial.var(other, 0)
 
 
-def test_term_limit():
+def test_term_limit(monkeypatch):
     x, y = _x(), _y()
     big = (x + y) ** 6
-    set_term_limit(5)
-    try:
-        with pytest.raises(TermLimitExceeded):
-            big * big
-    finally:
-        set_term_limit(10_000_000)
+    monkeypatch.setattr(poly, "TERM_LIMIT", 5)
+    with pytest.raises(TermLimitExceeded):
+        big * big
 
 
 def test_negative_power_rejected():
