@@ -77,6 +77,18 @@ def mul_coords(a: Sequence[int], b: Sequence[int]) -> Coords8:
     The first two coordinates add; coordinates 3-8 add and pick up a
     correction polynomial in the earlier coordinates of both factors.
     The expression is symmetric in (a, b), so the loop is commutative.
+
+    The corrections are written in the symmetric functions of the factors:
+    s_i = a_i + b_i, p11 = a1 b1, p22 = a2 b2, q1 = s1^2, q2 = s2^2,
+    t1 = p11 s2, t2 = p22 s1 and cross = a1 b2 + a2 b1, which takes 24
+    multiplications.
+
+    Each ``// 3`` is exact on integers.  Two dividends are p22 (s1^3 - s1)
+    and p11 (s2^3 - s2), and 3 divides n^3 - n for every n.  The other two
+    are t1 (q1 + p11 - 5) and its mirror image t2 (q2 + p22 - 5).  Either
+    3 divides p11 = a1 b1, or a1 and b1 are both nonzero mod 3, so
+    a1 = b1 or a1 = -b1 mod 3; then q1 + p11 - 5 is 1 + 1 - 5 or
+    0 - 1 - 5 mod 3, which is 0 either way (likewise for a2, b2).
     """
     a1, a2, a3, a4, a5, a6, a7, a8 = a
     b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -87,48 +99,21 @@ def mul_coords(a: Sequence[int], b: Sequence[int]) -> Coords8:
     s4 = a4 + b4
     p11 = a1 * b1
     p22 = a2 * b2
+    q1 = s1 * s1
+    q2 = s2 * s2
+    t1 = p11 * s2
+    t2 = p22 * s1
     cross = a1 * b2 + a2 * b1
-
-    ba1 = a1 * a1 - a1  # beta(a1)
-    bb1 = b1 * b1 - b1
-    ba2 = a2 * a2 - a2
-    bb2 = b2 * b2 - b2
-    aa1 = (a1 * a1 * a1 - a1) // 3  # alpha(a1); 3 | n^3 - n always
-    ab1 = (b1 * b1 * b1 - b1) // 3
-    aa2 = (a2 * a2 * a2 - a2) // 3
-    ab2 = (b2 * b2 * b2 - b2) // 3
-    as1 = (s1 * s1 * s1 - s1) // 3
-    as2 = (s2 * s2 * s2 - s2) // 3
 
     return (
         s1,
         s2,
-        s3 - p11 * s2,
-        s4 + p22 * s1,
-        a5 + b5
-        + s2 * (b1 * aa1 + a1 * ab1)
-        + a2 * (a1 * bb1 + b1 * b1 * ba1)
-        + b2 * (b1 * ba1 + a1 * a1 * bb1)
-        - p11 * s3,
-        a6 + b6
-        + 2 * p11 * p22 * s1
-        + s2 * (a1 * bb1 + b1 * ba1)
-        + (ba2 + bb2) * (a1 * b1 * b1 + b1 * a1 * a1)
-        - p22 * as1
-        - p11 * s4
-        - s3 * cross,
-        a7 + b7
-        - 2 * p11 * p22 * s2
-        - s1 * (a2 * bb2 + b2 * ba2)
-        - (ba1 + bb1) * (a2 * b2 * b2 + b2 * a2 * a2)
-        + p11 * as2
-        - p22 * s3
-        - s4 * cross,
-        a8 + b8
-        - s1 * (a2 * ab2 + b2 * aa2)
-        - a1 * (a2 * bb2 + b2 * b2 * ba2)
-        - b1 * (b2 * ba2 + a2 * a2 * bb2)
-        - p22 * s4,
+        s3 - t1,
+        s4 + t2,
+        a5 + b5 + t1 * (q1 + p11 - 5) // 3 - p11 * s3,
+        a6 + b6 + p11 * (s1 * q2 - 2 * s2 - s4) - p22 * (q1 * s1 - s1) // 3 - s3 * cross,
+        a7 + b7 - p22 * (q1 * s2 - 2 * s1 + s3) + p11 * (q2 * s2 - s2) // 3 - s4 * cross,
+        a8 + b8 - t2 * (q2 + p22 - 5) // 3 - p22 * s4,
     )
 
 

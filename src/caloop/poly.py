@@ -432,9 +432,9 @@ class Polynomial:
     def __floordiv__(self, n: int) -> "Polynomial":
         """Exact division by a nonzero integer: multiplication by 1/n.
 
-        This is the kernel's ``// 3`` on polynomial coordinates.  There it
-        divides n^3 - n, which 3 divides at every integer point, so the
-        rational quotient takes the same integer values as the floor.
+        This is the kernel's ``// 3`` on polynomial coordinates.  There each
+        dividend is divisible by 3 at every integer point, so the rational
+        quotient takes the same integer values as the floor.
         """
         if not isinstance(n, int):
             return NotImplemented

@@ -461,13 +461,24 @@ class TableFileReport:
         return self.latin and self.symmetric and self.identity_row
 
 
+# characters a CSV header int may have: enough for any 64-bit int, so that
+# m ** 8 stays small and int() never meets Python's 4300-digit limit
+_HEADER_INT_CHARS = 20
+
+
 def _header_int(path: str, fields: dict, key: str) -> int:
     if key not in fields:
         raise ValueError(f"{path}: table header has no {key}= field")
+    text = fields[key]
+    if len(text) > _HEADER_INT_CHARS:
+        raise ValueError(
+            f"{path}: header field {key}= has {len(text)} characters, past "
+            f"the {_HEADER_INT_CHARS} of a 64-bit int"
+        )
     try:
-        return int(fields[key])
+        return int(text)
     except ValueError:
-        raise ValueError(f"{path}: header field {key}={fields[key]!r} is not an integer") from None
+        raise ValueError(f"{path}: header field {key}={text!r} is not an integer") from None
 
 
 def _csv_line(path: str, lineno: int, raw: bytes) -> str:
@@ -493,7 +504,9 @@ def _read_table_csv(path: str):
         m = _header_int(path, fields, "m")
         order = _header_int(path, fields, "order")
         if order != m ** 8:
-            raise ValueError(f"{path}: header order={order} is not m^8 = {m ** 8}")
+            raise ValueError(
+                f"{path}: header order={_size(order)} is not m^8 = {_size(m ** 8)}"
+            )
         if fields.get("ordering") != "lex":
             raise ValueError(f"{path}: unknown element ordering {fields.get('ordering')!r}")
         rows = []
@@ -524,7 +537,7 @@ def _read_table_bin(path: str):
         order = m ** 8
         data = np.frombuffer(fh.read(), dtype="<u4")
     if data.size != order * order:
-        raise ValueError(f"{path}: expected {order * order} entries, found {data.size}")
+        raise ValueError(f"{path}: expected {_size(order * order)} entries, found {data.size}")
     return m, order, data.reshape(order, order).astype(np.int64)
 
 
@@ -540,7 +553,7 @@ def validate_table_file(path: str) -> TableFileReport:
     if m < 2:
         raise ValueError(f"{path}: header modulus m={m} is below 2; no quotient loop has it")
     if t.shape != (order, order):
-        raise ValueError(f"{path}: table shape {t.shape} does not match order {order}")
+        raise ValueError(f"{path}: table shape {t.shape} does not match order {_size(order)}")
     checks = _table_checks(t)
     return TableFileReport(
         modulus=m,

@@ -397,6 +397,12 @@ def test_validator_rejects_garbage(tmp_path):
         ("caloop-table m=2 order=256 lex", "'lex' is not key=value"),
         ("caloop-table m=two order=256 ordering=lex", "m='two' is not an integer"),
         ("caloop-table m=5 order=2 ordering=lex", "order=2 is not m\\^8 = 390625"),
+        # a 1000-digit m once reached m ** 8 and Python's bare "Exceeds the
+        # limit (4300 digits)"; a 5000-digit one was echoed in full
+        pytest.param(f"caloop-table m={'7' * 1000} order=1 ordering=lex",
+                     "m= has 1000 characters", id="1000-digit-m"),
+        pytest.param(f"caloop-table m={'7' * 5000} order=1 ordering=lex",
+                     "m= has 5000 characters", id="5000-digit-m"),
     ],
 )
 def test_validator_names_bad_header_field(tmp_path, header, message):
@@ -405,6 +411,7 @@ def test_validator_names_bad_header_field(tmp_path, header, message):
     with pytest.raises(ValueError, match=message) as info:
         validate_table_file(str(path))
     assert str(path) in str(info.value)
+    assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize(

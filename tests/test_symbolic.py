@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from caloop.core import left_div_coords, mul_coords
@@ -73,7 +75,8 @@ def test_full_catalog_passes():
 # (max_degree, variables) of every entry: the largest total degree seen while
 # expanding it, and the size of its variable table.  The closed-form power
 # has total degree 10 in (n, a): alpha(n) n^2 is degree 5 in n and
-# multiplies a1^4 a2 in the v1 coordinate.
+# multiplies a1^4 a2 in the v1 coordinate.  inverse-negation multiplies a by
+# its negation, on which the product forms nothing past degree 3.
 EXPECTED_SIZES = {
     "identity-element": (3, 8),
     "commutativity": (5, 16),
@@ -105,7 +108,7 @@ EXPECTED_SIZES = {
     "power-negation": (10, 9),
     "associator-formula": (5, 24),
     "inner-map-formula": (5, 24),
-    "inverse-negation": (5, 8),
+    "inverse-negation": (3, 8),
 }
 
 
@@ -179,6 +182,20 @@ def test_symbolic_product_matches_integer_kernel():
         point = pa + pb
         assert prod.evaluate(point) == mul_coords(pa, pb)
         assert quot.evaluate(point) == left_div_coords(pa, pb)
+
+
+def test_product_divisions_are_exact_on_every_residue_class():
+    # Each // 3 in mul_coords divides an integer polynomial in a1, a2, b1, b2
+    # only, so its residue mod 3 depends only on those four mod 3.  The
+    # polynomial product divides exactly, and SymElem8.evaluate raises on a
+    # non-integer value, so matching it on one full period of residues shows
+    # that every integer floor is exact, for all integers.
+    ops, a, b = _generic_pair()
+    prod = ops.mul(a, b)
+    for a1, a2, b1, b2 in itertools.product(range(3), repeat=4):
+        pa = (a1, a2, 5, -7, 2, -3, 4, 1)
+        pb = (b1, b2, -2, 3, -5, 7, 1, -4)
+        assert prod.evaluate(pa + pb) == mul_coords(pa, pb)
 
 
 def test_symbolic_division_round_trip_is_polynomial_identity():
