@@ -537,7 +537,7 @@ def _read_table_bin(path: str):
         order = m ** 8
         data = np.frombuffer(fh.read(), dtype="<u4")
     if data.size != order * order:
-        raise ValueError(f"{path}: expected {_size(order * order)} entries, found {data.size}")
+        raise ValueError(f"{path}: expected {order * order} entries, found {data.size}")
     return m, order, data.reshape(order, order).astype(np.int64)
 
 
@@ -553,7 +553,7 @@ def validate_table_file(path: str) -> TableFileReport:
     if m < 2:
         raise ValueError(f"{path}: header modulus m={m} is below 2; no quotient loop has it")
     if t.shape != (order, order):
-        raise ValueError(f"{path}: table shape {t.shape} does not match order {_size(order)}")
+        raise ValueError(f"{path}: table shape {t.shape} does not match order {order}")
     checks = _table_checks(t)
     return TableFileReport(
         modulus=m,

@@ -397,8 +397,8 @@ def test_validator_rejects_garbage(tmp_path):
         ("caloop-table m=2 order=256 lex", "'lex' is not key=value"),
         ("caloop-table m=two order=256 ordering=lex", "m='two' is not an integer"),
         ("caloop-table m=5 order=2 ordering=lex", "order=2 is not m\\^8 = 390625"),
-        # a 1000-digit m once reached m ** 8 and Python's bare "Exceeds the
-        # limit (4300 digits)"; a 5000-digit one was echoed in full
+        # refused unread: int() would raise Python's own 4300-digit error at
+        # 5000 digits, and m ** 8 of a 1000-digit m has 8000 digits
         pytest.param(f"caloop-table m={'7' * 1000} order=1 ordering=lex",
                      "m= has 1000 characters", id="1000-digit-m"),
         pytest.param(f"caloop-table m={'7' * 5000} order=1 ordering=lex",
