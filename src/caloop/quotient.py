@@ -16,8 +16,9 @@ distinct permutations among them (43 at m = 2), and checks
 L(c * d) = L(c) * L(d) for every pair (c, d) against each distinct map.
 Whether that law holds depends only on the permutation L, not on the pair
 (a, b) that produced it, so the check still decides every one of the
-256^4 quadruples (a, b, c, d).  The center is computed from the same set:
-the elements fixed by every distinct inner mapping.
+256^4 quadruples (a, b, c, d).  The center needs no scan: c is fixed by
+L_{a,b} exactly when (a * b) * c = b * (a * c), which is tested on the
+product table directly for every a and b.
 
 The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
 index maps) is written once on coordinate tuples and runs unchanged on
@@ -278,9 +279,24 @@ class QuotientLoop:
         return self._inner_maps
 
     def center_indices(self) -> list:
-        """Brute-force center: elements fixed by every inner mapping L_{a,b}."""
-        maps = self._distinct_inner_maps()
-        fixed = (maps == np.arange(self.order)[None, :]).all(axis=0)
+        """Brute-force center: elements fixed by every inner mapping L_{a,b}.
+
+        L_{a,b}(c) is the z with (a * b) * z = b * (a * c), so c is fixed
+        exactly when (a * b) * c = b * (a * c).  This tests that equation for
+        every a, b and c on the product table itself, with no division table
+        and no inner-map scan.  On a table whose rows are permutations, as
+        ``_inner_perms`` assumes, left division by a * b is one-to-one, so
+        the c that satisfy it are exactly the fixed points of L_{a,b}; the
+        row a * b (not b * a) keeps the two definitions equal on
+        non-commutative tables too.
+        """
+        t = self.product_table()
+        t_cols = np.ascontiguousarray(t.T)  # t_cols[y, x] = x * y
+        fixed = np.ones(self.order, dtype=bool)
+        for ta in t:  # ta[x] = a * x, one a at a time
+            lhs = t[ta]  # [b, c] = (a * b) * c
+            rhs = t_cols[ta].T  # [b, c] = b * (a * c); a row gather, then a view
+            fixed &= (lhs == rhs).all(axis=0)
         return [int(i) for i in np.nonzero(fixed)[0]]
 
     # -- checks ---------------------------------------------------------------
@@ -379,8 +395,8 @@ class QuotientLoop:
                 fh.write(
                     f"caloop-table m={self.modulus} order={self.order} ordering=lex\n"
                 )
-                for row in t:
-                    fh.write(",".join(str(int(v)) for v in row))
+                for row in t.tolist():
+                    fh.write(",".join(map(str, row)))
                     fh.write("\n")
         elif fmt == "bin":
             with open(path, "wb") as fh:
@@ -515,9 +531,11 @@ def _read_table_csv(path: str):
             if not line:
                 continue
             try:
-                row = [int(v) for v in line.split(",")]
+                row = np.array(list(map(int, line.split(","))), dtype=np.int64)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
+            except OverflowError:
+                raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range") from None
             if rows and len(row) != len(rows[0]):
                 raise ValueError(
                     f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import struct
@@ -116,6 +117,18 @@ def test_axioms_check_m2():
     assert report.checks["commutative"]
     assert report.counts["products-checked"] == 65536
     assert report.counts["center-size"] == 16
+
+
+def test_axioms_check_does_not_scan_inner_maps(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the axioms level must not build this")
+
+    monkeypatch.setattr(QuotientLoop, "_distinct_inner_maps", refuse)
+    monkeypatch.setattr(QuotientLoop, "left_division_table", refuse)
+    report = make_quotient(2).exhaustive_check("axioms")
+    assert report.passed
+    assert report.counts["center-size"] == 16
+    assert report.counts["products-checked"] == 65536
 
 
 def test_product_table_matches_scalar_products():
@@ -280,6 +293,34 @@ def test_full_check_fails_on_a_tampered_table():
     assert q.center_indices() == [int(i) for i in np.nonzero(fixed)[0]] == [0, 3]
 
 
+def _fixed_by_every_inner_map(q: QuotientLoop) -> list:
+    idx = np.arange(q.order)
+    fixed = np.ones(q.order, dtype=bool)
+    for a in range(q.order):
+        fixed &= (q._inner_perms(a) == idx[None, :]).all(axis=0)
+    return [int(i) for i in np.nonzero(fixed)[0]]
+
+
+_IDX = np.arange(256)
+
+
+@pytest.mark.parametrize(
+    "loop, expected",
+    [
+        pytest.param(lambda: make_quotient(2), list(range(16)), id="m2"),
+        pytest.param(lambda: _loop_with_table(_IDX[:, None] ^ _IDX[None, :]),
+                     list(range(256)), id="xor-group"),
+        # a non-commutative Latin square: dividing by b * a instead of a * b
+        # would find two fixed elements here
+        pytest.param(lambda: _loop_with_table((_IDX[:, None] - _IDX[None, :]) % 256),
+                     [], id="difference-square"),
+    ],
+)
+def test_center_is_the_fixed_set_of_every_inner_map(loop, expected):
+    q = loop()
+    assert q.center_indices() == _fixed_by_every_inner_map(q) == expected
+
+
 def test_center_is_the_final_tail_block():
     q = make_quotient(2)
     center = q.center_indices()
@@ -358,6 +399,21 @@ def test_table_export_bin(tmp_path):
         make_quotient(2).export_table(str(tmp_path / "t.x"), "xml")
 
 
+@pytest.mark.parametrize(
+    "fmt, size, sha256",
+    [
+        ("csv", 234024, "039d800ce712eebe9377a78dd18324d494efb698bd584391c1b1b8e3812c45fa"),
+        ("bin", 262152, "f1aab7f022efab29b46804a7661dc4a6d117f7eefa23cb58dc7aa8d960a781cd"),
+    ],
+)
+def test_table_export_bytes_are_pinned(tmp_path, fmt, size, sha256):
+    path = tmp_path / f"table.{fmt}"
+    export_table(2, str(path), fmt)
+    data = path.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
 def test_formats_agree(tmp_path):
     csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
     export_table(2, str(csv_path), "csv")
@@ -420,8 +476,9 @@ def test_validator_names_bad_header_field(tmp_path, header, message):
         ("0,1\n1,x\n", "line 3 has a cell that is not an integer"),
         ("0,1\n1,0,1\n", "line 3 has 3 cells where the first row has 2"),
         ("0,1\n1,\u00e90\n", "line 3 has the non-ASCII byte b'\\xc3'"),
+        ("0,1\n1,1000000000000000000000000000000\n", "line 3 has a cell outside the int64 range"),
     ],
-    ids=["non-integer-cell", "ragged-rows", "non-ascii-byte"],
+    ids=["non-integer-cell", "ragged-rows", "non-ascii-byte", "cell-past-int64"],
 )
 def test_validator_names_bad_csv_row(tmp_path, body, message):
     path = tmp_path / "bad.csv"
