@@ -10,6 +10,7 @@ from caloop.words import (
     MAX_DEPTH,
     Assoc,
     Generator,
+    Literal,
     ParseError,
     Power,
     Product,
@@ -73,6 +74,89 @@ def test_only_ascii_digits_are_integers(text, position):
     with pytest.raises(ParseError, match="unexpected character") as info:
         parse(text)
     assert info.value.position == position
+
+
+_LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 characters
+
+
+# The parse-error contract: each malformed word with its exact message and
+# position.  The whole text is lexed before any parsing, so a lexical error
+# anywhere wins over the nesting check, which wins over every syntax error.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("x^^2 &", "position 6: unexpected character '&'", id="lexical-wins"),
+        pytest.param(_LIT7 + "9" * 5000 + "]",
+                     "position 20: integer of 5000 characters is too long",
+                     id="overlong-int-in-literal"),
+        pytest.param(_LIT7 + "9" * 5000 + "] &",
+                     "position 20: integer of 5000 characters is too long",
+                     id="overlong-int-before-bad-char"),
+        pytest.param("9" * 5000, "position 1: integer of 5000 characters is too long",
+                     id="overlong-int"),
+        pytest.param(_LIT7 + "8,9]", "position 21: expected ']', found ','",
+                     id="nine-coordinates"),
+        pytest.param(_LIT7 + "-]", "position 20: dangling '-'", id="dangling-minus-in-literal"),
+        pytest.param("x - y", "position 3: dangling '-'", id="dangling-minus"),
+        pytest.param("elemx[1,2,3,4,5,6,7,8]", "position 1: unknown identifier 'elemx'",
+                     id="elemx"),
+        pytest.param("elem", "position 5: expected '[', found None", id="bare-elem"),
+        pytest.param("elem [1,2,3,4,5,6,7]", "position 20: expected ',', found ']'",
+                     id="seven-coordinates"),
+        pytest.param(_LIT7 + "8", "position 21: expected ']', found None", id="unclosed-literal"),
+        pytest.param(_LIT7 + "8]" + _LIT7 + "x]",
+                     "position 41: expected integer coordinate, found 'x'",
+                     id="literal-after-literal"),
+        pytest.param("x^" + _LIT7 + "8]", "position 3: expected integer exponent, found 'elem'",
+                     id="literal-as-exponent"),
+        pytest.param(_LIT7 + "8] &", "position 23: unexpected character '&'",
+                     id="bad-char-after-literal"),
+        pytest.param("x _y", "position 3: unexpected character '_'", id="underscore"),
+        pytest.param("x \u00b2", "position 3: unexpected character '\u00b2'", id="superscript"),
+        pytest.param("\u00b2x", "position 1: unexpected character '\u00b2'",
+                     id="superscript-name-start"),
+        pytest.param("x*", "position 3: unexpected None", id="dangling-star"),
+        pytest.param("", "position 1: unexpected None", id="empty"),
+        pytest.param("   ", "position 4: unexpected None", id="blank"),
+        pytest.param("(x", "position 3: expected ')', found None", id="unclosed-paren"),
+        pytest.param("x)", "position 2: unexpected ')' after expression", id="stray-paren"),
+        pytest.param("x^2^3", "position 4: unexpected '^' after expression", id="power-chain"),
+        pytest.param("x . . y", "position 5: unexpected '.'", id="double-dot"),
+        pytest.param("2", "position 1: unexpected integer literal 2", id="integer"),
+        pytest.param("pow(x 2)", "position 7: unexpected integer literal 2", id="pow-no-comma"),
+        pytest.param("pow(x, y)", "position 8: expected integer exponent, found 'y'",
+                     id="pow-of-name"),
+        pytest.param("assoc(x,y)", "position 10: expected ',', found ')'", id="assoc-two-args"),
+        pytest.param("inv()", "position 5: unexpected ')'", id="empty-call"),
+        pytest.param("x^01 q", "position 6: unknown identifier 'q'", id="unknown-after-power"),
+        pytest.param("(" * 300 + "x" + ")" * 300,
+                     f"position {MAX_DEPTH + 1}: expression nested deeper than {MAX_DEPTH} levels",
+                     id="parens-300"),
+        pytest.param("(" * 3000 + "x" + ")" * 3000,
+                     f"position {MAX_DEPTH + 1}: expression nested deeper than {MAX_DEPTH} levels",
+                     id="parens-3000"),
+        pytest.param("(" * 300 + "x &" + ")" * 300, "position 303: unexpected character '&'",
+                     id="lexical-beats-nesting"),
+        pytest.param("((x) ^^ 2" + "(" * 300,
+                     f"position 209: expression nested deeper than {MAX_DEPTH} levels",
+                     id="nesting-beats-syntax"),
+        pytest.param("*".join(["x"] * 5000),
+                     f"position {2 * (MAX_DEPTH + 1)}: expression nested deeper than "
+                     f"{MAX_DEPTH} levels", id="chain-5000"),
+        pytest.param("x*" * 5000 + "-", "position 10001: dangling '-'",
+                     id="lexical-beats-chain"),
+    ],
+)
+def test_parse_error_messages_and_positions(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.position == int(message.split(":")[0].split()[1])
+
+
+def test_a_spaced_literal_parses_as_one_atom():
+    assert parse("elem [ 1 , 2 ,3,4,5,6,7, 8 ] ^2") == Power(Literal((1, 2, 3, 4, 5, 6, 7, 8)), 2)
+    assert parse("elem\t[\n1,2,3,4,5,6,7,8 ]") == Literal((1, 2, 3, 4, 5, 6, 7, 8))
 
 
 def test_overlong_integer_is_a_parse_error():
