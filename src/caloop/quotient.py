@@ -70,6 +70,8 @@ MAX_TABLE_ORDER = 256
 MAX_SAMPLED_TRIALS = 10 ** 6
 # trials evaluated per array call in the sampled check; bounds its memory
 SAMPLE_CHUNK = 2048
+# rows of the product table built per array call; bounds its memory
+TABLE_BLOCK_ROWS = 8
 # the sampled check's trial count and random.Random seed when none is given
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 20260808
@@ -231,15 +233,22 @@ class QuotientLoop:
     def product_table(self) -> np.ndarray:
         """order x order table of element indices; cached after first build.
 
-        One broadcast product of every element with every other; the indices
-        stay below order, which the table budget keeps within uint16.
+        A broadcast product of a block of TABLE_BLOCK_ROWS elements with
+        every element, block after block, so the product's int64
+        intermediates stay the size of a block, not of the table.  The
+        indices stay below order, which the table budget keeps within uint16.
         """
         self._require_table_budget()
         if self._table is None:
             self._require_int64("product table")
-            cols = self.element_coords(np.arange(self.order, dtype=np.int64))
-            prod = self.mul([c[:, None] for c in cols], [c[None, :] for c in cols])
-            self._table = self.element_index(prod).astype(np.uint16)
+            order = self.order
+            cols = self.element_coords(np.arange(order, dtype=np.int64))
+            every = [c[None, :] for c in cols]
+            table = np.empty((order, order), dtype=np.uint16)
+            for start in range(0, order, TABLE_BLOCK_ROWS):
+                block = slice(start, start + TABLE_BLOCK_ROWS)
+                table[block] = self.element_index(self.mul([c[block, None] for c in cols], every))
+            self._table = table
         return self._table
 
     def left_division_table(self) -> np.ndarray:

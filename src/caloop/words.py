@@ -18,6 +18,16 @@ printed from.  The product is *not* associative; an unparenthesized chain
 of three or more factors is legal but grouped to the left, and the parser
 reports a warning for it (surfaced by the CLI).
 
+The text is lexed in one pass of one compiled regex, one token per match:
+a name, an integer (ASCII digits, after an optional '-'), a punctuation
+mark, or a whole well-formed ``elem[...]`` literal, which the parser takes
+as one atom.  A malformed literal lexes as ordinary tokens, and the
+grammar's literal rule reports what is wrong with it.  The whole text is
+lexed before it is parsed, so a lexical error anywhere (a character outside
+the grammar, a '-' with no digits, an integer too long for ``int()``) wins
+over the depth check, which wins over any syntax error.  Positions are
+worked out only for the error raised.
+
 Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
 of a left-grouped chain, are refused with a :class:`ParseError`.  Powers
 cost O(1) products whatever the exponent, so values can grow fast: each
@@ -25,6 +35,8 @@ product or power multiplies the bit length of a coordinate by up to about
 five.  :func:`evaluate` therefore refuses, with a ``ValueError``, any value
 with a coordinate longer than ``MAX_BITS`` bits.  :func:`check_bits` is that
 check; the CLI's coordinate commands apply it to their inputs and results.
+Evaluation runs on plain coordinate tuples and wraps only the root in an
+:class:`Elem8`.
 
 Associators use the named ``assoc(a, b, c)`` form rather than bare tuples
 so parentheses stay unambiguous grouping.
@@ -32,11 +44,13 @@ so parentheses stay unambiguous grouping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Union
 
 from .calculus import associator, inner_l
-from .core import IDENTITY, Elem8, basis
+from .core import Elem8, basis, inv_coords, mul_coords, pow_coords
 
 __all__ = [
     "Expr",
@@ -119,15 +133,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-_PUNCT = set("*.^()[],")
-# ASCII only: str.isdigit() also accepts digits such as '²' and '٣'
-_DIGITS = set("0123456789")
-
 # Deepest expression parse accepts, counting both the height of the tree
 # (a left-grouped chain of n factors is n - 1 levels) and the nesting of
 # parentheses, including those of calls.  It keeps the recursive parser and
 # evaluate well inside the interpreter's default recursion limit of 1000
-# frames: the parser spends at most 4 frames per open parenthesis.
+# frames: the parser spends 2 frames (_product, _atom) per open '(' of a
+# group or of pow(), and 3 (with _args) per open '(' of assoc, innL and inv,
+# so at most 600; evaluate spends one frame per level of the tree.
 MAX_DEPTH = 200
 
 # Longest coordinate, in bits, of any value evaluate builds.  A coordinate
@@ -141,123 +153,160 @@ MAX_BITS = 14_000
 _BIT_LIMIT = 1 << MAX_BITS
 _NEG_BIT_LIMIT = -_BIT_LIMIT  # negating a 14 000-bit int on every check costs ~0.3 us
 
+# One token per match; whitespace (exactly the str.isspace characters) is
+# skipped.  A well-formed literal is one token.  Integers are ASCII digits
+# only: str.isdigit() also accepts digits such as '²' and '٣'.  A name runs
+# over \w, which is str.isalnum() or '_'.  [^\W\d_] also lets a name start at
+# a numeric character that is not a letter, such as '²', and \S takes any
+# other single character, punctuation or not: _token_fault refuses both, so
+# a name starts exactly at a str.isalpha() character.
+_TOKEN = re.compile(
+    r"[*.^()\[\],]"
+    r"|elem\s*\[\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*){7}\]"
+    r"|[^\W\d_]\w*"
+    r"|-?[0-9]+"
+    r"|\S"
+)
+_END = ""  # the token after the last; no match is empty
+_PUNCT = frozenset("*.^()[],")
+_INT_START = frozenset("-0123456789")
+# after a unit, these end a product rather than start its next factor
+_ENDS_PRODUCT = frozenset(("^", ")", ",", "[", "]", _END))
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []  # (kind, value, position); positions are 1-based
-        self._scan()
-        self.index = 0
 
-    def _scan(self) -> None:
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in _PUNCT:
-                self.tokens.append((ch, ch, i + 1))
-                i += 1
-            elif ch == "-" or ch in _DIGITS:
-                start = i
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-                body = text[start:i]
-                if body == "-":
-                    raise ParseError("dangling '-'", start + 1)
-                try:
-                    value = int(body)
-                except ValueError:  # more digits than int() converts
-                    raise ParseError(
-                        f"integer of {len(body)} characters is too long", start + 1
-                    ) from None
-                self.tokens.append(("int", value, start + 1))
-            elif ch.isalpha():
-                start = i
-                while i < n and (text[i].isalnum() or text[i] == "_"):
-                    i += 1
-                self.tokens.append(("name", text[start:i], start + 1))
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i + 1)
-        self.tokens.append(("end", None, n + 1))
+def _is_int(tok: str) -> bool:
+    return tok[:1] in _INT_START and tok != "-"  # a '-' with no digits is alone
 
-    def peek(self):
-        return self.tokens[self.index]
 
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+def _is_literal(tok: str) -> bool:
+    return tok[-1:] == "]" and tok != "]"
+
+
+def _shown(tok: str):
+    """The token as error messages show it: an int, 'elem' for a literal, None at the end."""
+    if tok == _END:
+        return None
+    if _is_int(tok):
+        return int(tok)
+    if _is_literal(tok):
+        return "elem"
+    return tok
+
+
+def _token_fault(tok: str):
+    """(offset, message) of the lexical error in a token, or None if it has none."""
+    first = tok[0]
+    if first.isalpha():
+        if _is_literal(tok):  # its integers lex as ordinary tokens after "elem"
+            for m in _TOKEN.finditer(tok, 4):
+                fault = _token_fault(m.group())
+                if fault:
+                    return m.start(), fault[1]
+        return None
+    if _is_int(tok):
+        try:
+            int(tok)
+        except ValueError:  # more digits than int() converts
+            return 0, f"integer of {len(tok)} characters is too long"
+        return None
+    if first in _PUNCT:
+        return None
+    if first == "-":
+        return 0, "dangling '-'"
+    return 0, f"unexpected character {first!r}"
+
+
+def _lexical_error(text: str, toks: list) -> Optional[ParseError]:
+    """The first lexical error in text, or None.  Positions are 1-based."""
+    if any(map(_token_fault, set(toks[:-1]))):  # all but _END
+        for m in _TOKEN.finditer(text):
+            fault = _token_fault(m.group())
+            if fault:
+                return ParseError(fault[1], m.start() + fault[0] + 1)
+    return None
+
+
+class _SyntaxError(Exception):
+    """A syntax error at a token index; parse_with_warnings finds its position."""
 
 
 # A generator parses to a shared leaf of depth 0; nodes are immutable.
 _GENERATOR_LEAVES = {name: (Generator(name), 0) for name in _GENERATORS}
+_ONE = (Literal((0,) * 8), 0)
 
 
-def _too_deep(pos: int) -> ParseError:
-    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+def _too_deep(index: int) -> _SyntaxError:
+    return _SyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", index)
 
 
 class _Parser:
-    """Recursive descent over the token stream; LL(1) throughout.
+    """Recursive descent over the token list; LL(1) throughout.
 
     Each parsing method returns the expression with its depth, the height
     of its tree (a leaf has depth 0), so the depth limit is enforced as the
     tree is built.  The parser recurses once per open '(', so the nesting
-    of parentheses is checked on the tokens before parsing starts.
+    of parentheses is checked on the tokens before parsing starts.  Errors
+    are raised as _SyntaxError(message, token index).
     """
 
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+    def __init__(self, toks: list):
+        self.toks = toks
+        self.i = 0
         self.warnings = []
-        if len(self.toks.tokens) > MAX_DEPTH:  # fewer tokens cannot nest deeper
+        if toks.count("(") > MAX_DEPTH:  # fewer cannot nest deeper
             self._check_nesting()
 
     def _check_nesting(self) -> None:
         open_groups = 0
-        for kind, _, pos in self.toks.tokens:
-            if kind == "(":
+        for index, tok in enumerate(self.toks):
+            if tok == "(":
                 open_groups += 1
                 if open_groups > MAX_DEPTH:
-                    raise _too_deep(pos)
-            elif kind == ")":
+                    raise _too_deep(index)
+            elif tok == ")":
                 open_groups -= 1
 
     def parse(self) -> Expr:
         expr, _ = self._product()
-        kind, value, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r} after expression", pos)
+        tok = self.toks[self.i]
+        if tok != _END:
+            raise _SyntaxError(f"unexpected {_shown(tok)!r} after expression", self.i)
         return expr
 
-    def _expect(self, kind: str):
-        got_kind, value, pos = self.toks.next()
-        if got_kind != kind:
-            raise ParseError(f"expected {kind!r}, found {value!r}", pos)
-        return value
-
-    def _starts_unit(self, kind: str) -> bool:
-        return kind in ("name", "int", "(")
+    def _expect(self, want: str) -> None:
+        tok = self.toks[self.i]
+        if tok != want:
+            raise _SyntaxError(f"expected {want!r}, found {_shown(tok)!r}", self.i)
+        self.i += 1
 
     def _product(self) -> tuple:
-        expr, depth = self._unit()
-        factors = 1
+        toks = self.toks
+        factors = 0
+        index = self.i
         while True:
-            kind, _, pos = self.toks.peek()
-            if kind in ("*", "."):
-                self.toks.next()
-            elif not self._starts_unit(kind):
-                break
-            right, right_depth = self._unit()
-            expr = Product(expr, right)
-            # a left-grouped chain of n factors is n - 1 levels deep
-            depth = (depth if depth > right_depth else right_depth) + 1
-            if depth > MAX_DEPTH:
-                raise _too_deep(pos)
+            unit, unit_depth = self._atom()
+            if toks[self.i] == "^":  # power binds tighter than the product
+                caret = self.i
+                self.i += 1
+                n = self._int("exponent")
+                if unit_depth >= MAX_DEPTH:
+                    raise _too_deep(caret)
+                unit, unit_depth = Power(unit, n), unit_depth + 1
+            if factors:
+                expr = Product(expr, unit)
+                # a left-grouped chain of n factors is n - 1 levels deep
+                depth = (depth if depth > unit_depth else unit_depth) + 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep(index)
+            else:
+                expr, depth = unit, unit_depth
             factors += 1
+            index = self.i
+            tok = toks[index]
+            if tok == "*" or tok == ".":
+                self.i = index + 1
+            elif tok in _ENDS_PRODUCT:
+                break
         if factors >= 3:
             self.warnings.append(
                 f"nonassociative product: unparenthesized chain of {factors} "
@@ -265,60 +314,55 @@ class _Parser:
             )
         return expr, depth
 
-    def _unit(self) -> tuple:
-        unit = self._atom()
-        kind, _, pos = self.toks.peek()
-        if kind == "^":
-            self.toks.next()
-            n = self._int("exponent")
-            atom, depth = unit
-            if depth >= MAX_DEPTH:
-                raise _too_deep(pos)
-            return Power(atom, n), depth + 1
-        return unit
-
     def _int(self, what: str) -> int:
-        kind, value, pos = self.toks.next()
-        if kind != "int":
-            raise ParseError(f"expected integer {what}, found {value!r}", pos)
-        return value
+        tok = self.toks[self.i]
+        if not _is_int(tok):
+            raise _SyntaxError(f"expected integer {what}, found {_shown(tok)!r}", self.i)
+        self.i += 1
+        return int(tok)
 
     def _atom(self) -> tuple:
-        kind, value, pos = self.toks.next()
-        if kind == "(":
+        index = self.i
+        tok = self.toks[index]
+        self.i += 1
+        leaf = _GENERATOR_LEAVES.get(tok)
+        if leaf is not None:
+            return leaf
+        if tok == "(":
             inner = self._product()
             self._expect(")")
             return inner
-        if kind == "int":
+        if _is_literal(tok):  # int() skips the whitespace around each coordinate
+            return Literal(tuple(map(int, tok[tok.index("[") + 1 : -1].split(",")))), 0
+        if _is_int(tok):
+            value = int(tok)
             if value == 1:
-                return Literal((0,) * 8), 0
-            raise ParseError(f"unexpected integer literal {value}", pos)
-        if kind == "name":
-            if value in _GENERATOR_LEAVES:
-                return _GENERATOR_LEAVES[value]
-            if value == "elem":
-                return self._literal(), 0
-            if value == "assoc":
-                (a, b, c), depth = self._args(3)
-                node = Assoc(a, b, c)
-            elif value == "innL":
-                (a, b, c), depth = self._args(3)
-                node = InnerL(a, b, c)
-            elif value == "inv":
-                (arg,), depth = self._args(1)
-                node = Inverse(arg)
-            elif value == "pow":
-                self._expect("(")
-                base, depth = self._product()
-                self._expect(",")
-                node = Power(base, self._int("exponent"))
-                self._expect(")")
-            else:
-                raise ParseError(f"unknown identifier {value!r}", pos)
-            if depth >= MAX_DEPTH:
-                raise _too_deep(pos)
-            return node, depth + 1
-        raise ParseError(f"unexpected {value!r}", pos)
+                return _ONE
+            raise _SyntaxError(f"unexpected integer literal {value}", index)
+        if tok == "elem":  # a literal the literal token did not match
+            return self._literal(), 0
+        if tok == "assoc":
+            (a, b, c), depth = self._args(3)
+            node = Assoc(a, b, c)
+        elif tok == "innL":
+            (a, b, c), depth = self._args(3)
+            node = InnerL(a, b, c)
+        elif tok == "inv":
+            (arg,), depth = self._args(1)
+            node = Inverse(arg)
+        elif tok == "pow":
+            self._expect("(")
+            base, depth = self._product()
+            self._expect(",")
+            node = Power(base, self._int("exponent"))
+            self._expect(")")
+        elif tok[:1].isalpha():
+            raise _SyntaxError(f"unknown identifier {tok!r}", index)
+        else:
+            raise _SyntaxError(f"unexpected {_shown(tok)!r}", index)
+        if depth >= MAX_DEPTH:
+            raise _too_deep(index)
+        return node, depth + 1
 
     def _args(self, count: int) -> tuple:
         """Parse '(' expr, ... ')' into (list of expressions, their greatest depth)."""
@@ -344,9 +388,26 @@ class _Parser:
 
 
 def parse_with_warnings(text: str):
-    """Parse a loop word; returns (expression, grouping warnings)."""
-    p = _Parser(text)
-    expr = p.parse()
+    """Parse a loop word; returns (expression, grouping warnings).
+
+    The whole text is lexed first, so a lexical error anywhere wins over the
+    nesting check, which wins over any syntax error.  Positions are worked
+    out only for the error raised.
+    """
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    try:
+        p = _Parser(toks)
+        expr = p.parse()
+    except ValueError:  # int() refused an integer too long to convert
+        raise _lexical_error(text, toks) from None
+    except _SyntaxError as exc:
+        message, index = exc.args
+        error = _lexical_error(text, toks)
+        if error is None:
+            match = next(islice(_TOKEN.finditer(text), index, None), None)  # None at _END
+            error = ParseError(message, match.start() + 1 if match else len(text) + 1)
+        raise error from None
     return expr, p.warnings
 
 
@@ -360,20 +421,26 @@ def evaluate(expr: Expr) -> Elem8:
     Raises ``ValueError`` as soon as a subexpression's value has a
     coordinate longer than ``MAX_BITS`` bits.
     """
-    if isinstance(expr, Generator):
+    return Elem8(_value(expr))
+
+
+def _value(expr: Expr) -> tuple:
+    """The coordinates of an expression, as a plain tuple, bounded at every node."""
+    kind = type(expr)
+    if kind is Product:
+        value = mul_coords(_value(expr.left), _value(expr.right))
+    elif kind is Generator:
         return _GENERATORS[expr.name]
-    if isinstance(expr, Literal):
-        value = Elem8(expr.coords)
-    elif isinstance(expr, Product):
-        value = evaluate(expr.left) * evaluate(expr.right)
-    elif isinstance(expr, Power):
-        value = evaluate(expr.base) ** expr.exponent
-    elif isinstance(expr, Inverse):
-        value = evaluate(expr.arg).inverse()
-    elif isinstance(expr, Assoc):
-        value = associator(evaluate(expr.a), evaluate(expr.b), evaluate(expr.c))
-    elif isinstance(expr, InnerL):
-        value = inner_l(evaluate(expr.a), evaluate(expr.b), evaluate(expr.arg))
+    elif kind is Power:
+        value = pow_coords(_value(expr.base), expr.exponent)
+    elif kind is Literal:
+        value = Elem8(expr.coords)  # refuses anything but 8 ints
+    elif kind is Inverse:
+        value = inv_coords(_value(expr.arg))
+    elif kind is Assoc:
+        value = associator(_value(expr.a), _value(expr.b), _value(expr.c))
+    elif kind is InnerL:
+        value = inner_l(_value(expr.a), _value(expr.b), _value(expr.arg))
     else:
         raise TypeError(f"not an expression node: {expr!r}")
     return check_bits(value)

@@ -1,15 +1,22 @@
+import sys
 import time
+from array import array
+from itertools import compress
+from operator import not_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caloop import words
 from caloop.core import Elem8, mul_coords
 from caloop.words import (
     MAX_BITS,
     MAX_DEPTH,
     Assoc,
     Generator,
+    InnerL,
+    Inverse,
     Literal,
     ParseError,
     Power,
@@ -98,6 +105,7 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
                      id="nine-coordinates"),
         pytest.param(_LIT7 + "-]", "position 20: dangling '-'", id="dangling-minus-in-literal"),
         pytest.param("x - y", "position 3: dangling '-'", id="dangling-minus"),
+        pytest.param("x^-\u0663", "position 3: dangling '-'", id="minus-non-ascii-digit"),
         pytest.param("elemx[1,2,3,4,5,6,7,8]", "position 1: unknown identifier 'elemx'",
                      id="elemx"),
         pytest.param("elem", "position 5: expected '[', found None", id="bare-elem"),
@@ -157,6 +165,41 @@ def test_parse_error_messages_and_positions(text, message):
 def test_a_spaced_literal_parses_as_one_atom():
     assert parse("elem [ 1 , 2 ,3,4,5,6,7, 8 ] ^2") == Power(Literal((1, 2, 3, 4, 5, 6, 7, 8)), 2)
     assert parse("elem\t[\n1,2,3,4,5,6,7,8 ]") == Literal((1, 2, 3, 4, 5, 6, 7, 8))
+
+
+def _text(codes) -> str:
+    return array("I", codes).tobytes().decode("utf-32-le", "surrogatepass")
+
+
+def test_lexer_character_classes_match_the_str_predicates():
+    # Every code point goes through the lexer's own regex and lexical-error
+    # rule, with a few regex calls over long strings rather than one per code
+    # point (about 1 s on a 2-CPU x86_64 host)
+    lexer = words._TOKEN
+    every = _text(range(sys.maxunicode + 1))
+    in_name = list(map(str.isalnum, every))
+    in_name[ord("_")] = True
+    # a name runs over every str.isalnum() or '_' character ...
+    assert lexer.fullmatch("a" + "".join(compress(every, in_name)))
+    # ... and over no other: with an 'a' on each side, each other character
+    # is skipped if str.isspace() and is a token of its own if not, so the
+    # a's stay tokens of their own (no name starts at the character either)
+    others = array("I", compress(range(sys.maxunicode + 1), map(not_, in_name)))
+    between = array("I", [ord("a")]) * (2 * len(others) + 1)
+    between[1::2] = others
+    spaces = "".join(filter(str.isspace, every))
+    rest, count = lexer.subn("", _text(between))
+    assert rest == spaces
+    assert count == 1 + 2 * len(others) - len(spaces)
+    # among the name characters, a name with no lexical error starts exactly
+    # at the str.isalpha() ones ('²' starts a name in the regex, which the
+    # lexical-error rule then refuses), and an integer only at ASCII digits
+    word = "".join(compress(every, in_name))
+    heads = [lexer.match(c + "a").group() for c in word]
+    assert [len(h) == 2 and words._token_fault(h) is None for h in heads] == [
+        c.isalpha() for c in word
+    ]
+    assert [h for h in heads if words._is_int(h)] == list("0123456789")
 
 
 def test_overlong_integer_is_a_parse_error():
@@ -247,6 +290,44 @@ def test_nested_calls_count_toward_the_depth():
         parse("inv(" + "*".join(["x"] * (MAX_DEPTH + 1)) + ")")
     with pytest.raises(ParseError, match="nested deeper"):
         parse("(" + "*".join(["x"] * (MAX_DEPTH + 1)) + ")^2")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Generator("u2"),
+        Literal((1, 2, 3, 4, 5, 6, 7, 8)),
+        Product(Generator("x"), Generator("y")),
+        Power(Generator("x"), 3),
+        Inverse(Generator("y")),
+        Assoc(Generator("x"), Generator("x"), Generator("y")),
+        InnerL(Generator("x"), Generator("y"), Generator("u1")),
+    ],
+    ids=lambda expr: type(expr).__name__,
+)
+def test_evaluate_returns_an_elem8_for_every_node_kind(expr):
+    value = evaluate(expr)
+    assert type(value) is Elem8
+    assert value == evaluate(parse(format_canonical(value)))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(True, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1.0), (1, 2, 3), (0,) * 9],
+    ids=["bool", "float", "short", "long"],
+)
+def test_a_hand_built_literal_must_hold_8_ints(coords):
+    with pytest.raises(ValueError, match="exactly 8 integers"):
+        evaluate(Literal(coords))
+    with pytest.raises(ValueError, match="exactly 8 integers"):
+        evaluate(Product(Generator("x"), Literal(coords)))
+
+
+def test_an_unknown_node_is_a_type_error():
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate("x")
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(Inverse(Product(Generator("x"), (1, 0, 0, 0, 0, 0, 0, 0))))
 
 
 def test_golden_words():
