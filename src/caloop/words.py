@@ -446,7 +446,7 @@ def _value(expr: Expr) -> tuple:
     return check_bits(value)
 
 
-def check_bits(value: Elem8) -> Elem8:
+def check_bits(value: tuple) -> tuple:
     """Return ``value``, or raise ``ValueError`` naming the bound if a
     coordinate is longer than ``MAX_BITS`` bits."""
     if _NEG_BIT_LIMIT < min(value) and max(value) < _BIT_LIMIT:
