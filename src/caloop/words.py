@@ -332,8 +332,9 @@ class _Parser:
             inner = self._product()
             self._expect(")")
             return inner
-        if _is_literal(tok):  # int() skips the whitespace around each coordinate
-            return Literal(tuple(map(int, tok[tok.index("[") + 1 : -1].split(",")))), 0
+        if _is_literal(tok):  # str.strip() skips what \s does; int() skips less
+            coords = tok[tok.index("[") + 1 : -1].split(",")
+            return Literal(tuple(map(int, map(str.strip, coords)))), 0
         if _is_int(tok):
             value = int(tok)
             if value == 1:
@@ -400,7 +401,10 @@ def parse_with_warnings(text: str):
         p = _Parser(toks)
         expr = p.parse()
     except ValueError:  # int() refused an integer too long to convert
-        raise _lexical_error(text, toks) from None
+        error = _lexical_error(text, toks)
+        if error is None:  # not a lexical error after all: let it surface as is
+            raise
+        raise error from None
     except _SyntaxError as exc:
         message, index = exc.args
         error = _lexical_error(text, toks)

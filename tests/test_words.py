@@ -167,6 +167,14 @@ def test_a_spaced_literal_parses_as_one_atom():
     assert parse("elem\t[\n1,2,3,4,5,6,7,8 ]") == Literal((1, 2, 3, 4, 5, 6, 7, 8))
 
 
+def test_a_literal_takes_every_whitespace_character_around_its_coordinates():
+    # int() strips less than str.isspace() skips: not '\x1c'-'\x1f'
+    assert parse("elem[1\x1c,2,3,4,5,6,7,8]") == Literal((1, 2, 3, 4, 5, 6, 7, 8))
+    for c in filter(str.isspace, map(chr, range(sys.maxunicode + 1))):
+        text = f"elem{c}[{c}-1{c},{c}2{c},3,4,5,6,7,{c}8{c}]{c}^{c}2"
+        assert parse(text) == Power(Literal((-1, 2, 3, 4, 5, 6, 7, 8)), 2), repr(c)
+
+
 def _text(codes) -> str:
     return array("I", codes).tobytes().decode("utf-32-le", "surrogatepass")
 
@@ -212,7 +220,7 @@ def test_overlong_integer_is_a_parse_error():
 # Texts over the grammar's own characters, plus some that are not in it:
 # each one parses and evaluates, or is refused with a ParseError or the
 # size-bound ValueError, never anything else.
-_WORD_CHARS = "xyuv1234567890-^*.()[], elmasocinLpw\u00b2\u0663\u00e9&"
+_WORD_CHARS = "xyuv1234567890-^*.()[], elmasocinLpw\u00b2\u0663\u00e9&\x1c\u3000"
 
 
 @settings(max_examples=400)
