@@ -2,10 +2,10 @@
 
 Only what the identity prover needs to run the integer kernel of
 :mod:`caloop.core` on polynomial coordinates: ring arithmetic, exact
-division by an integer, structural zero testing, substitution and
-evaluation.  A polynomial is a map from monomials to nonzero coefficients;
-the zero polynomial is the empty map, so equality of the maps is equality
-of polynomials.
+division by an integer, structural zero testing and evaluation.  A
+polynomial is a map from monomials to nonzero coefficients; the zero
+polynomial is the empty map, so equality of the maps is equality of
+polynomials.
 
 Monomials are packed integers (Monagan & Pearce, *Sparse polynomial
 division using a heap*, JSC 2011; Maple's ``sdmp``).  Over a table of n
@@ -453,25 +453,7 @@ class Polynomial:
             acc = acc * self
         return acc
 
-    # -- substitution / evaluation ----------------------------------------
-
-    def substitute(self, assignment: Mapping[int, Union["Polynomial", Scalar]]) -> "Polynomial":
-        """Replace the given variables (by index) with polynomials or scalars."""
-        repl = {}
-        for v, val in assignment.items():
-            repl[v] = val if isinstance(val, Polynomial) else Polynomial.const(self.table, val)
-            self._check(repl[v])
-        n = len(self.table)
-        acc = Polynomial.zero(self.table)
-        for key, c in self._terms.items():
-            term = Polynomial.const(self.table, Fraction(c, self.den))
-            for v, e in _unpack(key, n):
-                if v in repl:
-                    term = term * repl[v] ** e
-                else:
-                    term = term * Polynomial(self.table, {((v, e),): 1})
-            acc = acc + term
-        return acc
+    # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> Scalar:
         """Exact value at an integer point (one value per table variable)."""

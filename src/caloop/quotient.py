@@ -33,6 +33,7 @@ overflow int64 at the modulus (:func:`_intermediate_bound`).
 
 from __future__ import annotations
 
+import operator
 import random
 import struct
 import time
@@ -149,6 +150,7 @@ class QuotientLoop:
     """The loop on (Z/m)^8 obtained by reducing the integer formula mod m."""
 
     def __init__(self, modulus: int):
+        modulus = operator.index(modulus)  # TypeError for 2.0, 2.5 or "2"
         if modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {_size(modulus)}")
         if modulus % 3 == 0:
@@ -564,7 +566,7 @@ def _read_table_bin(path: str):
         order = m ** 8
         data = np.frombuffer(fh.read(), dtype="<u4")
     if data.size != order * order:
-        raise ValueError(f"{path}: expected {order * order} entries, found {data.size}")
+        raise ValueError(f"{path}: expected {_size(order * order)} entries, found {data.size}")
     return m, order, data.reshape(order, order).astype(np.int64)
 
 

@@ -8,11 +8,14 @@ passing entry is a proof of the law for all integer coordinates, because a
 polynomial vanishing identically over the rationals vanishes at every
 integer point.
 
-The expansion runs the shipped kernel itself: :func:`caloop.core.mul_coords`,
-:func:`caloop.core.left_div_coords`, :func:`caloop.core.mul4_coords` and
-:func:`caloop.core.pow_closed_form` are called on tuples of
-:class:`~caloop.poly.Polynomial` coordinates, so the catalog proves the code
-that the integer, quotient and parser layers run, not a copy of it.  The
+A generic element is a plain 8-tuple of :class:`~caloop.poly.Polynomial`
+coordinates, and the expansion runs the shipped kernel itself on it:
+:func:`caloop.core.mul_coords`, :func:`caloop.core.left_div_coords`,
+:func:`caloop.core.mul4_coords` and :func:`caloop.core.pow_closed_form` are
+called on those tuples, so the catalog proves the code that the integer,
+quotient and parser layers run, not a copy of it.  A law that comes in a
+left, middle and right form is written once, for a slot of the associator,
+and registered once per slot.  The
 ``power-*`` entries take the exponent n as one more variable; together they
 prove that the closed-form power equals the iterated product for every
 integer n.  The entries ``associator-formula``, ``inner-map-formula`` and
@@ -38,7 +41,6 @@ from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_clos
 from .poly import Polynomial, VarTable
 
 __all__ = [
-    "SymElem8",
     "SymLoopOps",
     "IdentityReport",
     "mutated_product_polys",
@@ -49,23 +51,6 @@ __all__ = [
 ]
 
 ProductFn = Callable[[Sequence[Polynomial], Sequence[Polynomial]], tuple]
-
-
-@dataclass(frozen=True)
-class SymElem8:
-    """A loop element whose 8 exponent coordinates are polynomials."""
-
-    coords: tuple  # 8 Polynomials over one shared table
-
-    def evaluate(self, point: Sequence[int]) -> tuple:
-        """Exact coordinates at an integer point; always integral."""
-        out = []
-        for p in self.coords:
-            v = p.evaluate(point)
-            if not isinstance(v, int):
-                raise ValueError(f"non-integer coordinate {v} at {point}")
-            out.append(v)
-        return tuple(out)
 
 
 def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> tuple:
@@ -81,50 +66,50 @@ def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> t
 
 
 class SymLoopOps:
-    """Loop operations on symbolic elements, bound to one product formula."""
+    """Loop operations on 8-tuples of polynomials, bound to one product formula."""
 
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
         self.table = table
         self.product = product or mul_coords
 
-    def constant(self, coords: Sequence[int]) -> SymElem8:
-        return SymElem8(tuple(Polynomial.const(self.table, c) for c in coords))
+    def constant(self, coords: Sequence[int]) -> tuple:
+        return tuple(Polynomial.const(self.table, c) for c in coords)
 
     @property
-    def identity(self) -> SymElem8:
+    def identity(self) -> tuple:
         return self.constant((0,) * 8)
 
-    def mul(self, a: SymElem8, b: SymElem8) -> SymElem8:
-        return SymElem8(self.product(a.coords, b.coords))
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        return self.product(a, b)
 
-    def mul_many(self, first: SymElem8, *rest: SymElem8) -> SymElem8:
+    def mul_many(self, first: tuple, *rest: tuple) -> tuple:
         acc = first
         for f in rest:
             acc = self.mul(acc, f)
         return acc
 
-    def left_divide(self, a: SymElem8, c: SymElem8) -> SymElem8:
+    def left_divide(self, a: tuple, c: tuple) -> tuple:
         """The unique b with a * b = c, by triangular back-substitution."""
-        return SymElem8(left_div_coords(a.coords, c.coords, self.product))
+        return left_div_coords(a, c, self.product)
 
-    def inverse(self, a: SymElem8) -> SymElem8:
+    def inverse(self, a: tuple) -> tuple:
         return self.left_divide(a, self.identity)
 
-    def power(self, a: SymElem8, n) -> SymElem8:
+    def power(self, a: tuple, n) -> tuple:
         """The closed-form power P(n; a); n is an int or a polynomial."""
-        return SymElem8(pow_closed_form(a.coords, n))
+        return pow_closed_form(a, n)
 
-    def associator(self, a: SymElem8, b: SymElem8, c: SymElem8) -> SymElem8:
+    def associator(self, a: tuple, b: tuple, c: tuple) -> tuple:
         return self.left_divide(
             self.mul(a, self.mul(b, c)), self.mul(self.mul(a, b), c)
         )
 
-    def inner_l(self, a: SymElem8, b: SymElem8, c: SymElem8) -> SymElem8:
+    def inner_l(self, a: tuple, b: tuple, c: tuple) -> tuple:
         return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
 
-    def difference(self, lhs: SymElem8, rhs: SymElem8) -> tuple:
+    def difference(self, lhs: tuple, rhs: tuple) -> tuple:
         """Coordinate-wise residuals; all zero iff lhs = rhs as elements."""
-        return tuple(lhs.coords[i] - rhs.coords[i] for i in range(8))
+        return tuple(lhs[i] - rhs[i] for i in range(8))
 
 
 def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequence = ()):
@@ -132,8 +117,9 @@ def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequ
 
     `layout` is a sequence of (prefix, pinned) pairs; `pinned` leading
     coordinates are the constant 0 and the rest are fresh variables named
-    prefix1..prefix8.  Each name in `integers` adds one more variable, an
-    integer such as an exponent, returned after the elements.
+    prefix1..prefix8.  Each element is an 8-tuple of polynomials.  Each name
+    in `integers` adds one more variable, an integer such as an exponent,
+    returned after the elements.
     """
     names = []
     for prefix, pinned in layout:
@@ -147,7 +133,7 @@ def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequ
         for _ in range(8 - pinned):
             coords.append(Polynomial.var(table, k))
             k += 1
-        elems.append(SymElem8(tuple(coords)))
+        elems.append(tuple(coords))
     elems.extend(Polynomial.var(table, k + i) for i in range(len(integers)))
     return ops, elems
 
@@ -192,6 +178,12 @@ def _pad(table: VarTable, slots: dict) -> tuple:
     """An 8-tuple of residuals that is zero outside the given slots."""
     zero = Polynomial.zero(table)
     return tuple(slots.get(i, zero) for i in range(8))
+
+
+def _place(pair: Sequence, slot: int, w) -> tuple:
+    """The three associator arguments with w in `slot` (0, 1 or 2) and the
+    two of `pair` filling the other slots in order."""
+    return (*pair[:slot], w, *pair[slot:])
 
 
 def _build_identity_element(ops, elems):
@@ -266,34 +258,17 @@ def _build_compounded_middle_expansion(ops, elems):
     ]
 
 
-def _build_double_mr(ops, elems):
-    a, b, c, d, e, f, g = elems
-    return [
-        ops.difference(
-            ops.associator(a, ops.associator(b, c, d), ops.associator(e, f, g)),
-            ops.identity,
-        )
-    ]
+def _double_compounded(slot: int) -> Callable:
+    """The associator with the plain element w in `slot` and two associators
+    in the other slots is 1; the variables are read in the written order."""
 
+    def build(ops, elems):
+        w = elems[3 * slot]
+        rest = elems[:3 * slot] + elems[3 * slot + 1:]
+        pair = (ops.associator(*rest[:3]), ops.associator(*rest[3:]))
+        return [ops.difference(ops.associator(*_place(pair, slot, w)), ops.identity)]
 
-def _build_double_lr(ops, elems):
-    a, b, c, d, e, f, g = elems
-    return [
-        ops.difference(
-            ops.associator(ops.associator(a, b, c), d, ops.associator(e, f, g)),
-            ops.identity,
-        )
-    ]
-
-
-def _build_double_lm(ops, elems):
-    a, b, c, d, e, f, g = elems
-    return [
-        ops.difference(
-            ops.associator(ops.associator(a, b, c), ops.associator(d, e, f), g),
-            ops.identity,
-        )
-    ]
+    return build
 
 
 def _build_inner_map_closed_form(ops, elems):
@@ -303,55 +278,31 @@ def _build_inner_map_closed_form(ops, elems):
     return [ops.difference(ops.inner_l(b, c, a), rhs)]
 
 
-def _build_product_expansion_left(ops, elems):
-    a, b, c, d = elems
-    acd = ops.associator(a, c, d)
-    bcd = ops.associator(b, c, d)
-    rhs = ops.mul_many(
-        acd,
-        bcd,
-        ops.associator(acd, a, b),
-        ops.associator(bcd, b, a),
-        ops.associator(acd, b, c),
-        ops.associator(bcd, a, c),
-        ops.associator(acd, b, d),
-        ops.associator(bcd, a, d),
-    )
-    return [ops.difference(ops.associator(ops.mul(a, b), c, d), rhs)]
+def _product_expansion(slot: int) -> Callable:
+    """The associator with the product x * y in `slot` and p, q in the other
+    slots in order, expanded through X and Y, the associators with x and y in
+    that slot:  X * Y * (X, x, y) * (Y, y, x) * (X, y, p) * (Y, x, p) *
+    (X, y, q) * (Y, x, q), multiplied from the left."""
 
+    def build(ops, elems):
+        x, y = elems[slot:slot + 2]
+        pair = elems[:slot] + elems[slot + 2:]
+        p, q = pair
+        ax = ops.associator(*_place(pair, slot, x))
+        ay = ops.associator(*_place(pair, slot, y))
+        rhs = ops.mul_many(
+            ax,
+            ay,
+            ops.associator(ax, x, y),
+            ops.associator(ay, y, x),
+            ops.associator(ax, y, p),
+            ops.associator(ay, x, p),
+            ops.associator(ax, y, q),
+            ops.associator(ay, x, q),
+        )
+        return [ops.difference(ops.associator(*_place(pair, slot, ops.mul(x, y))), rhs)]
 
-def _build_product_expansion_right(ops, elems):
-    a, b, c, d = elems
-    abc = ops.associator(a, b, c)
-    abd = ops.associator(a, b, d)
-    rhs = ops.mul_many(
-        abc,
-        abd,
-        ops.associator(abc, c, d),
-        ops.associator(abd, d, c),
-        ops.associator(abc, d, b),
-        ops.associator(abd, c, b),
-        ops.associator(abc, d, a),
-        ops.associator(abd, c, a),
-    )
-    return [ops.difference(ops.associator(a, b, ops.mul(c, d)), rhs)]
-
-
-def _build_product_expansion_middle(ops, elems):
-    a, b, c, d = elems
-    abd = ops.associator(a, b, d)
-    acd = ops.associator(a, c, d)
-    rhs = ops.mul_many(
-        abd,
-        acd,
-        ops.associator(abd, b, c),
-        ops.associator(acd, c, b),
-        ops.associator(abd, c, a),
-        ops.associator(acd, b, a),
-        ops.associator(abd, c, d),
-        ops.associator(acd, b, d),
-    )
-    return [ops.difference(ops.associator(a, ops.mul(b, c), d), rhs)]
+    return build
 
 
 def _build_middle_nucleus_contains(ops, elems):
@@ -366,37 +317,19 @@ def _build_middle_nucleus_pins(ops, elems):
     t = ops.associator(e1, z, e2)
     # (x, z, y) has x- and y-exponent 0 and u-exponents exactly (z1, z2), so
     # membership in {first two coordinates 0} is equivalent to vanishing.
-    return [
-        _pad(
-            ops.table,
-            {
-                0: t.coords[0],
-                1: t.coords[1],
-                2: t.coords[2] - z.coords[0],
-                3: t.coords[3] - z.coords[1],
-            },
-        )
-    ]
+    return [_pad(ops.table, {0: t[0], 1: t[1], 2: t[2] - z[0], 3: t[3] - z[1]})]
 
 
-def _central_part_residual(ops, w: SymElem8) -> tuple:
-    # central iff the first four coordinates vanish (entries center-*)
-    return _pad(ops.table, {i: w.coords[i] for i in range(4)})
+def _compounded_central(slot: int) -> Callable:
+    """The associator with (a, b, c) in `slot` and d, e in the other slots
+    in order is central: its first four coordinates vanish (entries center-*)."""
 
+    def build(ops, elems):
+        a, b, c, d, e = elems
+        w = ops.associator(*_place((d, e), slot, ops.associator(a, b, c)))
+        return [_pad(ops.table, {i: w[i] for i in range(4)})]
 
-def _build_compounded_central_left(ops, elems):
-    a, b, c, d, e = elems
-    return [_central_part_residual(ops, ops.associator(ops.associator(a, b, c), d, e))]
-
-
-def _build_compounded_central_middle(ops, elems):
-    a, b, c, d, e = elems
-    return [_central_part_residual(ops, ops.associator(d, ops.associator(a, b, c), e))]
-
-
-def _build_compounded_central_right(ops, elems):
-    a, b, c, d, e = elems
-    return [_central_part_residual(ops, ops.associator(d, e, ops.associator(a, b, c)))]
+    return build
 
 
 def _build_center_contains(ops, elems):
@@ -414,26 +347,20 @@ def _build_center_pins(ops, elems):
     # with center-contains this pins the center to 0 x 0 x 0 x 0 x Z^4.
     txx = ops.associator(e1, e1, z)
     tyy = ops.associator(e2, e2, z)
-    blocks = [
-        _pad(ops.table, {2: txx.coords[2] - z.coords[1]}),
-        _pad(ops.table, {3: tyy.coords[3] + z.coords[0]}),
+    zero = Polynomial.zero(ops.table)
+    z0 = (zero, zero) + z[2:]  # z with z1 = z2 = 0
+    return [
+        _pad(ops.table, {2: txx[2] - z[1]}),
+        _pad(ops.table, {3: tyy[3] + z[0]}),
+        ops.difference(ops.associator(e1, e1, z0), _pad(ops.table, {4: z[2], 5: z[3]})),
     ]
-    restricted = SymElem8(tuple(p.substitute({0: 0, 1: 0}) for p in txx.coords))
-    expected = {4: z.coords[2], 5: z.coords[3]}
-    blocks.append(
-        tuple(
-            restricted.coords[i] - expected.get(i, Polynomial.zero(ops.table))
-            for i in range(8)
-        )
-    )
-    return blocks
 
 
 def _build_projection_homomorphism(ops, elems):
     a, b = elems
     m = ops.mul(a, b)
-    f2 = mul4_coords(a.coords[:4], b.coords[:4])
-    return [_pad(ops.table, {i: m.coords[i] - f2[i] for i in range(4)})]
+    f2 = mul4_coords(a[:4], b[:4])
+    return [_pad(ops.table, {i: m[i] - f2[i] for i in range(4)})]
 
 
 def _build_l_automorphism(ops, elems):
@@ -460,22 +387,21 @@ def _build_power_negation(ops, elems):
 
 def _build_associator_formula(ops, elems):
     a, b, c = elems
-    closed = SymElem8(assoc_coords(a.coords, b.coords, c.coords))
-    return [ops.difference(closed, ops.associator(a, b, c))]
+    return [ops.difference(assoc_coords(a, b, c), ops.associator(a, b, c))]
 
 
 def _build_inner_map_formula(ops, elems):
     a, b, c = elems
-    closed = SymElem8(inner_l_coords(a.coords, b.coords, c.coords))
-    return [ops.difference(closed, ops.inner_l(a, b, c))]
+    return [ops.difference(inner_l_coords(a, b, c), ops.inner_l(a, b, c))]
 
 
 def _build_inverse_negation(ops, elems):
     (a,) = elems
-    return [ops.difference(SymElem8(inv_coords(a.coords)), ops.inverse(a))]
+    return [ops.difference(inv_coords(a), ops.inverse(a))]
 
 
-def _g(*prefixes: str, pins: dict = {}) -> tuple:
+def _g(*prefixes: str, pins: Optional[dict] = None) -> tuple:
+    pins = pins or {}
     return tuple((p, pins.get(p, 0)) for p in prefixes)
 
 
@@ -523,19 +449,19 @@ _CATALOG = [
         "double-compounded-middle-right",
         "(a, (b,c,d), (e,f,g)) = 1",
         _g("a", "b", "c", "d", "e", "f", "g"),
-        _build_double_mr,
+        _double_compounded(0),
     ),
     _Entry(
         "double-compounded-left-right",
         "((a,b,c), d, (e,f,g)) = 1",
         _g("a", "b", "c", "d", "e", "f", "g"),
-        _build_double_lr,
+        _double_compounded(1),
     ),
     _Entry(
         "double-compounded-left-middle",
         "((a,b,c), (d,e,f), g) = 1",
         _g("a", "b", "c", "d", "e", "f", "g"),
-        _build_double_lm,
+        _double_compounded(2),
     ),
     _Entry(
         "inner-map-closed-form",
@@ -547,19 +473,19 @@ _CATALOG = [
         "product-expansion-left",
         "(ab, c, d) expands into associators and compounded corrections",
         _g("a", "b", "c", "d"),
-        _build_product_expansion_left,
+        _product_expansion(0),
     ),
     _Entry(
         "product-expansion-right",
         "(a, b, cd) expands into associators and compounded corrections",
         _g("a", "b", "c", "d"),
-        _build_product_expansion_right,
+        _product_expansion(2),
     ),
     _Entry(
         "product-expansion-middle",
         "(a, bc, d) expands into associators and compounded corrections",
         _g("a", "b", "c", "d"),
-        _build_product_expansion_middle,
+        _product_expansion(1),
     ),
     _Entry(
         "middle-nucleus-contains",
@@ -577,19 +503,19 @@ _CATALOG = [
         "compounded-central-left",
         "((a,b,c), d, e) lies in 0x0x0x0xZ^4",
         _g("a", "b", "c", "d", "e"),
-        _build_compounded_central_left,
+        _compounded_central(0),
     ),
     _Entry(
         "compounded-central-middle",
         "(d, (a,b,c), e) lies in 0x0x0x0xZ^4",
         _g("a", "b", "c", "d", "e"),
-        _build_compounded_central_middle,
+        _compounded_central(1),
     ),
     _Entry(
         "compounded-central-right",
         "(d, e, (a,b,c)) lies in 0x0x0x0xZ^4",
         _g("a", "b", "c", "d", "e"),
-        _build_compounded_central_right,
+        _compounded_central(2),
     ),
     _Entry(
         "center-contains",

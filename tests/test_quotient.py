@@ -34,6 +34,13 @@ def test_modulus_validation():
     assert make_quotient(5).order == 390625
 
 
+@pytest.mark.parametrize("modulus", [2.5, 2.0, 4.0])
+def test_a_non_integral_modulus_is_a_type_error(modulus):
+    # only an int names a quotient (Z/m)^8, integral float or not
+    with pytest.raises(TypeError):
+        make_quotient(modulus)
+
+
 def test_alpha_obstruction_message_is_concrete():
     with pytest.raises(ValueError, match=r"maps 3 to 8"):
         make_quotient(3)
@@ -499,6 +506,12 @@ def test_validator_refuses_a_bin_file_shorter_than_its_header(tmp_path):
     with pytest.raises(ValueError, match="6 bytes is shorter than the 8-byte header") as info:
         validate_table_file(str(path))
     assert str(path) in str(info.value)
+    # a full header of m = 2^32 - 1 promises m^16 entries, a 512-bit count
+    path.write_bytes(b"CLT1" + struct.pack("<I", 2 ** 32 - 1))
+    with pytest.raises(ValueError, match="expected an int of 512 bits entries, found 0") as info:
+        validate_table_file(str(path))
+    assert str(path) in str(info.value)
+    assert len(str(info.value)) < 300
 
 
 def test_validator_refuses_a_bin_file_with_modulus_zero(tmp_path):
