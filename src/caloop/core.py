@@ -16,8 +16,9 @@ Its product :func:`mul4_coords` is :func:`mul_coords` on zero-padded
 4-tuples, cut to four coordinates, so the formula is written once.
 
 The inverse of a is -a, coordinate by coordinate (:func:`inv_coords`); the
-catalog entry ``inverse-negation`` proves it equal to the left division of
-the identity by a.
+catalog entry ``inverse-negation`` proves a * (-a) = 1, and the catalog's
+inverse laws (the automorphic inverse property, the associator reversals,
+``power-negation``) are proved about this function.
 
 Powers have a closed form: every coordinate of a^n is a polynomial in n of
 degree at most 5, so :func:`pow_closed_form` evaluates one formula P(n; a)
@@ -142,8 +143,8 @@ def inv_coords(a: Sequence[int]) -> Coords8:
     """Inverse element: the unique b with a * b = identity.
 
     It is the negation of every coordinate; the catalog entry
-    ``inverse-negation`` proves -a equal to the left division of the
-    identity by a.
+    ``inverse-negation`` proves a * (-a) = 1 with products only, and
+    ``division-round-trip`` makes that b unique, so -a = a \\ 1.
     """
     a1, a2, a3, a4, a5, a6, a7, a8 = a
     return (-a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8)

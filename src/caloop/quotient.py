@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import operator
 import random
+import reprlib
 import struct
 import time
 from dataclasses import dataclass, field
@@ -400,6 +401,8 @@ class QuotientLoop:
 
     def export_table(self, path: str, fmt: str = "csv") -> None:
         """Write the Cayley table; CSV with a header line, or compact binary."""
+        if fmt not in ("csv", "bin"):
+            raise ValueError(f"unknown table format {fmt!r}; use 'csv' or 'bin'")
         t = self.product_table()
         if fmt == "csv":
             with open(path, "w", encoding="ascii") as fh:
@@ -409,13 +412,11 @@ class QuotientLoop:
                 for row in t.tolist():
                     fh.write(",".join(map(str, row)))
                     fh.write("\n")
-        elif fmt == "bin":
+        else:
             with open(path, "wb") as fh:
                 fh.write(b"CLT1")
                 fh.write(struct.pack("<I", self.modulus))
                 fh.write(t.astype("<u4").tobytes())
-        else:
-            raise ValueError(f"unknown table format {fmt!r}; use 'csv' or 'bin'")
 
 
 def _table_checks(t: np.ndarray) -> dict:
@@ -491,6 +492,11 @@ class TableFileReport:
 # characters a CSV header int may have: enough for any 64-bit int, so that
 # m ** 8 stays small and int() never meets Python's 4300-digit limit
 _HEADER_INT_CHARS = 20
+# bytes the CSV header line may have, its newline included, so that a huge
+# line is refused before it is read in full; a written header is under 100
+# bytes, and a few-thousand-digit int field still reaches _header_int, which
+# names its length
+_HEADER_LINE_BYTES = 8192
 
 
 def _header_int(path: str, fields: dict, key: str) -> int:
@@ -519,14 +525,19 @@ def _csv_line(path: str, lineno: int, raw: bytes) -> str:
 
 def _read_table_csv(path: str):
     with open(path, "rb") as fh:
-        header = _csv_line(path, 1, fh.readline()).strip().split()
+        raw = fh.readline(_HEADER_LINE_BYTES + 1)
+        if len(raw) > _HEADER_LINE_BYTES:
+            raise ValueError(
+                f"{path}: header line is longer than the limit of {_HEADER_LINE_BYTES} bytes"
+            )
+        header = _csv_line(path, 1, raw).strip().split()
         if len(header) != 4 or header[0] != "caloop-table":
-            raise ValueError(f"{path}: not a caloop CSV table (header {header!r})")
+            raise ValueError(f"{path}: not a caloop CSV table (header {reprlib.repr(header)})")
         fields = {}
         for part in header[1:]:
             key, sep, value = part.partition("=")
             if not sep:
-                raise ValueError(f"{path}: header field {part!r} is not key=value")
+                raise ValueError(f"{path}: header field {reprlib.repr(part)} is not key=value")
             fields[key] = value
         m = _header_int(path, fields, "m")
         order = _header_int(path, fields, "order")
@@ -535,7 +546,9 @@ def _read_table_csv(path: str):
                 f"{path}: header order={_size(order)} is not m^8 = {_size(m ** 8)}"
             )
         if fields.get("ordering") != "lex":
-            raise ValueError(f"{path}: unknown element ordering {fields.get('ordering')!r}")
+            raise ValueError(
+                f"{path}: unknown element ordering {reprlib.repr(fields.get('ordering'))}"
+            )
         rows = []
         for lineno, raw in enumerate(fh, start=2):
             line = _csv_line(path, lineno, raw).strip()

@@ -11,18 +11,23 @@ integer point.
 A generic element is a plain 8-tuple of :class:`~caloop.poly.Polynomial`
 coordinates, and the expansion runs the shipped kernel itself on it:
 :func:`caloop.core.mul_coords`, :func:`caloop.core.left_div_coords`,
-:func:`caloop.core.mul4_coords` and :func:`caloop.core.pow_closed_form` are
-called on those tuples, so the catalog proves the code that the integer,
-quotient and parser layers run, not a copy of it.  A law that comes in a
-left, middle and right form is written once, for a slot of the associator,
-and registered once per slot.  The
+:func:`caloop.core.mul4_coords`, :func:`caloop.core.inv_coords` and
+:func:`caloop.core.pow_closed_form` are called on those tuples, so the
+catalog proves the code that the integer, quotient and parser layers run,
+not a copy of it.  Each law is declared once, by the ``@_law`` decorator on
+its builder; a law that comes in a left, middle and right form is written
+once, for a slot of the associator, and registered once per slot.  The
 ``power-*`` entries take the exponent n as one more variable; together they
 prove that the closed-form power equals the iterated product for every
-integer n.  The entries ``associator-formula``, ``inner-map-formula`` and
-``inverse-negation`` prove the closed forms of
-:func:`caloop.calculus.assoc_coords`, :func:`caloop.calculus.inner_l_coords`
-and :func:`caloop.core.inv_coords` equal to their defining equations, which
-:class:`SymLoopOps` solves by left division through its bound product.
+integer n.  The entries ``associator-formula`` and ``inner-map-formula``
+prove the closed forms of :func:`caloop.calculus.assoc_coords` and
+:func:`caloop.calculus.inner_l_coords` equal to their defining equations,
+which :class:`SymLoopOps` solves by left division through its bound
+product.  The inverse laws (``aip``, ``reversal``, ``compounded-reversal``,
+``power-negation``) are proved about the shipped inverse
+:func:`caloop.core.inv_coords`, and ``inverse-negation`` states
+a * (-a) = 1 with products only; with ``division-round-trip`` it shows
+that -a = a \\ 1.
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from . import poly
@@ -66,7 +72,12 @@ def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> t
 
 
 class SymLoopOps:
-    """Loop operations on 8-tuples of polynomials, bound to one product formula."""
+    """Loop operations on 8-tuples of polynomials, bound to one product formula.
+
+    Only the operations that run the product live here, so that the mutation
+    run reaches them; the builders call the closed-form inverse and power of
+    :mod:`caloop.core` directly.
+    """
 
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
         self.table = table
@@ -82,22 +93,9 @@ class SymLoopOps:
     def mul(self, a: tuple, b: tuple) -> tuple:
         return self.product(a, b)
 
-    def mul_many(self, first: tuple, *rest: tuple) -> tuple:
-        acc = first
-        for f in rest:
-            acc = self.mul(acc, f)
-        return acc
-
     def left_divide(self, a: tuple, c: tuple) -> tuple:
         """The unique b with a * b = c, by triangular back-substitution."""
         return left_div_coords(a, c, self.product)
-
-    def inverse(self, a: tuple) -> tuple:
-        return self.left_divide(a, self.identity)
-
-    def power(self, a: tuple, n) -> tuple:
-        """The closed-form power P(n; a); n is an int or a polynomial."""
-        return pow_closed_form(a, n)
 
     def associator(self, a: tuple, b: tuple, c: tuple) -> tuple:
         return self.left_divide(
@@ -170,8 +168,31 @@ class _Entry:
     name: str
     summary: str
     layout: tuple  # ((prefix, pinned_zero_coords), ...)
-    build: Callable  # (ops, elems) -> list of residual 8-tuples
+    build: Callable  # (ops, *elements, *integers) -> list of residual 8-tuples
     integers: tuple = ()  # names of integer variables, passed after the elements
+
+
+# every entry, in registration order, which is the order of `verify --json`
+_CATALOG: dict = {}
+
+
+def _law(name: str, summary: str, elements: str, pins: Optional[dict] = None,
+         integers: str = "") -> Callable:
+    """Register the decorated builder as the catalog entry `name`.
+
+    `elements` names the generic elements, one space-separated prefix each,
+    which the builder takes in that order after `ops`; `pins` maps a prefix
+    to its number of leading coordinates pinned to 0.  Each name in
+    `integers` is one more integer variable, passed after the elements.
+    """
+    pins = pins or {}
+    layout = tuple((p, pins.get(p, 0)) for p in elements.split())
+
+    def register(build: Callable) -> Callable:
+        _CATALOG[name] = _Entry(name, summary, layout, build, tuple(integers.split()))
+        return build
+
+    return register
 
 
 def _pad(table: VarTable, slots: dict) -> tuple:
@@ -186,8 +207,8 @@ def _place(pair: Sequence, slot: int, w) -> tuple:
     return (*pair[:slot], w, *pair[slot:])
 
 
-def _build_identity_element(ops, elems):
-    (a,) = elems
+@_law("identity-element", "a * 1 = a = 1 * a", "a")
+def _build_identity_element(ops, a):
     one = ops.identity
     return [
         ops.difference(ops.mul(a, one), a),
@@ -195,42 +216,36 @@ def _build_identity_element(ops, elems):
     ]
 
 
-def _build_commutativity(ops, elems):
-    a, b = elems
+@_law("commutativity", "a * b = b * a", "a b")
+def _build_commutativity(ops, a, b):
     return [ops.difference(ops.mul(a, b), ops.mul(b, a))]
 
 
-def _build_division_round_trip(ops, elems):
-    a, b = elems
+@_law("division-round-trip", "a \\ (a * b) = b and a * (a \\ b) = b", "a b")
+def _build_division_round_trip(ops, a, b):
     return [
         ops.difference(ops.left_divide(a, ops.mul(a, b)), b),
         ops.difference(ops.mul(a, ops.left_divide(a, b)), b),
     ]
 
 
-def _build_aip(ops, elems):
-    a, b = elems
-    return [
-        ops.difference(
-            ops.inverse(ops.mul(a, b)), ops.mul(ops.inverse(a), ops.inverse(b))
-        )
-    ]
+@_law("aip", "(a * b)^-1 = a^-1 * b^-1", "a b")
+def _build_aip(ops, a, b):
+    return [ops.difference(inv_coords(ops.mul(a, b)), ops.mul(inv_coords(a), inv_coords(b)))]
 
 
-def _build_flexibility(ops, elems):
-    a, b = elems
+@_law("flexibility", "(a, b, a) = 1", "a b")
+def _build_flexibility(ops, a, b):
     return [ops.difference(ops.associator(a, b, a), ops.identity)]
 
 
-def _build_reversal(ops, elems):
-    a, b, c = elems
-    return [
-        ops.difference(ops.associator(a, b, c), ops.inverse(ops.associator(c, b, a)))
-    ]
+@_law("reversal", "(a, b, c) = (c, b, a)^-1", "a b c")
+def _build_reversal(ops, a, b, c):
+    return [ops.difference(ops.associator(a, b, c), inv_coords(ops.associator(c, b, a)))]
 
 
-def _build_swap_expansion(ops, elems):
-    a, b, c = elems
+@_law("swap-expansion", "(a, b, c) = (a, c, b) * (b, a, c)", "a b c")
+def _build_swap_expansion(ops, a, b, c):
     return [
         ops.difference(
             ops.associator(a, b, c),
@@ -239,16 +254,15 @@ def _build_swap_expansion(ops, elems):
     ]
 
 
-def _build_compounded_reversal(ops, elems):
-    a, b, c, d, e = elems
+@_law("compounded-reversal", "((a,b,c), d, e)^-1 = (e, d, (a,b,c))", "a b c d e")
+def _build_compounded_reversal(ops, a, b, c, d, e):
     t = ops.associator(a, b, c)
-    return [
-        ops.difference(ops.inverse(ops.associator(t, d, e)), ops.associator(e, d, t))
-    ]
+    return [ops.difference(inv_coords(ops.associator(t, d, e)), ops.associator(e, d, t))]
 
 
-def _build_compounded_middle_expansion(ops, elems):
-    a, b, c, d, e = elems
+@_law("compounded-middle-expansion",
+      "(a, (b,c,d), e) = (a, e, (b,c,d)) * ((b,c,d), a, e)", "a b c d e")
+def _build_compounded_middle_expansion(ops, a, b, c, d, e):
     w = ops.associator(b, c, d)
     return [
         ops.difference(
@@ -262,7 +276,7 @@ def _double_compounded(slot: int) -> Callable:
     """The associator with the plain element w in `slot` and two associators
     in the other slots is 1; the variables are read in the written order."""
 
-    def build(ops, elems):
+    def build(ops, *elems):
         w = elems[3 * slot]
         rest = elems[:3 * slot] + elems[3 * slot + 1:]
         pair = (ops.associator(*rest[:3]), ops.associator(*rest[3:]))
@@ -271,8 +285,16 @@ def _double_compounded(slot: int) -> Callable:
     return build
 
 
-def _build_inner_map_closed_form(ops, elems):
-    a, b, c = elems
+_law("double-compounded-middle-right", "(a, (b,c,d), (e,f,g)) = 1",
+     "a b c d e f g")(_double_compounded(0))
+_law("double-compounded-left-right", "((a,b,c), d, (e,f,g)) = 1",
+     "a b c d e f g")(_double_compounded(1))
+_law("double-compounded-left-middle", "((a,b,c), (d,e,f), g) = 1",
+     "a b c d e f g")(_double_compounded(2))
+
+
+@_law("inner-map-closed-form", "L_{b,c}(a) = (a * (a,b,c)) * (bc, a, (a,b,c))", "a b c")
+def _build_inner_map_closed_form(ops, a, b, c):
     t = ops.associator(a, b, c)
     rhs = ops.mul(ops.mul(a, t), ops.associator(ops.mul(b, c), a, t))
     return [ops.difference(ops.inner_l(b, c, a), rhs)]
@@ -284,13 +306,13 @@ def _product_expansion(slot: int) -> Callable:
     that slot:  X * Y * (X, x, y) * (Y, y, x) * (X, y, p) * (Y, x, p) *
     (X, y, q) * (Y, x, q), multiplied from the left."""
 
-    def build(ops, elems):
+    def build(ops, *elems):
         x, y = elems[slot:slot + 2]
         pair = elems[:slot] + elems[slot + 2:]
         p, q = pair
         ax = ops.associator(*_place(pair, slot, x))
         ay = ops.associator(*_place(pair, slot, y))
-        rhs = ops.mul_many(
+        rhs = reduce(ops.mul, (
             ax,
             ay,
             ops.associator(ax, x, y),
@@ -299,19 +321,31 @@ def _product_expansion(slot: int) -> Callable:
             ops.associator(ay, x, p),
             ops.associator(ax, y, q),
             ops.associator(ay, x, q),
-        )
+        ))
         return [ops.difference(ops.associator(*_place(pair, slot, ops.mul(x, y))), rhs)]
 
     return build
 
 
-def _build_middle_nucleus_contains(ops, elems):
-    a, n, b = elems
+_law("product-expansion-left",
+     "(ab, c, d) expands into associators and compounded corrections",
+     "a b c d")(_product_expansion(0))
+_law("product-expansion-right",
+     "(a, b, cd) expands into associators and compounded corrections",
+     "a b c d")(_product_expansion(2))
+_law("product-expansion-middle",
+     "(a, bc, d) expands into associators and compounded corrections",
+     "a b c d")(_product_expansion(1))
+
+
+@_law("middle-nucleus-contains", "(a, n, b) = 1 for every n with zero generator exponents",
+      "a n b", pins={"n": 2})
+def _build_middle_nucleus_contains(ops, a, n, b):
     return [ops.difference(ops.associator(a, n, b), ops.identity)]
 
 
-def _build_middle_nucleus_pins(ops, elems):
-    (z,) = elems
+@_law("middle-nucleus-pins", "(x, z, y) vanishes only if z has zero generator exponents", "z")
+def _build_middle_nucleus_pins(ops, z):
     e1 = ops.constant((1, 0, 0, 0, 0, 0, 0, 0))
     e2 = ops.constant((0, 1, 0, 0, 0, 0, 0, 0))
     t = ops.associator(e1, z, e2)
@@ -324,21 +358,30 @@ def _compounded_central(slot: int) -> Callable:
     """The associator with (a, b, c) in `slot` and d, e in the other slots
     in order is central: its first four coordinates vanish (entries center-*)."""
 
-    def build(ops, elems):
-        a, b, c, d, e = elems
+    def build(ops, a, b, c, d, e):
         w = ops.associator(*_place((d, e), slot, ops.associator(a, b, c)))
         return [_pad(ops.table, {i: w[i] for i in range(4)})]
 
     return build
 
 
-def _build_center_contains(ops, elems):
-    a, b, z = elems
+_law("compounded-central-left", "((a,b,c), d, e) lies in 0x0x0x0xZ^4",
+     "a b c d e")(_compounded_central(0))
+_law("compounded-central-middle", "(d, (a,b,c), e) lies in 0x0x0x0xZ^4",
+     "a b c d e")(_compounded_central(1))
+_law("compounded-central-right", "(d, e, (a,b,c)) lies in 0x0x0x0xZ^4",
+     "a b c d e")(_compounded_central(2))
+
+
+@_law("center-contains", "every element of 0x0x0x0xZ^4 is fixed by every inner mapping",
+      "a b z", pins={"z": 4})
+def _build_center_contains(ops, a, b, z):
     return [ops.difference(ops.inner_l(a, b, z), z)]
 
 
-def _build_center_pins(ops, elems):
-    (z,) = elems
+@_law("center-pins", "an element fixed by all inner mappings has zero first four coordinates",
+      "z")
+def _build_center_pins(ops, z):
     e1 = ops.constant((1, 0, 0, 0, 0, 0, 0, 0))
     e2 = ops.constant((0, 1, 0, 0, 0, 0, 0, 0))
     # (x, x, z) has u1-exponent z2; (y, y, z) has u2-exponent -z1; and once
@@ -356,226 +399,56 @@ def _build_center_pins(ops, elems):
     ]
 
 
-def _build_projection_homomorphism(ops, elems):
-    a, b = elems
+@_law("projection-homomorphism",
+      "truncation to 4 coordinates is a homomorphism onto the class-2 loop", "a b")
+def _build_projection_homomorphism(ops, a, b):
     m = ops.mul(a, b)
     f2 = mul4_coords(a[:4], b[:4])
     return [_pad(ops.table, {i: m[i] - f2[i] for i in range(4)})]
 
 
-def _build_l_automorphism(ops, elems):
-    a, b, c, d = elems
+@_law("L-automorphism", "L_{a,b}(c * d) = L_{a,b}(c) * L_{a,b}(d)", "a b c d")
+def _build_l_automorphism(ops, a, b, c, d):
     lhs = ops.inner_l(a, b, ops.mul(c, d))
     rhs = ops.mul(ops.inner_l(a, b, c), ops.inner_l(a, b, d))
     return [ops.difference(lhs, rhs)]
 
 
-def _build_power_zero(ops, elems):
-    (a,) = elems
-    return [ops.difference(ops.power(a, 0), ops.identity)]
+@_law("power-zero", "a^0 = 1", "a")
+def _build_power_zero(ops, a):
+    return [ops.difference(pow_closed_form(a, 0), ops.identity)]
 
 
-def _build_power_recurrence(ops, elems):
-    a, n = elems
-    return [ops.difference(ops.power(a, n + 1), ops.mul(ops.power(a, n), a))]
+@_law("power-recurrence", "a^(n+1) = a^n * a for the closed-form power a^n", "a",
+      integers="n")
+def _build_power_recurrence(ops, a, n):
+    return [ops.difference(pow_closed_form(a, n + 1), ops.mul(pow_closed_form(a, n), a))]
 
 
-def _build_power_negation(ops, elems):
-    a, n = elems
-    return [ops.difference(ops.power(a, -n), ops.power(ops.inverse(a), n))]
+@_law("power-negation", "a^-n = (a^-1)^n for the closed-form power a^n", "a", integers="n")
+def _build_power_negation(ops, a, n):
+    return [ops.difference(pow_closed_form(a, -n), pow_closed_form(inv_coords(a), n))]
 
 
-def _build_associator_formula(ops, elems):
-    a, b, c = elems
+@_law("associator-formula",
+      "the closed-form associator (a, b, c) solves (a * (b * c)) * t = (a * b) * c", "a b c")
+def _build_associator_formula(ops, a, b, c):
     return [ops.difference(assoc_coords(a, b, c), ops.associator(a, b, c))]
 
 
-def _build_inner_map_formula(ops, elems):
-    a, b, c = elems
+@_law("inner-map-formula", "the closed-form L_{a,b}(c) solves (b * a) * z = b * (a * c)",
+      "a b c")
+def _build_inner_map_formula(ops, a, b, c):
     return [ops.difference(inner_l_coords(a, b, c), ops.inner_l(a, b, c))]
 
 
-def _build_inverse_negation(ops, elems):
-    (a,) = elems
-    return [ops.difference(inv_coords(a), ops.inverse(a))]
-
-
-def _g(*prefixes: str, pins: Optional[dict] = None) -> tuple:
-    pins = pins or {}
-    return tuple((p, pins.get(p, 0)) for p in prefixes)
-
-
-_CATALOG = [
-    _Entry(
-        "identity-element",
-        "a * 1 = a = 1 * a",
-        _g("a"),
-        _build_identity_element,
-    ),
-    _Entry("commutativity", "a * b = b * a", _g("a", "b"), _build_commutativity),
-    _Entry(
-        "division-round-trip",
-        "a \\ (a * b) = b and a * (a \\ b) = b",
-        _g("a", "b"),
-        _build_division_round_trip,
-    ),
-    _Entry("aip", "(a * b)^-1 = a^-1 * b^-1", _g("a", "b"), _build_aip),
-    _Entry("flexibility", "(a, b, a) = 1", _g("a", "b"), _build_flexibility),
-    _Entry(
-        "reversal",
-        "(a, b, c) = (c, b, a)^-1",
-        _g("a", "b", "c"),
-        _build_reversal,
-    ),
-    _Entry(
-        "swap-expansion",
-        "(a, b, c) = (a, c, b) * (b, a, c)",
-        _g("a", "b", "c"),
-        _build_swap_expansion,
-    ),
-    _Entry(
-        "compounded-reversal",
-        "((a,b,c), d, e)^-1 = (e, d, (a,b,c))",
-        _g("a", "b", "c", "d", "e"),
-        _build_compounded_reversal,
-    ),
-    _Entry(
-        "compounded-middle-expansion",
-        "(a, (b,c,d), e) = (a, e, (b,c,d)) * ((b,c,d), a, e)",
-        _g("a", "b", "c", "d", "e"),
-        _build_compounded_middle_expansion,
-    ),
-    _Entry(
-        "double-compounded-middle-right",
-        "(a, (b,c,d), (e,f,g)) = 1",
-        _g("a", "b", "c", "d", "e", "f", "g"),
-        _double_compounded(0),
-    ),
-    _Entry(
-        "double-compounded-left-right",
-        "((a,b,c), d, (e,f,g)) = 1",
-        _g("a", "b", "c", "d", "e", "f", "g"),
-        _double_compounded(1),
-    ),
-    _Entry(
-        "double-compounded-left-middle",
-        "((a,b,c), (d,e,f), g) = 1",
-        _g("a", "b", "c", "d", "e", "f", "g"),
-        _double_compounded(2),
-    ),
-    _Entry(
-        "inner-map-closed-form",
-        "L_{b,c}(a) = (a * (a,b,c)) * (bc, a, (a,b,c))",
-        _g("a", "b", "c"),
-        _build_inner_map_closed_form,
-    ),
-    _Entry(
-        "product-expansion-left",
-        "(ab, c, d) expands into associators and compounded corrections",
-        _g("a", "b", "c", "d"),
-        _product_expansion(0),
-    ),
-    _Entry(
-        "product-expansion-right",
-        "(a, b, cd) expands into associators and compounded corrections",
-        _g("a", "b", "c", "d"),
-        _product_expansion(2),
-    ),
-    _Entry(
-        "product-expansion-middle",
-        "(a, bc, d) expands into associators and compounded corrections",
-        _g("a", "b", "c", "d"),
-        _product_expansion(1),
-    ),
-    _Entry(
-        "middle-nucleus-contains",
-        "(a, n, b) = 1 for every n with zero generator exponents",
-        _g("a", "n", "b", pins={"n": 2}),
-        _build_middle_nucleus_contains,
-    ),
-    _Entry(
-        "middle-nucleus-pins",
-        "(x, z, y) vanishes only if z has zero generator exponents",
-        _g("z"),
-        _build_middle_nucleus_pins,
-    ),
-    _Entry(
-        "compounded-central-left",
-        "((a,b,c), d, e) lies in 0x0x0x0xZ^4",
-        _g("a", "b", "c", "d", "e"),
-        _compounded_central(0),
-    ),
-    _Entry(
-        "compounded-central-middle",
-        "(d, (a,b,c), e) lies in 0x0x0x0xZ^4",
-        _g("a", "b", "c", "d", "e"),
-        _compounded_central(1),
-    ),
-    _Entry(
-        "compounded-central-right",
-        "(d, e, (a,b,c)) lies in 0x0x0x0xZ^4",
-        _g("a", "b", "c", "d", "e"),
-        _compounded_central(2),
-    ),
-    _Entry(
-        "center-contains",
-        "every element of 0x0x0x0xZ^4 is fixed by every inner mapping",
-        _g("a", "b", "z", pins={"z": 4}),
-        _build_center_contains,
-    ),
-    _Entry(
-        "center-pins",
-        "an element fixed by all inner mappings has zero first four coordinates",
-        _g("z"),
-        _build_center_pins,
-    ),
-    _Entry(
-        "projection-homomorphism",
-        "truncation to 4 coordinates is a homomorphism onto the class-2 loop",
-        _g("a", "b"),
-        _build_projection_homomorphism,
-    ),
-    _Entry(
-        "L-automorphism",
-        "L_{a,b}(c * d) = L_{a,b}(c) * L_{a,b}(d)",
-        _g("a", "b", "c", "d"),
-        _build_l_automorphism,
-    ),
-    _Entry("power-zero", "a^0 = 1", _g("a"), _build_power_zero),
-    _Entry(
-        "power-recurrence",
-        "a^(n+1) = a^n * a for the closed-form power a^n",
-        _g("a"),
-        _build_power_recurrence,
-        integers=("n",),
-    ),
-    _Entry(
-        "power-negation",
-        "a^-n = (a^-1)^n for the closed-form power a^n",
-        _g("a"),
-        _build_power_negation,
-        integers=("n",),
-    ),
-    _Entry(
-        "associator-formula",
-        "the closed-form associator (a, b, c) solves (a * (b * c)) * t = (a * b) * c",
-        _g("a", "b", "c"),
-        _build_associator_formula,
-    ),
-    _Entry(
-        "inner-map-formula",
-        "the closed-form L_{a,b}(c) solves (b * a) * z = b * (a * c)",
-        _g("a", "b", "c"),
-        _build_inner_map_formula,
-    ),
-    _Entry("inverse-negation", "-a = a \\ 1", _g("a"), _build_inverse_negation),
-]
-
-_BY_NAME = {entry.name: entry for entry in _CATALOG}
+@_law("inverse-negation", "a * (-a) = 1", "a")
+def _build_inverse_negation(ops, a):
+    return [ops.difference(ops.mul(a, inv_coords(a)), ops.identity)]
 
 
 def catalog_names() -> list:
-    return [entry.name for entry in _CATALOG]
+    return list(_CATALOG)
 
 
 def describe_identity(name: str) -> str:
@@ -584,7 +457,7 @@ def describe_identity(name: str) -> str:
 
 def _lookup(name: str) -> _Entry:
     try:
-        return _BY_NAME[name]
+        return _CATALOG[name]
     except KeyError:
         known = ", ".join(catalog_names())
         raise ValueError(f"unknown identity {name!r}; known identities: {known}") from None
@@ -596,7 +469,7 @@ def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityR
     poly.reset_stats()
     start = time.perf_counter()
     ops, elems = _make_context(entry.layout, product, entry.integers)
-    blocks = entry.build(ops, elems)
+    blocks = entry.build(ops, *elems)
     millis = int((time.perf_counter() - start) * 1000)
     max_degree, _ = poly.peak_stats()
     counts = [0] * 8
@@ -616,4 +489,4 @@ def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityR
 
 def verify_all(product: Optional[ProductFn] = None) -> list:
     """Run the whole catalog in registration order."""
-    return [verify_identity(entry.name, product) for entry in _CATALOG]
+    return [verify_identity(name, product) for name in _CATALOG]

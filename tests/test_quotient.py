@@ -402,8 +402,11 @@ def test_table_export_bin(tmp_path):
     report = validate_table_file(str(path))
     assert report.passed
 
-    with pytest.raises(ValueError):
-        make_quotient(2).export_table(str(tmp_path / "t.x"), "xml")
+    # the format is checked before any table work: m = 5 is past the table
+    # budget, and at m = 2 the table would be built first
+    for m in (2, 5):
+        with pytest.raises(ValueError, match="unknown table format"):
+            make_quotient(m).export_table(str(tmp_path / "t.x"), "xml")
 
 
 @pytest.mark.parametrize(
@@ -466,6 +469,16 @@ def test_validator_rejects_garbage(tmp_path):
                      "m= has 1000 characters", id="1000-digit-m"),
         pytest.param(f"caloop-table m={'7' * 5000} order=1 ordering=lex",
                      "m= has 5000 characters", id="5000-digit-m"),
+        # a header line past 8192 bytes is refused before it is read in full
+        pytest.param("x" * 100_000, "longer than the limit of 8192 bytes",
+                     id="100kb-first-line"),
+        pytest.param(f"caloop-table m=2 order=256 ordering={'x' * 100_000}",
+                     "longer than the limit of 8192 bytes", id="100kb-ordering"),
+        pytest.param(f"caloop-table m=2 order=256 {'x' * 100_000}",
+                     "longer than the limit of 8192 bytes", id="100kb-field-not-key-value"),
+        # under the line limit, an echoed value is abbreviated
+        pytest.param(f"caloop-table m=2 order=256 ordering={'x' * 5000}",
+                     "unknown element ordering 'xxx", id="5000-char-ordering"),
     ],
 )
 def test_validator_names_bad_header_field(tmp_path, header, message):
