@@ -16,8 +16,12 @@ Every subcommand takes ``--json``; only ``check-quotient`` takes
 
 Exit codes: 0 success / all checks pass, 1 verification or check failure,
 2 usage, parse, input or file errors (an ``error:`` line on stderr).
-Coordinate inputs and results are held to :data:`caloop.words.MAX_BITS`
-bits, as ``eval``'s values are; a longer one is an input error.
+``mul``, ``inv``, ``assoc`` and ``inner`` are one table of word nodes: each
+builds its node over ``Literal`` leaves and evaluates it as ``eval`` does,
+so every input and result is held to :data:`caloop.words.MAX_BITS` bits by
+:func:`caloop.words.evaluate`; a longer one is an input error.  ``member``
+reads its input through ``evaluate`` too, and bounds the witness associator
+it prints, which no word computes, with :func:`caloop.words.check_bits`.
 ``--json`` prints machine-readable output with a stable schema; coordinates
 outside the signed 64-bit range are emitted as decimal strings so nothing is
 ever rounded.
@@ -31,13 +35,18 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .calculus import NucleusKind, associator, inner_l, is_member, witness_noncentral
+from .calculus import NucleusKind, is_member, witness_noncentral
 from .core import Elem8
 from .quotient import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS, BudgetExceeded, make_quotient
 from .symbolic import catalog_names, verify_all, verify_identity
 from .words import (
     MAX_BITS,
+    Assoc,
+    InnerL,
+    Inverse,
+    Literal,
     ParseError,
+    Product,
     check_bits,
     evaluate,
     format_canonical,
@@ -58,8 +67,8 @@ def _coords_doc(e: Elem8) -> dict:
     return {"coords": [_json_int(c) for c in e]}
 
 
-def _parse_coords(text: str) -> Elem8:
-    """The element written ``[i1,...,i8]``, within the ``MAX_BITS`` bound."""
+def _parse_coords(text: str) -> tuple:
+    """The 8 coordinates written ``[i1,...,i8]``; ``evaluate`` bounds them."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
@@ -79,7 +88,7 @@ def _parse_coords(text: str) -> Elem8:
             ) from None
     if len(coords) != 8:
         raise ValueError(f"expected 8 coordinates, got {len(coords)} in {text!r}")
-    return check_bits(Elem8(coords))
+    return tuple(coords)
 
 
 def _dump(doc) -> str:
@@ -87,7 +96,6 @@ def _dump(doc) -> str:
 
 
 def _emit_element(e: Elem8, as_json: bool) -> None:
-    check_bits(e)
     if as_json:
         print(_dump({"canonical": format_canonical(e), **_coords_doc(e)}))
     else:
@@ -103,34 +111,24 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_mul(args) -> int:
-    _emit_element(_parse_coords(args.a) * _parse_coords(args.b), args.json)
-    return 0
+# command -> (help, argument names, the word node built over their values)
+_ELEMENT_COMMANDS = {
+    "mul": ("multiply two elements", "ab", Product),
+    "inv": ("invert an element", "a", Inverse),
+    "assoc": ("associator (a, b, c)", "abc", Assoc),
+    "inner": ("inner mapping image L_{a,b}(c)", "abc", InnerL),
+}
 
 
-def _cmd_inv(args) -> int:
-    _emit_element(_parse_coords(args.a).inverse(), args.json)
-    return 0
-
-
-def _cmd_assoc(args) -> int:
-    _emit_element(
-        associator(_parse_coords(args.a), _parse_coords(args.b), _parse_coords(args.c)),
-        args.json,
-    )
-    return 0
-
-
-def _cmd_inner(args) -> int:
-    _emit_element(
-        inner_l(_parse_coords(args.a), _parse_coords(args.b), _parse_coords(args.c)),
-        args.json,
-    )
+def _cmd_element(args) -> int:
+    _, names, node = _ELEMENT_COMMANDS[args.command]
+    leaves = [Literal(_parse_coords(getattr(args, name))) for name in names]
+    _emit_element(evaluate(node(*leaves)), args.json)
     return 0
 
 
 def _cmd_member(args) -> int:
-    z = _parse_coords(args.a)
+    z = evaluate(Literal(_parse_coords(args.a)))
     kind = NucleusKind(args.kind)
     member = is_member(z, kind)
     witness = None if member else witness_noncentral(kind, z)
@@ -226,24 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help='expression, e.g. "assoc(x,x,y)" or "(x*y)*x"')
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("mul", parents=[common], help="multiply two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("inv", parents=[common], help="invert an element")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_inv)
-
-    p = sub.add_parser("assoc", parents=[common], help="associator (a, b, c)")
-    for name in "abc":
-        p.add_argument(name)
-    p.set_defaults(func=_cmd_assoc)
-
-    p = sub.add_parser("inner", parents=[common], help="inner mapping image L_{a,b}(c)")
-    for name in "abc":
-        p.add_argument(name)
-    p.set_defaults(func=_cmd_inner)
+    for command, (help_text, names, _) in _ELEMENT_COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name in names:
+            p.add_argument(name)
+        p.set_defaults(func=_cmd_element)
 
     p = sub.add_parser("member", parents=[common], help="structural subloop membership")
     p.add_argument("--kind", required=True, choices=[k.value for k in NucleusKind])

@@ -34,6 +34,7 @@ overflow int64 at the modulus (:func:`_intermediate_bound`).
 from __future__ import annotations
 
 import operator
+import os
 import random
 import reprlib
 import struct
@@ -554,6 +555,10 @@ def _read_table_csv(path: str):
             line = _csv_line(path, lineno, raw).strip()
             if not line:
                 continue
+            if len(rows) == order:  # refuse a long file at its first extra row
+                raise ValueError(
+                    f"{path}: line {lineno} is row {order + 1}, past the header's order={order}"
+                )
             try:
                 row = np.array(list(map(int, line.split(","))), dtype=np.int64)
             except ValueError:
@@ -570,16 +575,21 @@ def _read_table_csv(path: str):
 
 def _read_table_bin(path: str):
     """(m, order, table) of a binary table file, whose magic b'CLT1' the
-    caller has matched."""
+    caller has matched.  The file's size is checked against the header
+    before any entry is read."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) < 8:
             raise ValueError(f"{path}: {len(header)} bytes is shorter than the 8-byte header")
         (m,) = struct.unpack("<I", header[4:])
         order = m ** 8
-        data = np.frombuffer(fh.read(), dtype="<u4")
-    if data.size != order * order:
-        raise ValueError(f"{path}: expected {_size(order * order)} entries, found {data.size}")
+        size = os.fstat(fh.fileno()).st_size - 8
+        if size != 4 * order * order:
+            raise ValueError(
+                f"{path}: expected {_size(order * order)} entries, found {size // 4}"
+                + (f" and {size % 4} stray bytes" if size % 4 else "")
+            )
+        data = np.frombuffer(fh.read(size), dtype="<u4")
     return m, order, data.reshape(order, order).astype(np.int64)
 
 

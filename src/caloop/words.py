@@ -34,7 +34,8 @@ cost O(1) products whatever the exponent, so values can grow fast: each
 product or power multiplies the bit length of a coordinate by up to about
 five.  :func:`evaluate` therefore refuses, with a ``ValueError``, any value
 with a coordinate longer than ``MAX_BITS`` bits.  :func:`check_bits` is that
-check; the CLI's coordinate commands apply it to their inputs and results.
+check; the CLI's coordinate commands evaluate words over ``Literal`` leaves,
+so it bounds their inputs and results too.
 Evaluation runs on plain coordinate tuples and wraps only the root in an
 :class:`Elem8`.
 
@@ -434,7 +435,10 @@ def _value(expr: Expr) -> tuple:
     if kind is Product:
         value = mul_coords(_value(expr.left), _value(expr.right))
     elif kind is Generator:
-        return _GENERATORS[expr.name]
+        try:
+            return _GENERATORS[expr.name]
+        except KeyError:
+            raise ValueError(f"unknown generator {expr.name!r}") from None
     elif kind is Power:
         value = pow_coords(_value(expr.base), expr.exponent)
     elif kind is Literal:

@@ -257,6 +257,77 @@ def test_coordinate_commands_accept_values_at_the_bound(capsys):
     assert code == 0 and json.loads(out)["coords"][0] == str(2 * int(_BIG))
 
 
+# each element command and the eval word it must print exactly as
+_WORD_OF = {"mul": "{}*{}", "inv": "inv({})", "assoc": "assoc({},{},{})", "inner": "innL({},{},{})"}
+# str.strip() skips these, int() not all of them ('\x1c'-'\x1f')
+_whitespace = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1f\x85\u00a0\u2003", max_size=2)
+_coord = st.one_of(st.integers(-9, 9), st.integers(-(10 ** 40), 10 ** 40))
+
+
+@st.composite
+def _written_coords(draw):
+    """(8 coordinates, a text _parse_coords reads them from)."""
+    coords = draw(st.lists(_coord, min_size=8, max_size=8))
+    parts = []
+    for c in coords:
+        sign = "-" if c < 0 else draw(st.sampled_from(["", "+", "-"] if c == 0 else ["", "+"]))
+        parts.append(draw(_whitespace) + sign + str(abs(c)) + draw(_whitespace))
+    body = ",".join(parts)
+    if draw(st.booleans()):
+        body = "[" + body + "]"
+    return coords, draw(_whitespace) + body + draw(_whitespace)
+
+
+def _eval_word(command, literals):
+    return _WORD_OF[command].format(*(f"elem{text}" for text in literals))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_written_coords(), min_size=3, max_size=3))
+def test_element_commands_print_what_eval_prints(capsys, drawn):
+    for command, template in _WORD_OF.items():
+        arity = template.count("{}")
+        texts = [text for _, text in drawn[:arity]]
+        word = _eval_word(command, (f"[{','.join(map(str, c))}]" for c, _ in drawn[:arity]))
+        for extra in ((), ("--json",)):
+            # '--' ends the options, so an unbracketed list may start with '-'
+            got = run(capsys, command, *extra, "--", *texts)
+            assert got == run(capsys, "eval", word, *extra)
+            assert got[0] == 0 and got[2] == ""
+
+
+_ONE_TO_EIGHT = "[1,2,3,4,5,6,7,8]"
+
+
+def _bound_cases():
+    for command, template in _WORD_OF.items():
+        arity = template.count("{}")
+        for i in range(arity):  # an input past the bound, in each place
+            args = [_ONE_TO_EIGHT] * arity
+            args[i] = _coords("0", "-" + _PAST) if i % 2 else _coords(_PAST)
+            yield command, args
+    # inputs within the bound, results past it
+    yield "mul", [_coords(_BIG, _BIG), _coords(_BIG, _BIG)]
+    yield "assoc", [_GRAND, _ONE_TO_EIGHT, _coords(_BIG, "1")]
+    yield "inner", [_coords(_BIG, _BIG), _coords(_BIG, "1"), _coords("1", _BIG)]
+
+
+@pytest.mark.parametrize(
+    "command, args", list(_bound_cases()),
+    ids=lambda v: v if isinstance(v, str) else " ".join(
+        a if len(a) < 20 else f"<{len(a)} chars>" for a in v),
+)
+def test_element_commands_hold_the_bound_as_eval_does(capsys, command, args):
+    # refused at the node eval refuses, with eval's one error line
+    for extra in ((), ("--json",)):
+        got = run(capsys, command, *args, *extra)
+        assert got == run(capsys, "eval", _eval_word(command, args), *extra)
+        code, out, err = got
+        assert code == 2 and out == ""
+        assert err.startswith("error: value too large: ") and err.count("\n") == 1
+        assert f"passes the {MAX_BITS}-bit bound" in err
+
+
 def test_table_to_missing_directory_exit_2(capsys, tmp_path):
     path = tmp_path / "missing" / "t.csv"
     code, out, err = run(capsys, "table", "--mod", "2", "--out", str(path))

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,6 +526,46 @@ def test_validator_refuses_a_bin_file_shorter_than_its_header(tmp_path):
         validate_table_file(str(path))
     assert str(path) in str(info.value)
     assert len(str(info.value)) < 300
+
+
+def test_validator_refuses_a_mis_sized_bin_file_unread(tmp_path):
+    # a sparse 64 MiB file under an m = 2 header, which promises 256 KiB of
+    # entries: its size is refused before any of it is read
+    path = tmp_path / "long.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"CLT1" + struct.pack("<I", 2))
+        fh.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="expected 65536 entries, found 16777214$") as info:
+            validate_table_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 1 << 20
+    # a body that is not whole entries is named too
+    with open(path, "r+b") as fh:
+        fh.truncate(8 + 4 * 65536 + 3)
+    with pytest.raises(ValueError, match="expected 65536 entries, found 65536 and 3 stray bytes"):
+        validate_table_file(str(path))
+
+
+def test_validator_refuses_a_csv_file_at_its_first_extra_row(tmp_path):
+    path = tmp_path / "long.csv"
+    export_table(2, str(path), "csv")
+    lines = path.read_text().splitlines()
+    # a blank line is skipped; the garbage after the extra row is never read
+    path.write_text("\n".join(lines + ["", lines[1], "not a row"]) + "\n")
+    message = "line 259 is row 257, past the header's order=256$"
+    with pytest.raises(ValueError, match=message) as info:
+        validate_table_file(str(path))
+    assert str(path) in str(info.value)
+    # too few rows are refused by the shape check
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    message = re.escape("table shape (255, 256) does not match order 256")
+    with pytest.raises(ValueError, match=message):
+        validate_table_file(str(path))
 
 
 def test_validator_refuses_a_bin_file_with_modulus_zero(tmp_path):

@@ -338,6 +338,15 @@ def test_an_unknown_node_is_a_type_error():
         evaluate(Inverse(Product(Generator("x"), (1, 0, 0, 0, 0, 0, 0, 0))))
 
 
+@pytest.mark.parametrize("name", ["z", "X", "u3", ""])
+def test_an_unknown_generator_is_a_value_error(name):
+    # the parser never builds one, but a caller can
+    with pytest.raises(ValueError, match=f"^unknown generator {name!r}$"):
+        evaluate(Generator(name))
+    with pytest.raises(ValueError, match=f"^unknown generator {name!r}$"):
+        evaluate(InnerL(Generator("x"), Generator(name), Generator("y")))
+
+
 def test_golden_words():
     for text, coords, canonical in GOLDEN_WORDS:
         value = evaluate(parse(text))
