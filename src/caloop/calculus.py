@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Optional, Sequence
 
-from .core import IDENTITY, X, Y, Elem8
+from .core import IDENTITY, X, Y, Elem8, _elem8
 from .core import mul_coords  # noqa: F401  (perfbench's tracer rebinds calculus.mul_coords)
 
 __all__ = [
@@ -116,12 +116,16 @@ def inner_l_coords(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tupl
 
 
 def associator(a: Elem8, b: Elem8, c: Elem8) -> Elem8:
-    """The associator (a, b, c)."""
+    """The associator (a, b, c); unchecked when a, b, c are exactly Elem8 (see Elem8)."""
+    if type(a) is Elem8 and type(b) is Elem8 and type(c) is Elem8:
+        return _elem8(assoc_coords(a, b, c))
     return Elem8(assoc_coords(a, b, c))
 
 
 def inner_l(a: Elem8, b: Elem8, c: Elem8) -> Elem8:
-    """Image of c under the inner mapping L_{a,b}."""
+    """Image of c under L_{a,b}; unchecked when a, b, c are exactly Elem8 (see Elem8)."""
+    if type(a) is Elem8 and type(b) is Elem8 and type(c) is Elem8:
+        return _elem8(inner_l_coords(a, b, c))
     return Elem8(inner_l_coords(a, b, c))
 
 

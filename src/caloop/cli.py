@@ -75,13 +75,17 @@ def _parse_coords(text: str) -> tuple:
     coords = []
     for part in body.split(","):
         part = part.strip()
-        digits = part[1:] if part[:1] in ("+", "-") else part
+        sign = part[:1] if part[:1] in ("+", "-") else ""
+        digits = part[len(sign):]
         # the word parser's rule: ASCII 0-9 only, so no '²', '١' or '1_0'
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad coordinate list {text!r}; expected [i1,...,i8]")
+        # without leading zeros, a value past int()'s default limit of 4 300
+        # digits is also past the bit bound (14 000 bits are 4 215 digits)
+        digits = digits.lstrip("0") or "0"
         try:
-            coords.append(int(part))
-        except ValueError:  # a digit string too long for int() to convert
+            coords.append(int(sign + digits))
+        except ValueError:
             raise ValueError(
                 f"value too large: a coordinate of {len(digits)} digits "
                 f"passes the {MAX_BITS}-bit bound"

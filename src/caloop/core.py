@@ -39,6 +39,7 @@ finite quotients in :mod:`caloop.quotient`.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Callable, Iterable, Sequence
 
@@ -232,6 +233,19 @@ class Elem8(tuple):
     Supports ``*`` (loop product), ``**`` (integer powers), ``~`` and
     :meth:`inverse`, and :meth:`left_divide`.  Instances are immutable and
     hashable; any 8-tuple of integers is a valid element.
+
+    ``Elem8(coords)`` checks its input: exactly 8 coordinates, each of type
+    exactly ``int``.  The operators, :func:`caloop.calculus.associator` and
+    :func:`caloop.calculus.inner_l` skip that check when every operand,
+    ``self`` included, has type exactly ``Elem8``, because it cannot fail:
+    such an operand holds 8 exact ints (put there by the check or by this
+    same argument), each kernel function returns an 8-tuple, and it applies
+    only + - * and // to those ints and to int constants (and, for a power,
+    to ``operator.index(n)``, an exact int even for an int subclass), which
+    gives exact ints again.
+    A result from any other operand (a plain tuple, whose coordinates may be
+    floats or bools, or a subclass, which may store or iterate over anything)
+    still goes through ``Elem8(...)``.
     """
 
     __slots__ = ()
@@ -247,19 +261,26 @@ class Elem8(tuple):
         return tuple(self)
 
     def __mul__(self, other: "Elem8") -> "Elem8":
+        if type(self) is Elem8 and type(other) is Elem8:
+            return _elem8(mul_coords(self, other))
         return Elem8(mul_coords(self, other))
 
     def __pow__(self, n: int) -> "Elem8":
+        if type(self) is Elem8:
+            return _elem8(pow_coords(self, n))
         return Elem8(pow_coords(self, n))
 
     def __invert__(self) -> "Elem8":
+        if type(self) is Elem8:
+            return _elem8(inv_coords(self))
         return Elem8(inv_coords(self))
 
-    def inverse(self) -> "Elem8":
-        return Elem8(inv_coords(self))
+    inverse = __invert__
 
     def left_divide(self, target: "Elem8") -> "Elem8":
         """Return the unique b with self * b == target."""
+        if type(self) is Elem8 and type(target) is Elem8:
+            return _elem8(left_div_coords(self, target))
         return Elem8(left_div_coords(self, target))
 
     def project(self) -> "Elem4":
@@ -267,6 +288,10 @@ class Elem8(tuple):
 
     def __repr__(self) -> str:
         return f"Elem8{tuple(self)!r}"
+
+
+# The unchecked constructor of results that cannot fail the check (see Elem8).
+_elem8 = functools.partial(tuple.__new__, Elem8)
 
 
 class Elem4(tuple):
@@ -291,20 +316,20 @@ class Elem4(tuple):
         return f"Elem4{tuple(self)!r}"
 
 
-def basis(i: int) -> Elem8:
-    """The i-th basis element (1-based): 1 in coordinate i, 0 elsewhere."""
-    if not 1 <= i <= 8:
-        raise ValueError(f"basis index must be 1..8, got {i}")
-    return Elem8(tuple(1 if k == i - 1 else 0 for k in range(8)))
-
-
 IDENTITY = Elem8(_ZERO8)
 IDENTITY4 = Elem4(_ZERO4)
-X = basis(1)
-Y = basis(2)
-U1 = basis(3)
-U2 = basis(4)
-V1 = basis(5)
-V2 = basis(6)
-V3 = basis(7)
-V4 = basis(8)
+_BASIS = tuple(Elem8(_ZERO8[:k] + (1,) + _ZERO8[k + 1:]) for k in range(8))
+X, Y, U1, U2, V1, V2, V3, V4 = _BASIS
+
+
+def basis(i: int) -> Elem8:
+    """The i-th basis element (1-based): 1 in coordinate i, 0 elsewhere.
+
+    ``i`` is read through ``operator.index``, so a float (even 2.0) is a
+    TypeError; an index outside 1..8 is a ValueError.  The eight elements are
+    built once: ``basis(1) is X``.
+    """
+    i = operator.index(i)
+    if not 1 <= i <= 8:
+        raise ValueError(f"basis index must be 1..8, got {i}")
+    return _BASIS[i - 1]

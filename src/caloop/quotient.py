@@ -552,6 +552,11 @@ def _read_table_csv(path: str):
             )
         rows = []
         for lineno, raw in enumerate(fh, start=2):
+            cells = raw.count(b",") + 1
+            if cells > order:  # a wide row is refused before it is decoded or converted
+                raise ValueError(
+                    f"{path}: line {lineno} has {cells} cells, past the header's order={order}"
+                )
             line = _csv_line(path, lineno, raw).strip()
             if not line:
                 continue

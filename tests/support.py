@@ -2,7 +2,7 @@
 
 import random
 
-from caloop.core import inv_coords, mul_coords
+from caloop.core import Elem8, inv_coords, mul_coords
 
 SEED = 20260808  # fixed seed for every randomized suite
 DEFAULT_SPAN = 4  # random coordinates are drawn from [-DEFAULT_SPAN, DEFAULT_SPAN]
@@ -45,6 +45,18 @@ class PowCache:
         while len(self._down) <= n:
             self._down.append(mul_coords(self._down[-1], self.inv))
         return self._down[n]
+
+
+class Unchecked(Elem8):
+    """An Elem8 subclass that stores its coordinates without the check."""
+
+    def __new__(cls, coords):
+        return tuple.__new__(cls, coords)
+
+
+def is_exact_elem8(e) -> bool:
+    """e is an Elem8, not a subclass, of 8 coordinates of type exactly int."""
+    return type(e) is Elem8 and len(e) == 8 and all(type(c) is int for c in e)
 
 
 E = {i: tuple(1 if k == i - 1 else 0 for k in range(8)) for i in range(1, 9)}

@@ -22,7 +22,7 @@ from caloop.core import (
 )
 from caloop.arith import alpha, beta
 
-from support import E, ZERO8, make_rng, mulmany, random_coords
+from support import E, ZERO8, Unchecked, is_exact_elem8, make_rng, mulmany, random_coords
 
 e = {i: basis(i) for i in range(1, 9)}
 
@@ -296,3 +296,36 @@ def test_closed_form_divisions_are_exact_on_every_residue_class():
         c = (c1, c2, 0, 0, 0, 0, 0, 0)
         assert assoc_coords(a, b, c) == _assoc_by_definition(a, b, c)
         assert inner_l_coords(a, b, c) == _inner_l_by_definition(a, b, c)
+
+
+@pytest.mark.parametrize("span", [4, 10 ** 6, 2 ** 70])
+def test_associator_and_inner_l_return_exact_elements(span):
+    rng = make_rng(34)
+    for _ in range(200):
+        a, b, c = (Elem8(random_coords(rng, span)) for _ in range(3))
+        t, z = associator(a, b, c), inner_l(a, b, c)
+        assert is_exact_elem8(t) and t == assoc_coords(a, b, c)
+        assert is_exact_elem8(z) and z == inner_l_coords(a, b, c)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_associator_and_inner_l_still_check_operands_that_are_not_elem8(slot):
+    floats = (1.0,) * 8
+    for bad in (floats, Unchecked(floats), Unchecked((0.5,) + (0,) * 7)):
+        args = [e[1], e[2], e[3]]
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            associator(*args)
+        with pytest.raises(ValueError):
+            inner_l(*args)
+    # inner_l passes c1, c2 through unchanged, so bools there reach the
+    # result and the check refuses them; elsewhere they are summed into ints
+    bools = (True,) * 8
+    args = [e[1], e[2], e[3]]
+    args[slot] = bools
+    assert is_exact_elem8(associator(*args))
+    if slot == 2:
+        with pytest.raises(ValueError):
+            inner_l(*args)
+    else:
+        assert is_exact_elem8(inner_l(*args))

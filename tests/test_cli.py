@@ -257,6 +257,16 @@ def test_coordinate_commands_accept_values_at_the_bound(capsys):
     assert code == 0 and json.loads(out)["coords"][0] == str(2 * int(_BIG))
 
 
+def test_coordinate_commands_skip_leading_zeros(capsys):
+    # zeros in front do not count toward int()'s digit limit
+    pad = "0" * 5000
+    padded = _coords(pad, "-" + pad + "7", "+" + pad + _BIG, "-" + pad)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "inv", padded, *extra)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, "inv", _coords("0", "-7", _BIG, "0"), *extra)
+
+
 # each element command and the eval word it must print exactly as
 _WORD_OF = {"mul": "{}*{}", "inv": "inv({})", "assoc": "assoc({},{},{})", "inner": "innL({},{},{})"}
 # str.strip() skips these, int() not all of them ('\x1c'-'\x1f')

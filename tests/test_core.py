@@ -5,6 +5,14 @@ from hypothesis import strategies as st
 from caloop.core import (
     IDENTITY,
     IDENTITY4,
+    U1,
+    U2,
+    V1,
+    V2,
+    V3,
+    V4,
+    X,
+    Y,
     Elem4,
     Elem8,
     basis,
@@ -16,7 +24,7 @@ from caloop.core import (
     project_coords,
 )
 
-from support import ZERO8, PowCache, make_rng, random_coords
+from support import ZERO8, PowCache, Unchecked, is_exact_elem8, make_rng, random_coords
 
 coords8 = st.tuples(*[st.integers(min_value=-10 ** 9, max_value=10 ** 9)] * 8)
 
@@ -213,6 +221,60 @@ def test_elem_validation():
         Elem4((1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         basis(9)
+    with pytest.raises(ValueError):
+        basis(0)
+
+
+def test_basis_returns_the_shared_constants():
+    for k, g in enumerate((X, Y, U1, U2, V1, V2, V3, V4), start=1):
+        assert basis(k) is g
+        assert g == tuple(1 if i == k - 1 else 0 for i in range(8))
+
+
+def test_basis_reads_its_index_as_an_integer():
+    # operator.index, as for powers: a float index is refused, even 2.0
+    with pytest.raises(TypeError):
+        basis(2.5)
+    with pytest.raises(TypeError):
+        basis(2.0)
+    assert basis(True) is X
+
+
+@pytest.mark.parametrize("span", [4, 10 ** 6, 2 ** 70])
+def test_operators_return_exact_elements(span):
+    rng = make_rng(16)
+    for _ in range(200):
+        a, b = Elem8(random_coords(rng, span)), Elem8(random_coords(rng, span))
+        n = rng.randint(-span, span)
+        results = (a * b, a ** n, ~a, a.inverse(), a.left_divide(b))
+        assert all(map(is_exact_elem8, results))
+        assert results == (
+            mul_coords(a, b), pow_coords(a, n), inv_coords(a), inv_coords(a),
+            left_div_coords(a, b),
+        )
+    assert is_exact_elem8(a ** True)
+
+
+def test_operators_still_check_operands_that_are_not_elem8():
+    e = Elem8((1, 2, 3, 4, 5, 6, 7, 8))
+    floats = (1.0,) * 8
+    for bad in (floats, Unchecked(floats), Unchecked((0.5,) + (0,) * 7)):
+        with pytest.raises(ValueError):
+            e * bad
+        with pytest.raises(ValueError):
+            e.left_divide(bad)
+    with pytest.raises(ValueError):
+        e * (1, 2, 3)
+    loose = Unchecked(floats)
+    for result in (lambda: loose * e, lambda: loose ** 2, lambda: ~loose,
+                   loose.inverse, lambda: loose.left_divide(e)):
+        with pytest.raises(ValueError):
+            result()
+    # bools in an operand are summed into ints before they reach the product,
+    # so the checked result is an exact element, as it always was
+    bools, ones = (True,) * 8, (1,) * 8
+    assert is_exact_elem8(e * bools) and e * bools == e * ones
+    assert is_exact_elem8(e.left_divide(bools)) and e.left_divide(bools) == e.left_divide(ones)
 
 
 def test_elem_api_mirrors_coords_kernel():

@@ -551,6 +551,23 @@ def test_validator_refuses_a_mis_sized_bin_file_unread(tmp_path):
         validate_table_file(str(path))
 
 
+def test_validator_refuses_a_wide_csv_row_before_converting_it(tmp_path):
+    # 2 000 000 cells (a 4 MB line) under an m = 2 header, whose rows have
+    # 256: the cells are counted, not converted to ints and an array
+    path = tmp_path / "wide.csv"
+    path.write_text("caloop-table m=2 order=256 ordering=lex\n" + "0," * 1_999_999 + "0\n")
+    tracemalloc.start()
+    try:
+        message = "line 2 has 2000000 cells, past the header's order=256$"
+        with pytest.raises(ValueError, match=message) as info:
+            validate_table_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 3 * path.stat().st_size  # converting the row took ~10 times its size
+
+
 def test_validator_refuses_a_csv_file_at_its_first_extra_row(tmp_path):
     path = tmp_path / "long.csv"
     export_table(2, str(path), "csv")
