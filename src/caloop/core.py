@@ -129,15 +129,17 @@ def left_div_coords(
     coordinates 5-8 only on b1..b4, so each block is solved by subtracting a
     product with the already-known block (no search involved).  ``mul`` is
     the product to invert; the identity catalog passes a deliberately wrong
-    one in its mutation run.
+    one in its mutation run.  The target is unpacked, as the product unpacks
+    its factors, so a target of any length but 8 raises ``ValueError``.
     """
-    b1 = c[0] - a[0]
-    b2 = c[1] - a[1]
+    c1, c2, c3, c4, c5, c6, c7, c8 = c
+    b1 = c1 - a[0]
+    b2 = c2 - a[1]
     t = mul(a, (b1, b2, 0, 0, 0, 0, 0, 0))
-    b3 = c[2] - t[2]
-    b4 = c[3] - t[3]
+    b3 = c3 - t[2]
+    b4 = c4 - t[3]
     t = mul(a, (b1, b2, b3, b4, 0, 0, 0, 0))
-    return (b1, b2, b3, b4, c[4] - t[4], c[5] - t[5], c[6] - t[6], c[7] - t[7])
+    return (b1, b2, b3, b4, c5 - t[4], c6 - t[5], c7 - t[6], c8 - t[7])
 
 
 def inv_coords(a: Sequence[int]) -> Coords8:

@@ -14,20 +14,24 @@ coordinates, and the expansion runs the shipped kernel itself on it:
 :func:`caloop.core.mul4_coords`, :func:`caloop.core.inv_coords` and
 :func:`caloop.core.pow_closed_form` are called on those tuples, so the
 catalog proves the code that the integer, quotient and parser layers run,
-not a copy of it.  Each law is declared once, by the ``@_law`` decorator on
-its builder; a law that comes in a left, middle and right form is written
-once, for a slot of the associator, and registered once per slot.  The
-``power-*`` entries take the exponent n as one more variable; together they
-prove that the closed-form power equals the iterated product for every
-integer n.  The entries ``associator-formula`` and ``inner-map-formula``
-prove the closed forms of :func:`caloop.calculus.assoc_coords` and
+not a copy of it.
+
+Each law is declared once.  An equation is one law text in the word
+grammar of :mod:`caloop.words` over the law's variables, such as
+``innL(a, b, c * d) = innL(a, b, c) * innL(a, b, d)``; it is both the
+entry's summary and what is expanded.  Its products, ``ldiv``, ``assoc``
+and ``innL`` run through :class:`SymLoopOps`, so the mutation run reaches
+them; ``inv`` and powers run :func:`caloop.core.inv_coords` and
+:func:`caloop.core.pow_closed_form`.  The entries that compare selected
+coordinates or need exponent arithmetic keep a builder under ``@_law``.
+The ``power-*`` entries take the exponent n as one more variable; together
+they prove that the closed-form power equals the iterated product for every
+integer n.  ``associator-formula`` and ``inner-map-formula`` prove
+:func:`caloop.calculus.assoc_coords` and
 :func:`caloop.calculus.inner_l_coords` equal to their defining equations,
 which :class:`SymLoopOps` solves by left division through its bound
-product.  The inverse laws (``aip``, ``reversal``, ``compounded-reversal``,
-``power-negation``) are proved about the shipped inverse
-:func:`caloop.core.inv_coords`, and ``inverse-negation`` states
-a * (-a) = 1 with products only; with ``division-round-trip`` it shows
-that -a = a \\ 1.
+product.  ``inverse-negation`` states a * inv(a) = 1 with products only;
+with ``division-round-trip`` it shows that inv(a) = ldiv(a, 1).
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -38,13 +42,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from . import poly
 from .calculus import assoc_coords, inner_l_coords
 from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
+from .words import Assoc, Expr, Generator, InnerL, Inverse, LeftDiv, Literal, Power, Product
+from .words import parse_with_warnings
 
 __all__ = [
     "SymLoopOps",
@@ -75,7 +80,7 @@ class SymLoopOps:
     """Loop operations on 8-tuples of polynomials, bound to one product formula.
 
     Only the operations that run the product live here, so that the mutation
-    run reaches them; the builders call the closed-form inverse and power of
+    run reaches them; the laws call the closed-form inverse and power of
     :mod:`caloop.core` directly.
     """
 
@@ -85,10 +90,6 @@ class SymLoopOps:
 
     def constant(self, coords: Sequence[int]) -> tuple:
         return tuple(Polynomial.const(self.table, c) for c in coords)
-
-    @property
-    def identity(self) -> tuple:
-        return self.constant((0,) * 8)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return self.product(a, b)
@@ -207,141 +208,104 @@ def _place(pair: Sequence, slot: int, w) -> tuple:
     return (*pair[:slot], w, *pair[slot:])
 
 
-@_law("identity-element", "a * 1 = a = 1 * a", "a")
-def _build_identity_element(ops, a):
-    one = ops.identity
-    return [
-        ops.difference(ops.mul(a, one), a),
-        ops.difference(ops.mul(one, a), a),
-    ]
+# the SymLoopOps method that each node running the product expands through
+_OPS = {Product: "mul", LeftDiv: "left_divide", Assoc: "associator", InnerL: "inner_l"}
 
 
-@_law("commutativity", "a * b = b * a", "a b")
-def _build_commutativity(ops, a, b):
-    return [ops.difference(ops.mul(a, b), ops.mul(b, a))]
+def _expand(ops: SymLoopOps, expr: Expr, memo: dict) -> tuple:
+    """The generic element that a subterm of a law denotes.
+
+    `memo` maps every subterm of the law expanded so far, its variables
+    included, to its value, so a subterm written several times is expanded
+    once.
+    """
+    value = memo.get(expr)
+    if value is None:
+        kind = type(expr)
+        if kind is Literal:
+            value = ops.constant(expr.coords)
+        elif kind is Inverse:
+            value = inv_coords(_expand(ops, expr.arg, memo))
+        elif kind is Power:
+            value = pow_closed_form(_expand(ops, expr.base, memo), expr.exponent)
+        else:  # the node's fields are its operands, in order
+            method = getattr(ops, _OPS[kind])
+            value = method(*[_expand(ops, operand, memo) for operand in vars(expr).values()])
+        memo[expr] = value
+    return value
 
 
-@_law("division-round-trip", "a \\ (a * b) = b and a * (a \\ b) = b", "a b")
-def _build_division_round_trip(ops, a, b):
-    return [
-        ops.difference(ops.left_divide(a, ops.mul(a, b)), b),
-        ops.difference(ops.mul(a, ops.left_divide(a, b)), b),
-    ]
+def _equation(name: str, law: str, elements: str, pins: Optional[dict] = None) -> None:
+    """Register the law text `law` as the catalog entry `name`.
 
-
-@_law("aip", "(a * b)^-1 = a^-1 * b^-1", "a b")
-def _build_aip(ops, a, b):
-    return [ops.difference(inv_coords(ops.mul(a, b)), ops.mul(inv_coords(a), inv_coords(b)))]
-
-
-@_law("flexibility", "(a, b, a) = 1", "a b")
-def _build_flexibility(ops, a, b):
-    return [ops.difference(ops.associator(a, b, a), ops.identity)]
-
-
-@_law("reversal", "(a, b, c) = (c, b, a)^-1", "a b c")
-def _build_reversal(ops, a, b, c):
-    return [ops.difference(ops.associator(a, b, c), inv_coords(ops.associator(c, b, a)))]
-
-
-@_law("swap-expansion", "(a, b, c) = (a, c, b) * (b, a, c)", "a b c")
-def _build_swap_expansion(ops, a, b, c):
-    return [
-        ops.difference(
-            ops.associator(a, b, c),
-            ops.mul(ops.associator(a, c, b), ops.associator(b, a, c)),
-        )
-    ]
-
-
-@_law("compounded-reversal", "((a,b,c), d, e)^-1 = (e, d, (a,b,c))", "a b c d e")
-def _build_compounded_reversal(ops, a, b, c, d, e):
-    t = ops.associator(a, b, c)
-    return [ops.difference(inv_coords(ops.associator(t, d, e)), ops.associator(e, d, t))]
-
-
-@_law("compounded-middle-expansion",
-      "(a, (b,c,d), e) = (a, e, (b,c,d)) * ((b,c,d), a, e)", "a b c d e")
-def _build_compounded_middle_expansion(ops, a, b, c, d, e):
-    w = ops.associator(b, c, d)
-    return [
-        ops.difference(
-            ops.associator(a, w, e),
-            ops.mul(ops.associator(a, e, w), ops.associator(w, a, e)),
-        )
-    ]
-
-
-def _double_compounded(slot: int) -> Callable:
-    """The associator with the plain element w in `slot` and two associators
-    in the other slots is 1; the variables are read in the written order."""
+    `law` is one or more equations ``lhs = rhs``, separated by ';'.  Each
+    side is a loop word of :mod:`caloop.words` over the variables that
+    `elements` names, parsed once, here; an unparenthesized chain of
+    factors groups from the left.  The text is both the entry's summary and
+    what it proves.  `elements` and `pins` are as for :func:`_law`.
+    """
+    variables = elements.split()
+    equations = []
+    for equation in law.split(";"):
+        lhs, rhs = equation.split("=")
+        equations.append([parse_with_warnings(side, variables)[0] for side in (lhs, rhs)])
 
     def build(ops, *elems):
-        w = elems[3 * slot]
-        rest = elems[:3 * slot] + elems[3 * slot + 1:]
-        pair = (ops.associator(*rest[:3]), ops.associator(*rest[3:]))
-        return [ops.difference(ops.associator(*_place(pair, slot, w)), ops.identity)]
+        memo = dict(zip(map(Generator, variables), elems))
+        return [
+            ops.difference(_expand(ops, lhs, memo), _expand(ops, rhs, memo))
+            for lhs, rhs in equations
+        ]
 
-    return build
-
-
-_law("double-compounded-middle-right", "(a, (b,c,d), (e,f,g)) = 1",
-     "a b c d e f g")(_double_compounded(0))
-_law("double-compounded-left-right", "((a,b,c), d, (e,f,g)) = 1",
-     "a b c d e f g")(_double_compounded(1))
-_law("double-compounded-left-middle", "((a,b,c), (d,e,f), g) = 1",
-     "a b c d e f g")(_double_compounded(2))
+    _law(name, law, elements, pins)(build)
 
 
-@_law("inner-map-closed-form", "L_{b,c}(a) = (a * (a,b,c)) * (bc, a, (a,b,c))", "a b c")
-def _build_inner_map_closed_form(ops, a, b, c):
-    t = ops.associator(a, b, c)
-    rhs = ops.mul(ops.mul(a, t), ops.associator(ops.mul(b, c), a, t))
-    return [ops.difference(ops.inner_l(b, c, a), rhs)]
+def _product_expansion(slot: int) -> str:
+    """The law that expands the associator with the product x * y in `slot`
+    and p, q in the other slots, in order, through X and Y, the associators
+    with x and y in that slot: X * Y * (X, x, y) * (Y, y, x) * (X, y, p) *
+    (Y, x, p) * (X, y, q) * (Y, x, q), multiplied from the left."""
+    x, y = "abcd"[slot:slot + 2]
+    p, q = "abcd"[:slot] + "abcd"[slot + 2:]
+
+    def at(w: str) -> str:
+        return f"assoc({', '.join(_place((p, q), slot, w))})"
+
+    big_x, big_y = at(x), at(y)
+    factors = (
+        big_x, big_y,
+        f"assoc({big_x}, {x}, {y})", f"assoc({big_y}, {y}, {x})",
+        f"assoc({big_x}, {y}, {p})", f"assoc({big_y}, {x}, {p})",
+        f"assoc({big_x}, {y}, {q})", f"assoc({big_y}, {x}, {q})",
+    )
+    return f"{at(f'{x} * {y}')} = {' * '.join(factors)}"
 
 
-def _product_expansion(slot: int) -> Callable:
-    """The associator with the product x * y in `slot` and p, q in the other
-    slots in order, expanded through X and Y, the associators with x and y in
-    that slot:  X * Y * (X, x, y) * (Y, y, x) * (X, y, p) * (Y, x, p) *
-    (X, y, q) * (Y, x, q), multiplied from the left."""
-
-    def build(ops, *elems):
-        x, y = elems[slot:slot + 2]
-        pair = elems[:slot] + elems[slot + 2:]
-        p, q = pair
-        ax = ops.associator(*_place(pair, slot, x))
-        ay = ops.associator(*_place(pair, slot, y))
-        rhs = reduce(ops.mul, (
-            ax,
-            ay,
-            ops.associator(ax, x, y),
-            ops.associator(ay, y, x),
-            ops.associator(ax, y, p),
-            ops.associator(ay, x, p),
-            ops.associator(ax, y, q),
-            ops.associator(ay, x, q),
-        ))
-        return [ops.difference(ops.associator(*_place(pair, slot, ops.mul(x, y))), rhs)]
-
-    return build
-
-
-_law("product-expansion-left",
-     "(ab, c, d) expands into associators and compounded corrections",
-     "a b c d")(_product_expansion(0))
-_law("product-expansion-right",
-     "(a, b, cd) expands into associators and compounded corrections",
-     "a b c d")(_product_expansion(2))
-_law("product-expansion-middle",
-     "(a, bc, d) expands into associators and compounded corrections",
-     "a b c d")(_product_expansion(1))
-
-
-@_law("middle-nucleus-contains", "(a, n, b) = 1 for every n with zero generator exponents",
-      "a n b", pins={"n": 2})
-def _build_middle_nucleus_contains(ops, a, n, b):
-    return [ops.difference(ops.associator(a, n, b), ops.identity)]
+_equation("identity-element", "a * 1 = a; 1 * a = a", "a")
+_equation("commutativity", "a * b = b * a", "a b")
+_equation("division-round-trip", "ldiv(a, a * b) = b; a * ldiv(a, b) = b", "a b")
+_equation("aip", "inv(a * b) = inv(a) * inv(b)", "a b")
+_equation("flexibility", "assoc(a, b, a) = 1", "a b")
+_equation("reversal", "assoc(a, b, c) = inv(assoc(c, b, a))", "a b c")
+_equation("swap-expansion", "assoc(a, b, c) = assoc(a, c, b) * assoc(b, a, c)", "a b c")
+_equation("compounded-reversal",
+          "inv(assoc(assoc(a, b, c), d, e)) = assoc(e, d, assoc(a, b, c))", "a b c d e")
+_equation("compounded-middle-expansion",
+          "assoc(a, assoc(b, c, d), e) = "
+          "assoc(a, e, assoc(b, c, d)) * assoc(assoc(b, c, d), a, e)", "a b c d e")
+_equation("double-compounded-middle-right",
+          "assoc(a, assoc(b, c, d), assoc(e, f, g)) = 1", "a b c d e f g")
+_equation("double-compounded-left-right",
+          "assoc(assoc(a, b, c), d, assoc(e, f, g)) = 1", "a b c d e f g")
+_equation("double-compounded-left-middle",
+          "assoc(assoc(a, b, c), assoc(d, e, f), g) = 1", "a b c d e f g")
+_equation("inner-map-closed-form",
+          "innL(b, c, a) = (a * assoc(a, b, c)) * assoc(b * c, a, assoc(a, b, c))", "a b c")
+_equation("product-expansion-left", _product_expansion(0), "a b c d")
+_equation("product-expansion-right", _product_expansion(2), "a b c d")
+_equation("product-expansion-middle", _product_expansion(1), "a b c d")
+# n ranges over the middle nucleus, the elements with zero generator exponents
+_equation("middle-nucleus-contains", "assoc(a, n, b) = 1", "a n b", pins={"n": 2})
 
 
 @_law("middle-nucleus-pins", "(x, z, y) vanishes only if z has zero generator exponents", "z")
@@ -371,12 +335,8 @@ _law("compounded-central-middle", "(d, (a,b,c), e) lies in 0x0x0x0xZ^4",
      "a b c d e")(_compounded_central(1))
 _law("compounded-central-right", "(d, e, (a,b,c)) lies in 0x0x0x0xZ^4",
      "a b c d e")(_compounded_central(2))
-
-
-@_law("center-contains", "every element of 0x0x0x0xZ^4 is fixed by every inner mapping",
-      "a b z", pins={"z": 4})
-def _build_center_contains(ops, a, b, z):
-    return [ops.difference(ops.inner_l(a, b, z), z)]
+# z ranges over 0x0x0x0xZ^4, which every inner mapping fixes
+_equation("center-contains", "innL(a, b, z) = z", "a b z", pins={"z": 4})
 
 
 @_law("center-pins", "an element fixed by all inner mappings has zero first four coordinates",
@@ -407,16 +367,9 @@ def _build_projection_homomorphism(ops, a, b):
     return [_pad(ops.table, {i: m[i] - f2[i] for i in range(4)})]
 
 
-@_law("L-automorphism", "L_{a,b}(c * d) = L_{a,b}(c) * L_{a,b}(d)", "a b c d")
-def _build_l_automorphism(ops, a, b, c, d):
-    lhs = ops.inner_l(a, b, ops.mul(c, d))
-    rhs = ops.mul(ops.inner_l(a, b, c), ops.inner_l(a, b, d))
-    return [ops.difference(lhs, rhs)]
-
-
-@_law("power-zero", "a^0 = 1", "a")
-def _build_power_zero(ops, a):
-    return [ops.difference(pow_closed_form(a, 0), ops.identity)]
+_equation("L-automorphism",
+          "innL(a, b, c * d) = innL(a, b, c) * innL(a, b, d)", "a b c d")
+_equation("power-zero", "a^0 = 1", "a")
 
 
 @_law("power-recurrence", "a^(n+1) = a^n * a for the closed-form power a^n", "a",
@@ -442,9 +395,7 @@ def _build_inner_map_formula(ops, a, b, c):
     return [ops.difference(inner_l_coords(a, b, c), ops.inner_l(a, b, c))]
 
 
-@_law("inverse-negation", "a * (-a) = 1", "a")
-def _build_inverse_negation(ops, a):
-    return [ops.difference(ops.mul(a, inv_coords(a)), ops.identity)]
+_equation("inverse-negation", "a * inv(a) = 1", "a")
 
 
 def catalog_names() -> list:

@@ -8,10 +8,12 @@ Grammar (ASCII, whitespace insignificant)::
             | 'elem' '[' int, ... x8 ']'
             | 'assoc' '(' expr ',' expr ',' expr ')'
             | 'innL'  '(' expr ',' expr ',' expr ')'
+            | 'ldiv'  '(' expr ',' expr ')'
             | 'inv'   '(' expr ')'
             | 'pow'   '(' expr ',' int ')'
             | '(' expr ')'
 
+``ldiv(p, q)`` is the left division p \\ q, the unique b with p * b = q.
 Adjacent units multiply, and '.' is a synonym for '*', so the canonical
 display form (e.g. ``(x^2 y . u1^-1)``) re-parses to the element it was
 printed from.  The product is *not* associative; an unparenthesized chain
@@ -24,9 +26,9 @@ mark, or a whole well-formed ``elem[...]`` literal, which the parser takes
 as one atom.  A malformed literal lexes as ordinary tokens, and the
 grammar's literal rule reports what is wrong with it.  The whole text is
 lexed before it is parsed, so a lexical error anywhere (a character outside
-the grammar, a '-' with no digits, an integer too long for ``int()``) wins
-over the depth check, which wins over any syntax error.  Positions are
-worked out only for the error raised.
+the grammar, a '-' with no digits, an integer with more significant digits
+than ``int()`` converts) wins over the depth check, which wins over any
+syntax error.  Positions are worked out only for the error raised.
 
 Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
 of a left-grouped chain, are refused with a :class:`ParseError`.  Powers
@@ -51,7 +53,7 @@ from itertools import islice
 from typing import Optional, Union
 
 from .calculus import associator, inner_l
-from .core import Elem8, basis, inv_coords, mul_coords, pow_coords
+from .core import Elem8, basis, inv_coords, left_div_coords, mul_coords, pow_coords
 
 __all__ = [
     "Expr",
@@ -62,6 +64,7 @@ __all__ = [
     "Inverse",
     "Assoc",
     "InnerL",
+    "LeftDiv",
     "ParseError",
     "MAX_DEPTH",
     "MAX_BITS",
@@ -125,7 +128,13 @@ class InnerL:
     arg: "Expr"
 
 
-Expr = Union[Generator, Literal, Product, Power, Inverse, Assoc, InnerL]
+@dataclass(frozen=True)
+class LeftDiv:
+    left: "Expr"
+    right: "Expr"
+
+
+Expr = Union[Generator, Literal, Product, Power, Inverse, Assoc, InnerL, LeftDiv]
 
 
 class ParseError(ValueError):
@@ -139,8 +148,8 @@ class ParseError(ValueError):
 # parentheses, including those of calls.  It keeps the recursive parser and
 # evaluate well inside the interpreter's default recursion limit of 1000
 # frames: the parser spends 2 frames (_product, _atom) per open '(' of a
-# group or of pow(), and 3 (with _args) per open '(' of assoc, innL and inv,
-# so at most 600; evaluate spends one frame per level of the tree.
+# group or of pow(), and 3 (with _args) per open '(' of assoc, innL, inv and
+# ldiv, so at most 600; evaluate spends one frame per level of the tree.
 MAX_DEPTH = 200
 
 # Longest coordinate, in bits, of any value evaluate builds.  A coordinate
@@ -175,6 +184,16 @@ _INT_START = frozenset("-0123456789")
 _ENDS_PRODUCT = frozenset(("^", ")", ",", "[", "]", _END))
 
 
+def _to_int(tok: str) -> int:
+    """int(tok) for an integer token; only its significant digits count
+    against the interpreter's limit on the digits int() converts."""
+    try:
+        return int(tok)
+    except ValueError:  # too many digits: retry on the significant ones
+        value = int(tok.lstrip("-0") or "0")
+        return -value if tok[0] == "-" else value
+
+
 def _is_int(tok: str) -> bool:
     return tok[:1] in _INT_START and tok != "-"  # a '-' with no digits is alone
 
@@ -188,7 +207,7 @@ def _shown(tok: str):
     if tok == _END:
         return None
     if _is_int(tok):
-        return int(tok)
+        return _to_int(tok)
     if _is_literal(tok):
         return "elem"
     return tok
@@ -206,8 +225,8 @@ def _token_fault(tok: str):
         return None
     if _is_int(tok):
         try:
-            int(tok)
-        except ValueError:  # more digits than int() converts
+            _to_int(tok)
+        except ValueError:  # more significant digits than int() converts
             return 0, f"integer of {len(tok)} characters is too long"
         return None
     if first in _PUNCT:
@@ -250,8 +269,9 @@ class _Parser:
     are raised as _SyntaxError(message, token index).
     """
 
-    def __init__(self, toks: list):
+    def __init__(self, toks: list, leaves: dict):
         self.toks = toks
+        self.leaves = leaves
         self.i = 0
         self.warnings = []
         if toks.count("(") > MAX_DEPTH:  # fewer cannot nest deeper
@@ -320,13 +340,13 @@ class _Parser:
         if not _is_int(tok):
             raise _SyntaxError(f"expected integer {what}, found {_shown(tok)!r}", self.i)
         self.i += 1
-        return int(tok)
+        return _to_int(tok)
 
     def _atom(self) -> tuple:
         index = self.i
         tok = self.toks[index]
         self.i += 1
-        leaf = _GENERATOR_LEAVES.get(tok)
+        leaf = self.leaves.get(tok)
         if leaf is not None:
             return leaf
         if tok == "(":
@@ -335,9 +355,9 @@ class _Parser:
             return inner
         if _is_literal(tok):  # str.strip() skips what \s does; int() skips less
             coords = tok[tok.index("[") + 1 : -1].split(",")
-            return Literal(tuple(map(int, map(str.strip, coords)))), 0
+            return Literal(tuple(map(_to_int, map(str.strip, coords)))), 0
         if _is_int(tok):
-            value = int(tok)
+            value = _to_int(tok)
             if value == 1:
                 return _ONE
             raise _SyntaxError(f"unexpected integer literal {value}", index)
@@ -349,6 +369,9 @@ class _Parser:
         elif tok == "innL":
             (a, b, c), depth = self._args(3)
             node = InnerL(a, b, c)
+        elif tok == "ldiv":
+            (p, q), depth = self._args(2)
+            node = LeftDiv(p, q)
         elif tok == "inv":
             (arg,), depth = self._args(1)
             node = Inverse(arg)
@@ -389,17 +412,22 @@ class _Parser:
         return Literal(tuple(coords))
 
 
-def parse_with_warnings(text: str):
+def parse_with_warnings(text: str, variables=()):
     """Parse a loop word; returns (expression, grouping warnings).
 
-    The whole text is lexed first, so a lexical error anywhere wins over the
+    Each name in ``variables`` parses as a :class:`Generator` leaf, a
+    variable of a law, which :func:`evaluate` refuses as an unknown
+    generator.  The whole text is lexed first, so a lexical error anywhere wins over the
     nesting check, which wins over any syntax error.  Positions are worked
     out only for the error raised.
     """
     toks = _TOKEN.findall(text)
     toks.append(_END)
+    leaves = _GENERATOR_LEAVES
+    if variables:
+        leaves = {**leaves, **{name: (Generator(name), 0) for name in variables}}
     try:
-        p = _Parser(toks)
+        p = _Parser(toks, leaves)
         expr = p.parse()
     except ValueError:  # int() refused an integer too long to convert
         error = _lexical_error(text, toks)
@@ -449,6 +477,8 @@ def _value(expr: Expr) -> tuple:
         value = associator(_value(expr.a), _value(expr.b), _value(expr.c))
     elif kind is InnerL:
         value = inner_l(_value(expr.a), _value(expr.b), _value(expr.arg))
+    elif kind is LeftDiv:
+        value = left_div_coords(_value(expr.left), _value(expr.right))
     else:
         raise TypeError(f"not an expression node: {expr!r}")
     return check_bits(value)

@@ -111,4 +111,12 @@ GOLDEN_WORDS = [
     ("assoc(elem[1,2,0,0,0,0,0,0], elem[0,0,3,0,0,0,0,0], elem[1,2,0,0,0,0,0,0])",
      ZERO8, "1"),
     ("x^2 y . u1^-1", (2, 1, -1, 0, 0, 0, 0, 0), None),
+    ("ldiv(x, x*y)", E[2], "y"),
+    ("ldiv(x*y, x*y)", ZERO8, "1"),
+    ("ldiv(y, 1)", (0, -1, 0, 0, 0, 0, 0, 0), "y^-1"),
+    ("ldiv(1, v2)", E[6], "v2"),
+    ("ldiv(x, (x*y)*x)", (1, 1, 0, 0, 0, 0, 0, 0), "(x y)"),
+    ("ldiv(x*y, u1)", (-1, -1, 1, 0, -1, -2, -1, 0), "(x^-1 y^-1 . u1) v1^-1 v2^-2 v3^-1"),
+    ("ldiv(elem[1,2,3,4,5,6,7,8], 1)", (-1, -2, -3, -4, -5, -6, -7, -8),
+     "(x^-1 y^-2 . u1^-3 u2^-4) v1^-5 v2^-6 v3^-7 v4^-8"),
 ]

@@ -45,6 +45,11 @@ def test_eval_parse_error_exit_2(capsys):
     assert "unknown identifier" in err
 
 
+def test_eval_refuses_a_law_variable(capsys):
+    # the catalog's law texts parse a, b, ... as variables; eval does not
+    assert run(capsys, "eval", "a") == (2, "", "error: position 1: unknown identifier 'a'\n")
+
+
 def test_mul_inv_assoc_inner(capsys):
     code, out, _ = run(capsys, "mul", "[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]")
     assert code == 0 and "coords: [1, 1, 0, 0, 0, 0, 0, 0]" in out
@@ -265,6 +270,9 @@ def test_coordinate_commands_skip_leading_zeros(capsys):
         code, out, err = run(capsys, "inv", padded, *extra)
         assert code == 0 and err == ""
         assert (code, out, err) == run(capsys, "inv", _coords("0", "-7", _BIG, "0"), *extra)
+    # and a loop word's integers skip them alike
+    padded = _coords(pad, "-" + pad + "7", pad + _BIG, "-" + pad)
+    assert run(capsys, "eval", f"inv(elem{padded})") == run(capsys, "inv", padded)
 
 
 # each element command and the eval word it must print exactly as

@@ -61,6 +61,15 @@ def test_left_divide_examples():
     assert IDENTITY.left_divide(c) == c
 
 
+@pytest.mark.parametrize("target", [tuple(range(1, 10)), (1, 2, 3)], ids=["9", "3"])
+def test_left_divide_refuses_a_target_of_any_other_length(target):
+    # the target is unpacked, as the product unpacks its factors
+    with pytest.raises(ValueError):
+        X.left_divide(target)
+    with pytest.raises(ValueError):
+        left_div_coords(X, target)
+
+
 def test_left_divide_round_trip_sampled():
     rng = make_rng(4)
     for _ in range(2000):

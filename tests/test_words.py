@@ -17,6 +17,7 @@ from caloop.words import (
     Generator,
     InnerL,
     Inverse,
+    LeftDiv,
     Literal,
     ParseError,
     Power,
@@ -37,11 +38,25 @@ def test_parse_shapes():
     assert parse("(x*y)*x") == Product(Product(Generator("x"), Generator("y")), Generator("x"))
     assert parse("x^3") == Power(Generator("x"), 3)
     assert parse("pow(x,-2)") == Power(Generator("x"), -2)
+    assert parse("ldiv(x, y*x)") == LeftDiv(
+        Generator("x"), Product(Generator("y"), Generator("x"))
+    )
 
 
 def test_unknown_identifier():
     with pytest.raises(ParseError, match="unknown identifier 'z'"):
         parse("x*y*z")
+
+
+def test_variables_parse_as_generators_that_evaluate_refuses():
+    expr, _ = parse_with_warnings("assoc(a, b * x, a)", variables=("a", "b"))
+    assert expr == Assoc(Generator("a"), Product(Generator("b"), Generator("x")), Generator("a"))
+    with pytest.raises(ValueError, match="^unknown generator 'a'$"):
+        evaluate(expr)
+    with pytest.raises(ParseError, match="position 1: unknown identifier 'a'"):
+        parse("a")  # no variables unless they are listed
+    with pytest.raises(ParseError, match="position 5: unknown identifier 'c'"):
+        parse_with_warnings("a * c", variables=("a",))
 
 
 @pytest.mark.parametrize(
@@ -136,6 +151,12 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
                      id="pow-of-name"),
         pytest.param("assoc(x,y)", "position 10: expected ',', found ')'", id="assoc-two-args"),
         pytest.param("inv()", "position 5: unexpected ')'", id="empty-call"),
+        pytest.param("ldiv", "position 5: expected '(', found None", id="bare-ldiv"),
+        pytest.param("ldiv(", "position 6: unexpected None", id="ldiv-open"),
+        pytest.param("ldiv(x)", "position 7: expected ',', found ')'", id="ldiv-one-arg"),
+        pytest.param("ldiv(x, y, x)", "position 10: expected ')', found ','",
+                     id="ldiv-three-args"),
+        pytest.param("ldiv x", "position 6: expected '(', found 'x'", id="ldiv-no-paren"),
         pytest.param("x^01 q", "position 6: unknown identifier 'q'", id="unknown-after-power"),
         pytest.param("(" * 300 + "x" + ")" * 300,
                      f"position {MAX_DEPTH + 1}: expression nested deeper than {MAX_DEPTH} levels",
@@ -208,6 +229,20 @@ def test_lexer_character_classes_match_the_str_predicates():
         c.isalpha() for c in word
     ]
     assert [h for h in heads if words._is_int(h)] == list("0123456789")
+
+
+def test_leading_zeros_do_not_count_toward_the_digit_limit():
+    # int() refuses more than 4300 digits; only the significant ones count
+    pad = "0" * 5000
+    assert evaluate(parse(f"elem[{pad},0,0,0,0,0,0,0]")) == Elem8((0,) * 8)
+    assert evaluate(parse(f"x^{pad}2")) == Elem8((2, 0, 0, 0, 0, 0, 0, 0))
+    assert evaluate(parse(f"elem[-{pad}7, {pad}5,0,0,0,0,0,-{pad}]")) == Elem8(
+        (-7, 5, 0, 0, 0, 0, 0, 0)
+    )
+    assert parse(f"pow(y, -{pad}3)") == Power(Generator("y"), -3)
+    assert parse(f"{pad}1") == parse("1")
+    with pytest.raises(ParseError, match="position 1: unexpected integer literal 0"):
+        parse(pad)
 
 
 def test_overlong_integer_is_a_parse_error():
@@ -310,6 +345,7 @@ def test_nested_calls_count_toward_the_depth():
         Inverse(Generator("y")),
         Assoc(Generator("x"), Generator("x"), Generator("y")),
         InnerL(Generator("x"), Generator("y"), Generator("u1")),
+        LeftDiv(Generator("x"), Generator("y")),
     ],
     ids=lambda expr: type(expr).__name__,
 )
@@ -353,6 +389,14 @@ def test_golden_words():
         assert tuple(value) == coords, text
         if canonical is not None:
             assert format_canonical(value) == canonical, text
+
+
+def test_golden_left_divisions_solve_their_equation():
+    # ldiv(p, q) is the b with p * b = q
+    divisions = [parse(text) for text, _, _ in GOLDEN_WORDS if text.startswith("ldiv(")]
+    assert len(divisions) == 7
+    for expr in divisions:
+        assert evaluate(expr.left) * evaluate(expr) == evaluate(expr.right)
 
 
 def test_parenthesization_matters():
