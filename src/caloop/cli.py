@@ -25,6 +25,9 @@ it prints, which no word computes, with :func:`caloop.words.check_bits`.
 ``--json`` prints machine-readable output with a stable schema; coordinates
 outside the signed 64-bit range are emitted as decimal strings so nothing is
 ever rounded.
+
+Only ``table`` and ``check-quotient`` import :mod:`caloop.quotient`, and
+with it numpy; the other commands run without loading numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .calculus import NucleusKind, is_member, witness_noncentral
 from .core import Elem8
-from .quotient import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS, BudgetExceeded, make_quotient
+from .quotient_options import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS
 from .symbolic import catalog_names, verify_all, verify_identity
 from .words import (
     MAX_BITS,
@@ -45,7 +48,6 @@ from .words import (
     InnerL,
     Inverse,
     Literal,
-    ParseError,
     Product,
     check_bits,
     evaluate,
@@ -182,6 +184,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .quotient import make_quotient
+
     loop = make_quotient(args.mod)
     loop.export_table(args.out, args.format)
     doc = {
@@ -198,6 +202,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_quotient(args) -> int:
+    from .quotient import make_quotient
+
     loop = make_quotient(args.mod)
     report = loop.exhaustive_check(args.level, trials=args.trials, seed=args.seed)
     if args.json:
@@ -267,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, BudgetExceeded, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and BudgetExceeded too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,8 +19,10 @@ This layout gives three things:
 
 * the product of two monomials is the sum of their keys, one integer ``+``;
 * the largest key has the largest degree, so the degree of a polynomial is
-  ``max(keys) >> (n * BITS)``, computed in C, and the peak degree the
-  prover reports stays exact at that cost;
+  ``max(keys) >> (n * BITS)``; the ring operations mostly know it without
+  that scan (a product's is d1 + d2), so each polynomial carries its
+  degree, ``degree()`` is O(1), and the peak degree the prover reports
+  stays exact;
 * keys in decreasing order are graded lexicographic order, the display
   order of :meth:`Polynomial.__str__`.
 
@@ -59,9 +61,11 @@ Short-cuts skip work the prover does often: about 40% of its products,
 and of its sums and differences, have a zero operand.  A
 product with a zero operand returns that operand, and a sum or difference
 with a zero operand returns the other one (negated for ``0 - p``), so no
-copy is built.  An ``int`` factor scales the numerators without building a
-constant polynomial.  Neither builds a polynomial larger than the full
-operation would, so :func:`peak_stats` reads the same.
+copy is built; ``p + 0``, ``p - 0`` and ``p * 1`` with int operands return
+``p``.  An ``int`` factor scales the numerators without building a
+constant polynomial, and a one-term factor shifts the other operand's keys
+in one pass.  None builds a polynomial larger than the full operation
+would, so :func:`peak_stats` reads the same.
 """
 
 from __future__ import annotations
@@ -168,9 +172,18 @@ def _unpack(key: int, n: int) -> Monomial:
     return tuple((v, e) for v, e in enumerate(key.to_bytes(n + 1, "big")[1:]) if e)
 
 
-def _track(table: VarTable, terms: dict) -> int:
-    """Check the term budget, record the peak term count and degree, and
-    return the degree of ``terms`` (packed keys, nonzero coefficients)."""
+def _top_degree(table: VarTable, terms: dict) -> int:
+    """The degree of packed ``terms``, read from the largest key; 0 if empty."""
+    return max(terms) >> table._degree_shift if terms else 0
+
+
+def _new(table: VarTable, terms: dict, den: int = 1, degree: int = 0) -> "Polynomial":
+    """A polynomial on packed terms with nonzero int numerators over a
+    reduced denominator ``den > 0``, whose degree the caller knows.
+
+    Checks the term budget and records the peak term count and degree.  No
+    terms dict is changed once it is wrapped, so polynomials may share one.
+    """
     global _peak_degree, _peak_terms
     n = len(terms)
     if n > TERM_LIMIT:
@@ -179,25 +192,17 @@ def _track(table: VarTable, terms: dict) -> int:
         )
     if n > _peak_terms:
         _peak_terms = n
-    degree = max(terms) >> table._degree_shift if terms else 0
     if degree > _peak_degree:
         _peak_degree = degree
-    return degree
-
-
-def _new(table: VarTable, terms: dict, den: int = 1) -> "Polynomial":
-    """A polynomial on packed terms with nonzero int numerators over a
-    reduced denominator ``den > 0``.  No terms dict is changed once it is
-    wrapped, so polynomials may share one."""
     p = object.__new__(Polynomial)
-    _set_degree(p, _track(table, terms))
+    _set_degree(p, degree)
     _set_table(p, table)
     _set_terms(p, terms)
     _set_den(p, den)
     return p
 
 
-def _reduced(table: VarTable, terms: dict, den: int) -> "Polynomial":
+def _reduced(table: VarTable, terms: dict, den: int, degree: int) -> "Polynomial":
     """:func:`_new` after dividing numerators and ``den > 0`` by their gcd;
     an empty ``terms`` gets ``den == 1``, since ``gcd(den) == den``."""
     if den != 1:
@@ -205,7 +210,7 @@ def _reduced(table: VarTable, terms: dict, den: int) -> "Polynomial":
         if g != 1:
             den //= g
             terms = {k: c // g for k, c in terms.items()}
-    return _new(table, terms, den)
+    return _new(table, terms, den, degree)
 
 
 def _decode(c: int, den: int) -> Scalar:
@@ -253,7 +258,7 @@ class Polynomial:
 
     __slots__ = ("table", "_terms", "den", "_degree")
 
-    def __init__(self, table: VarTable, terms: Mapping[Monomial, Scalar]):
+    def __new__(cls, table: VarTable, terms: Mapping[Monomial, Scalar]):
         """The polynomial ``sum(c * mon)`` over ``{mon: c}`` in the form of
         :attr:`terms`, with int or Fraction coefficients; zero coefficients
         are dropped."""
@@ -264,10 +269,7 @@ class Polynomial:
         # the lcm of reduced denominators is already coprime to the numerators
         den = lcm(*(c.denominator for c in packed.values()))
         packed = {k: c.numerator * (den // c.denominator) for k, c in packed.items() if c}
-        _set_degree(self, _track(table, packed))
-        _set_table(self, table)
-        _set_terms(self, packed)
-        _set_den(self, den)
+        return _new(table, packed, den, _top_degree(table, packed))
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -290,7 +292,7 @@ class Polynomial:
     def var(cls, table: VarTable, index: int) -> "Polynomial":
         if not 0 <= index < len(table):
             raise IndexError(f"variable index {index} out of range")
-        return _new(table, {_pack(table, ((index, 1),)): 1})
+        return _new(table, {_pack(table, ((index, 1),)): 1}, 1, 1)
 
     # -- queries ---------------------------------------------------------
 
@@ -332,6 +334,12 @@ class Polynomial:
         return NotImplemented  # type: ignore[return-value]
 
     # -- ring operations -------------------------------------------------
+    #
+    # Each result carries its degree.  A product has degree d1 + d2, since
+    # the product of the two top homogeneous parts is not zero; a sum or
+    # difference of unequal degrees has the larger one; negation, nonzero
+    # scaling and ``// n`` keep it.  Only a sum or difference of equal
+    # degrees reads it from its largest key, since the top terms can cancel.
 
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """``self + sign * other`` for two nonzero operands, sign = +-1."""
@@ -349,12 +357,19 @@ class Polynomial:
                 terms[m] = s
             else:
                 del terms[m]
-        return _reduced(self.table, terms, den)
+        if self._degree == other._degree:  # the top terms may cancel
+            degree = _top_degree(self.table, terms)
+        else:
+            degree = max(self._degree, other._degree)
+        return _reduced(self.table, terms, den, degree)
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not (isinstance(other, Polynomial) and other.table is self.table):
+            if isinstance(other, int) and not other:
+                return self
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -366,12 +381,16 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         if not self._terms:
             return self
-        return _new(self.table, {m: -c for m, c in self._terms.items()}, self.den)
+        return _new(self.table, {m: -c for m, c in self._terms.items()}, self.den,
+                    self._degree)
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not (isinstance(other, Polynomial) and other.table is self.table):
+            if isinstance(other, int) and not other:
+                return self
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -386,7 +405,7 @@ class Polynomial:
 
     def _scale(self, k: int) -> "Polynomial":
         """``k * self`` for an int k, without a constant polynomial."""
-        if not self._terms:
+        if not self._terms or k == 1:
             return self
         if not k:
             return Polynomial.zero(self.table)
@@ -394,14 +413,16 @@ class Polynomial:
         g = gcd(k, self.den)
         if g != 1:
             k //= g
-        return _new(self.table, {m: c * k for m, c in self._terms.items()}, self.den // g)
+        return _new(self.table, {m: c * k for m, c in self._terms.items()}, self.den // g,
+                    self._degree)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return self._scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not (isinstance(other, Polynomial) and other.table is self.table):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._terms, other._terms
         if not a:
             return self
@@ -412,20 +433,28 @@ class Polynomial:
                 f"product of {len(a)} x {len(b)} terms "
                 f"exceeds the {TERM_LIMIT}-term budget"
             )
-        if self._degree + other._degree > MAX_DEGREE:
+        degree = self._degree + other._degree
+        if degree > MAX_DEGREE:
             raise DegreeLimitExceeded(
                 f"product of degrees {self._degree} and {other._degree} passes "
                 f"MAX_DEGREE = {MAX_DEGREE}, the largest value of one {BITS}-bit field"
             )
-        terms: dict = {}
-        get = terms.get
-        b_items = b.items()
-        for m1, c1 in a.items():
-            for m2, c2 in b_items:
-                m = m1 + m2
-                terms[m] = get(m, 0) + c1 * c2
-        return _reduced(self.table, {m: c for m, c in terms.items() if c},
-                        self.den * other.den)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # distinct keys stay distinct and no coefficient becomes 0
+            (m2, c2), = b.items()
+            terms = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+        else:
+            terms = {}
+            get = terms.get
+            b_items = b.items()
+            for m1, c1 in a.items():
+                for m2, c2 in b_items:
+                    m = m1 + m2
+                    terms[m] = get(m, 0) + c1 * c2
+            terms = {m: c for m, c in terms.items() if c}
+        return _reduced(self.table, terms, self.den * other.den, degree)
 
     __rmul__ = __mul__
 
@@ -443,7 +472,7 @@ class Polynomial:
         if not self._terms:
             return self
         terms = self._terms if n > 0 else {m: -c for m, c in self._terms.items()}
-        return _reduced(self.table, terms, self.den * abs(n))
+        return _reduced(self.table, terms, self.den * abs(n), self._degree)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .calculus import inner_l_coords
 from .core import left_div_coords, mul_coords, pow_coords
+from .quotient_options import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS
 
 __all__ = [
     "QuotientLoop",
@@ -63,8 +64,6 @@ __all__ = [
     "DEFAULT_SEED",
 ]
 
-LEVELS = ("axioms", "automorphic-sampled", "automorphic-full")
-
 # order m^8 up to which full product tables (and order^2 / order^4 scans)
 # are allowed; 256 means m = 2 only.
 MAX_TABLE_ORDER = 256
@@ -75,9 +74,6 @@ MAX_SAMPLED_TRIALS = 10 ** 6
 SAMPLE_CHUNK = 2048
 # rows of the product table built per array call; bounds its memory
 TABLE_BLOCK_ROWS = 8
-# the sampled check's trial count and random.Random seed when none is given
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 20260808
 
 
 class BudgetExceeded(ValueError):

@@ -49,7 +49,7 @@ from .calculus import assoc_coords, inner_l_coords
 from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
 from .words import Assoc, Expr, Generator, InnerL, Inverse, LeftDiv, Literal, Power, Product
-from .words import parse_with_warnings
+from .words import evaluate, parse_with_warnings
 
 __all__ = [
     "SymLoopOps",
@@ -217,13 +217,17 @@ def _expand(ops: SymLoopOps, expr: Expr, memo: dict) -> tuple:
 
     `memo` maps every subterm of the law expanded so far, its variables
     included, to its value, so a subterm written several times is expanded
-    once.
+    once.  Any other generator, ``x``, ``y``, ``u1`` ... ``v4``, is its
+    constant basis element; :func:`caloop.words.evaluate` raises
+    ``ValueError`` for an unknown name.
     """
     value = memo.get(expr)
     if value is None:
         kind = type(expr)
         if kind is Literal:
             value = ops.constant(expr.coords)
+        elif kind is Generator:
+            value = ops.constant(evaluate(expr))
         elif kind is Inverse:
             value = inv_coords(_expand(ops, expr.arg, memo))
         elif kind is Power:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import caloop
 from caloop import symbolic
 from caloop.calculus import NucleusKind
 from caloop.cli import main
@@ -171,6 +176,40 @@ def test_table_and_check_quotient(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True and doc["counts"]["quadruples-checked"] == 50
+
+
+# Runs in a fresh interpreter: the commands before check-quotient must not
+# load numpy, and check-quotient must still work once they have run.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from caloop.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", "--identity", "commutativity"]), main(["eval", "x*y"]),
+             main(["mul", "[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]"])]
+numpy_before = "numpy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["check-quotient", "--mod", "2", "--json"]))
+print(json.dumps({"codes": codes, "numpy_before": numpy_before, "out": out.getvalue()}))
+"""
+
+
+def test_only_the_quotient_commands_load_numpy(capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(caloop.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert probe["codes"] == [0, 0, 0, 0]
+    assert probe["numpy_before"] is False
+    code, out, _ = run(capsys, "check-quotient", "--mod", "2", "--json")
+    assert code == 0
+    fresh, here = json.loads(probe["out"]), json.loads(out)
+    assert fresh.pop("millis") >= 0 and here.pop("millis") >= 0
+    assert fresh == here
 
 
 def test_check_quotient_full_m2(capsys):

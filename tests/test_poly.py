@@ -134,6 +134,10 @@ def test_term_limit(monkeypatch):
     monkeypatch.setattr(poly, "TERM_LIMIT", 5)
     with pytest.raises(TermLimitExceeded):
         big * big
+    # every polynomial built is checked, sums and differences too
+    for build in (lambda: big + x, lambda: big - x, lambda: x - big, lambda: -big):
+        with pytest.raises(TermLimitExceeded):
+            build()
 
 
 def test_negative_power_rejected():
@@ -236,6 +240,12 @@ def test_degree_is_exact_after_cancellation():
     assert ((x ** 3 + y) - x ** 3).degree() == 1
     assert (x ** 3 - x ** 3).degree() == 0
     assert ((x + y) * (x - y) + y * y).degree() == 2
+    assert ((x + y) - x).degree() == 1
+    assert (x * y - y * x).degree() == 0
+    assert (x * y + 1 - x * y).degree() == 0
+    assert ((x * y + x) + (1 - x * y)).degree() == 1
+    for p in ((x + y) - x, x * y - y * x, (x * y + x) - x * y):
+        _assert_degree_from_keys(p)
 
 
 def test_peak_stats_report_the_exact_peak():
@@ -272,6 +282,17 @@ def _ref_mul(p, q):
 
 def _ref_degree(p):
     return max((sum(e for _, e in mon) for mon in p), default=0)
+
+
+def _assert_degree_from_keys(p):
+    """The degree a polynomial carries is the one its largest packed key holds."""
+    top = max(p._terms) >> (poly.BITS * len(p.table)) if p._terms else 0
+    assert p.degree() == top
+
+
+def _peak_of(*polys):
+    """peak_stats() recomputed from scratch over the polynomials built."""
+    return (max(p.degree() for p in polys), max(len(p.terms) for p in polys))
 
 
 def _ref_evaluate(p, point):
@@ -327,22 +348,33 @@ def _wide_case(draw):
 def test_packed_arithmetic_matches_tuple_reference(case):
     n, p, q, point, k = case
     table = VarTable(tuple(f"v{i}" for i in range(n)))
+    reset_stats()
     P, Q = Polynomial(table, p), Polynomial(table, q)
     assert dict(P.terms) == p
     assert P.degree() == _ref_degree(p)
     assert P.evaluate(point) == _ref_evaluate(p, point)
-    assert dict((P + Q).terms) == _ref_add(p, q)
-    assert dict((P - Q).terms) == _ref_add(p, {m: -c for m, c in q.items()})
-    assert (P + Q).degree() == _ref_degree(_ref_add(p, q))
-    assert dict((P // k).terms) == {m: c * Fraction(1, k) for m, c in p.items()}
+    neg_q = {m: -c for m, c in q.items()}
+    results = [
+        (P + Q, _ref_add(p, q)),
+        (P - Q, _ref_add(p, neg_q)),
+        ((P + Q) - Q, p),  # Q's terms cancel
+        (P - P, {}),
+        (-P, {m: -c for m, c in p.items()}),
+        (P * k, {m: c * k for m, c in p.items()}),
+        (P // k, {m: c * Fraction(1, k) for m, c in p.items()}),
+    ]
     if P.degree() + Q.degree() > MAX_DEGREE:
         with pytest.raises(DegreeLimitExceeded):
             P * Q
-        return
-    pq = _ref_mul(p, q)
-    assert dict((P * Q).terms) == pq
-    assert (P * Q).degree() == _ref_degree(pq)
-    assert (P * Q).evaluate(point) == _ref_evaluate(pq, point)
+    else:
+        pq = _ref_mul(p, q)
+        results.append((P * Q, pq))
+        assert (P * Q).evaluate(point) == _ref_evaluate(pq, point)
+    assert peak_stats() == _peak_of(P, Q, *(r for r, _ in results))
+    for result, ref in results:
+        assert dict(result.terms) == ref
+        assert result.degree() == _ref_degree(ref)
+        _assert_degree_from_keys(result)
 
 
 # -- integer numerators over one reduced denominator -----------------------
@@ -437,22 +469,28 @@ def test_rational_arithmetic_matches_fraction_reference(case):
     def build(kind, ref):
         return ref.get((), 0) if kind == "int" else Polynomial(table, ref)
 
+    reset_stats()
     P, Q = build(kind_p, p), build(kind_q, q)
     if kind_p == "int":
         if kind_q == "int":
             return
         P, Q, p, q = Q, P, q, p  # keep a Polynomial on the left of //
     neg_q = {m: -c for m, c in q.items()}
-    for result, ref in (
+    results = (
         (P + Q, _ref_add(p, q)), (Q + P, _ref_add(p, q)),
         (P - Q, _ref_add(p, neg_q)), (Q - P, _ref_add(q, {m: -c for m, c in p.items()})),
         (P * Q, _ref_mul(p, q)), (Q * P, _ref_mul(p, q)),
         (P // k, {m: c / k for m, c in p.items()}),
+        (P * k, {m: c * k for m, c in p.items()}),
         (-P, {m: -c for m, c in p.items()}),
-    ):
+    )
+    built = [P, Q] + [r for r, _ in results]
+    assert peak_stats() == _peak_of(*(b for b in built if isinstance(b, Polynomial)))
+    for result, ref in results:
         _assert_reduced(result)
         assert dict(result.terms) == ref
         assert result.degree() == _ref_degree(ref)
+        _assert_degree_from_keys(result)
         assert result.evaluate(point) == _ref_evaluate(ref, point)
         again = Polynomial(table, ref)
         assert result == again and hash(result) == hash(again)

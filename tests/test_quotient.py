@@ -9,7 +9,11 @@ import pytest
 
 from caloop.calculus import inner_l_coords
 from caloop.core import left_div_coords, mul_coords
+from caloop import quotient
 from caloop.quotient import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    LEVELS,
     MAX_SAMPLED_TRIALS,
     SAMPLE_CHUNK,
     BudgetExceeded,
@@ -381,6 +385,14 @@ def test_budgets_enforced():
         exhaustive_check(3001, "automorphic-sampled", trials=1)
     with pytest.raises(ValueError, match="unknown level"):
         exhaustive_check(2, "everything")
+
+
+def test_check_options_stay_public_quotient_names():
+    # they live in the numpy-free caloop.quotient_options, for the CLI parser
+    assert LEVELS == ("axioms", "automorphic-sampled", "automorphic-full")
+    assert (DEFAULT_TRIALS, DEFAULT_SEED) == (1000, 20260808)
+    public = {"LEVELS", "DEFAULT_TRIALS", "DEFAULT_SEED", "BudgetExceeded"}
+    assert public <= set(quotient.__all__)
 
 
 def test_table_export_csv(tmp_path):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from caloop import symbolic
 from caloop.core import left_div_coords, mul_coords
 from caloop.poly import Polynomial, VarTable
 from caloop.symbolic import (
@@ -13,7 +14,7 @@ from caloop.symbolic import (
     verify_all,
     verify_identity,
 )
-from caloop.words import evaluate, parse
+from caloop.words import Generator, evaluate, parse
 
 from support import make_rng
 
@@ -220,6 +221,21 @@ def test_mutation_flips_at_least_one_identity():
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError, match="unknown identity"):
         verify_identity("no-such-law")
+
+
+def test_law_texts_may_name_generators(monkeypatch):
+    # x, y, u1 ... v4 expand as their constant basis elements
+    monkeypatch.setattr(symbolic, "_CATALOG", dict(symbolic._CATALOG))
+    symbolic._equation("probe-holds", "assoc(x, x, y) = u1", "")
+    symbolic._equation("probe-fails", "assoc(x, y, y) = u1", "")
+    assert verify_identity("probe-holds").passed
+    report = verify_identity("probe-fails")
+    assert not report.passed
+    assert report.residual_term_counts == (0, 0, 1, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="unknown generator 'q'"):
+        symbolic._expand(SymLoopOps(VarTable(())), Generator("q"), {})
+    with pytest.raises(ValueError, match="unknown identifier 'q'"):
+        symbolic._equation("probe-unknown", "q * a = a", "a")
 
 
 def test_reports_are_deterministic():
