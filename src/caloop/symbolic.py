@@ -19,8 +19,9 @@ not a copy of it.
 Each law is declared once.  An equation is one law text in the word
 grammar of :mod:`caloop.words` over the law's variables, such as
 ``innL(a, b, c * d) = innL(a, b, c) * innL(a, b, d)``; it is both the
-entry's summary and what is expanded.  Its products, ``ldiv``, ``assoc``
-and ``innL`` run through :class:`SymLoopOps`, so the mutation run reaches
+entry's summary and what is expanded.  A law text may also name the
+generators ``x``, ``y``, ``u1`` ... ``v4``, which expand as constants.
+Its products, ``ldiv``, ``assoc`` and ``innL`` run through :class:`SymLoopOps`, so the mutation run reaches
 them; ``inv`` and powers run :func:`caloop.core.inv_coords` and
 :func:`caloop.core.pow_closed_form`.  The entries that compare selected
 coordinates or need exponent arithmetic keep a builder under ``@_law``.

@@ -245,7 +245,7 @@ def test_degree_is_exact_after_cancellation():
     assert (x * y + 1 - x * y).degree() == 0
     assert ((x * y + x) + (1 - x * y)).degree() == 1
     for p in ((x + y) - x, x * y - y * x, (x * y + x) - x * y):
-        _assert_degree_from_keys(p)
+        assert p.degree() == _key_degree(p)
 
 
 def test_peak_stats_report_the_exact_peak():
@@ -284,15 +284,14 @@ def _ref_degree(p):
     return max((sum(e for _, e in mon) for mon in p), default=0)
 
 
-def _assert_degree_from_keys(p):
-    """The degree a polynomial carries is the one its largest packed key holds."""
-    top = max(p._terms) >> (poly.BITS * len(p.table)) if p._terms else 0
-    assert p.degree() == top
+def _key_degree(p):
+    """The degree that a polynomial's largest packed key holds; 0 for zero."""
+    return max(p._terms) >> (poly.BITS * len(p.table)) if p._terms else 0
 
 
 def _peak_of(*polys):
     """peak_stats() recomputed from scratch over the polynomials built."""
-    return (max(p.degree() for p in polys), max(len(p.terms) for p in polys))
+    return max(_key_degree(p) for p in polys), max(len(p._terms) for p in polys)
 
 
 def _ref_evaluate(p, point):
@@ -374,7 +373,7 @@ def test_packed_arithmetic_matches_tuple_reference(case):
     for result, ref in results:
         assert dict(result.terms) == ref
         assert result.degree() == _ref_degree(ref)
-        _assert_degree_from_keys(result)
+        assert result.degree() == _key_degree(result)
 
 
 # -- integer numerators over one reduced denominator -----------------------
@@ -490,7 +489,7 @@ def test_rational_arithmetic_matches_fraction_reference(case):
         _assert_reduced(result)
         assert dict(result.terms) == ref
         assert result.degree() == _ref_degree(ref)
-        _assert_degree_from_keys(result)
+        assert result.degree() == _key_degree(result)
         assert result.evaluate(point) == _ref_evaluate(ref, point)
         again = Polynomial(table, ref)
         assert result == again and hash(result) == hash(again)
