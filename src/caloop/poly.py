@@ -61,11 +61,9 @@ Short-cuts skip work the prover does often: about 40% of its products,
 and of its sums and differences, have a zero operand.  A
 product with a zero operand returns that operand, and a sum or difference
 with a zero operand returns the other one (negated for ``0 - p``), so no
-copy is built; ``p + 0``, ``p - 0`` and ``p * 1`` with int operands return
-``p``.  An ``int`` factor scales the numerators without building a
-constant polynomial, and a one-term factor shifts the other operand's keys
-in one pass.  None builds a polynomial larger than the full operation
-would, so :func:`peak_stats` reads the same.
+copy is built.  An ``int`` factor scales the numerators without building a
+constant polynomial.  Neither builds a polynomial larger than the full
+operation would, so :func:`peak_stats` reads the same.
 """
 
 from __future__ import annotations
@@ -177,7 +175,7 @@ def _top_degree(table: VarTable, terms: dict) -> int:
     return max(terms) >> table._degree_shift if terms else 0
 
 
-def _new(table: VarTable, terms: dict, den: int = 1, degree: int = 0) -> "Polynomial":
+def _new(table: VarTable, terms: dict, den: int, degree: int) -> "Polynomial":
     """A polynomial on packed terms with nonzero int numerators over a
     reduced denominator ``den > 0``, whose degree the caller knows.
 
@@ -281,12 +279,12 @@ class Polynomial:
 
     @classmethod
     def zero(cls, table: VarTable) -> "Polynomial":
-        return _new(table, {})
+        return _new(table, {}, 1, 0)
 
     @classmethod
     def const(cls, table: VarTable, value: Scalar) -> "Polynomial":
         num, den = value.numerator, value.denominator
-        return _new(table, {0: num} if num else {}, den if num else 1)
+        return _new(table, {0: num} if num else {}, den if num else 1, 0)
 
     @classmethod
     def var(cls, table: VarTable, index: int) -> "Polynomial":
@@ -364,12 +362,9 @@ class Polynomial:
         return _reduced(self.table, terms, den, degree)
 
     def __add__(self, other) -> "Polynomial":
-        if not (isinstance(other, Polynomial) and other.table is self.table):
-            if isinstance(other, int) and not other:
-                return self
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -385,12 +380,9 @@ class Polynomial:
                     self._degree)
 
     def __sub__(self, other) -> "Polynomial":
-        if not (isinstance(other, Polynomial) and other.table is self.table):
-            if isinstance(other, int) and not other:
-                return self
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -405,7 +397,7 @@ class Polynomial:
 
     def _scale(self, k: int) -> "Polynomial":
         """``k * self`` for an int k, without a constant polynomial."""
-        if not self._terms or k == 1:
+        if not self._terms:
             return self
         if not k:
             return Polynomial.zero(self.table)
@@ -419,10 +411,9 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return self._scale(other)
-        if not (isinstance(other, Polynomial) and other.table is self.table):
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b = self._terms, other._terms
         if not a:
             return self
@@ -439,22 +430,15 @@ class Polynomial:
                 f"product of degrees {self._degree} and {other._degree} passes "
                 f"MAX_DEGREE = {MAX_DEGREE}, the largest value of one {BITS}-bit field"
             )
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # distinct keys stay distinct and no coefficient becomes 0
-            (m2, c2), = b.items()
-            terms = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
-        else:
-            terms = {}
-            get = terms.get
-            b_items = b.items()
-            for m1, c1 in a.items():
-                for m2, c2 in b_items:
-                    m = m1 + m2
-                    terms[m] = get(m, 0) + c1 * c2
-            terms = {m: c for m, c in terms.items() if c}
-        return _reduced(self.table, terms, self.den * other.den, degree)
+        terms: dict = {}
+        get = terms.get
+        b_items = b.items()
+        for m1, c1 in a.items():
+            for m2, c2 in b_items:
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
+        return _reduced(self.table, {m: c for m, c in terms.items() if c},
+                        self.den * other.den, degree)
 
     __rmul__ = __mul__
 
