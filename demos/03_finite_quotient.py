@@ -10,9 +10,9 @@ be checked by sheer enumeration.
 import os
 import tempfile
 
-from caloop.quotient import make_quotient, validate_table_file
+from caloop.quotient import QuotientLoop, validate_table_file
 
-loop = make_quotient(2)
+loop = QuotientLoop(2)
 print(f"quotient mod 2: order {loop.order}")
 
 # Axioms by enumeration: identity row/column, commutativity, and the Latin
@@ -33,12 +33,12 @@ print("u1 residue central?", loop.element_index((0, 0, 1, 0, 0, 0, 0, 0)) in cen
 
 # Moduli divisible by 3 cannot work; the library explains why.
 try:
-    make_quotient(3)
+    QuotientLoop(3)
 except ValueError as exc:
     print("\nmod 3 rejected:", exc)
 
 # Sampled automorphism check at a larger modulus.
-big = make_quotient(5)
+big = QuotientLoop(5)
 sampled = big.exhaustive_check("automorphic-sampled", trials=500)
 print(f"\nmod 5 (order {big.order}): sampled automorphism pass={sampled.passed} "
       f"over {sampled.counts['quadruples-checked']} quadruples")
@@ -58,7 +58,7 @@ os.remove(path)
 # distinct map against every (c, d) still decides all 4.3 billion cases.
 # A report times only the work of its own call, and `loop` has cached its
 # table and inner maps above, so a fresh loop shows the check's full cost.
-full = make_quotient(2).exhaustive_check("automorphic-full")
+full = QuotientLoop(2).exhaustive_check("automorphic-full")
 print(f"\nautomorphic-full: pass={full.passed} over "
       f"{full.counts['quadruples-checked']} quadruples, "
       f"{full.counts['distinct-inner-maps']} distinct inner maps, {full.millis} ms")

@@ -184,9 +184,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .quotient import make_quotient
+    from .quotient import QuotientLoop
 
-    loop = make_quotient(args.mod)
+    loop = QuotientLoop(args.mod)
     loop.export_table(args.out, args.format)
     doc = {
         "path": args.out,
@@ -202,9 +202,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_quotient(args) -> int:
-    from .quotient import make_quotient
+    from .quotient import QuotientLoop
 
-    loop = make_quotient(args.mod)
+    loop = QuotientLoop(args.mod)
     report = loop.exhaustive_check(args.level, trials=args.trials, seed=args.seed)
     if args.json:
         print(_dump(report.to_doc()))

@@ -141,9 +141,6 @@ class VarTable:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 def _pack(table: VarTable, mon: Monomial) -> int:
     """The packed key of ``((var, exp), ...)``; repeated variables add up."""
@@ -271,6 +268,10 @@ class Polynomial:
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, from the decoded terms
+        return Polynomial, (self.table, dict(self.terms))
 
     @property
     def terms(self) -> Mapping:

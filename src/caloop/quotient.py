@@ -53,9 +53,6 @@ __all__ = [
     "QuotientReport",
     "TableFileReport",
     "BudgetExceeded",
-    "make_quotient",
-    "exhaustive_check",
-    "export_table",
     "validate_table_file",
     "LEVELS",
     "MAX_TABLE_ORDER",
@@ -139,11 +136,6 @@ def _size(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"an int of {n.bit_length()} bits"
 
 
-def make_quotient(m: int) -> "QuotientLoop":
-    """Validate m and return a handle for the quotient loop (Z/m)^8."""
-    return QuotientLoop(m)
-
-
 class QuotientLoop:
     """The loop on (Z/m)^8 obtained by reducing the integer formula mod m."""
 
@@ -222,14 +214,6 @@ class QuotientLoop:
                 f"the int64 maximum {_INT64_MAX}"
             )
 
-    def _require_table_budget(self) -> None:
-        if self.order > MAX_TABLE_ORDER:
-            raise BudgetExceeded(
-                f"a product table of (Z/m)^8 has order m^8 = {_size(self.order)} "
-                f"at m = {_size(self.modulus)}, past the budget of order <= "
-                f"{MAX_TABLE_ORDER} (m = 2)"
-            )
-
     def product_table(self) -> np.ndarray:
         """order x order table of element indices; cached after first build.
 
@@ -238,7 +222,12 @@ class QuotientLoop:
         intermediates stay the size of a block, not of the table.  The
         indices stay below order, which the table budget keeps within uint16.
         """
-        self._require_table_budget()
+        if self.order > MAX_TABLE_ORDER:
+            raise BudgetExceeded(
+                f"a product table of (Z/m)^8 has order m^8 = {_size(self.order)} "
+                f"at m = {_size(self.modulus)}, past the budget of order <= "
+                f"{MAX_TABLE_ORDER} (m = 2)"
+            )
         if self._table is None:
             self._require_int64("product table")
             order = self.order
@@ -247,7 +236,7 @@ class QuotientLoop:
             table = np.empty((order, order), dtype=np.uint16)
             for start in range(0, order, TABLE_BLOCK_ROWS):
                 block = slice(start, start + TABLE_BLOCK_ROWS)
-                table[block] = self.element_index(self.mul([c[block, None] for c in cols], every))
+                table[block] = self.element_index(mul_coords([c[block, None] for c in cols], every))
             self._table = table
         return self._table
 
@@ -313,14 +302,13 @@ class QuotientLoop:
     def exhaustive_check(
         self, level: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
     ) -> "QuotientReport":
-        """Run one check level; every budget is checked before any work."""
+        """Run one check level; every budget is checked before any work (the
+        table budget by ``product_table``, the table levels' first call)."""
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {_size(trials)}")
-        if level != "automorphic-sampled":
-            self._require_table_budget()
-        elif trials > MAX_SAMPLED_TRIALS:
+        if level == "automorphic-sampled" and trials > MAX_SAMPLED_TRIALS:
             raise BudgetExceeded(
                 f"sampled automorphism check is budgeted to "
                 f"{MAX_SAMPLED_TRIALS} trials; {_size(trials)} requested"
@@ -330,7 +318,8 @@ class QuotientLoop:
         if level == "axioms":
             self._check_axioms(report)
         elif level == "automorphic-sampled":
-            self._check_automorphic_sampled(report, trials, seed)
+            report.checks["automorphism-sampled"] = self._sampled_failures(trials, seed) == 0
+            report.counts["quadruples-checked"] = trials
         else:
             self._check_automorphic_full(report)
         report.millis = int((time.perf_counter() - start) * 1000)
@@ -346,12 +335,6 @@ class QuotientLoop:
         report.checks["center-matches-coordinate-description"] = center == expected
         report.counts["products-checked"] = self.order ** 2
         report.counts["center-size"] = len(center)
-
-    def _check_automorphic_sampled(
-        self, report: "QuotientReport", trials: int, seed: int
-    ) -> None:
-        report.checks["automorphism-sampled"] = self._sampled_failures(trials, seed) == 0
-        report.counts["quadruples-checked"] = trials
 
     def _sampled_failures(self, trials: int, seed: int) -> int:
         """Count random quadruples (a, b, c, d) with L_{a,b}(c d) != L_{a,b}(c) L_{a,b}(d).
@@ -459,16 +442,6 @@ class QuotientReport:
             "counts": dict(self.counts),
             "millis": self.millis,
         }
-
-
-def exhaustive_check(
-    m: int, level: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
-) -> QuotientReport:
-    return make_quotient(m).exhaustive_check(level, trials=trials, seed=seed)
-
-
-def export_table(m: int, path: str, fmt: str = "csv") -> None:
-    make_quotient(m).export_table(path, fmt)
 
 
 @dataclass

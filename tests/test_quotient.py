@@ -19,9 +19,6 @@ from caloop.quotient import (
     BudgetExceeded,
     QuotientLoop,
     _intermediate_bound,
-    exhaustive_check,
-    export_table,
-    make_quotient,
     validate_table_file,
 )
 
@@ -30,31 +27,31 @@ from support import PowCache, make_rng
 
 def test_modulus_validation():
     with pytest.raises(ValueError):
-        make_quotient(1)
+        QuotientLoop(1)
     with pytest.raises(ValueError, match="divisible by 3"):
-        make_quotient(3)
+        QuotientLoop(3)
     with pytest.raises(ValueError, match="divisible by 3"):
-        make_quotient(6)
-    assert make_quotient(2).order == 256
-    assert make_quotient(5).order == 390625
+        QuotientLoop(6)
+    assert QuotientLoop(2).order == 256
+    assert QuotientLoop(5).order == 390625
 
 
 @pytest.mark.parametrize("modulus", [2.5, 2.0, 4.0])
 def test_a_non_integral_modulus_is_a_type_error(modulus):
     # only an int names a quotient (Z/m)^8, integral float or not
     with pytest.raises(TypeError):
-        make_quotient(modulus)
+        QuotientLoop(modulus)
 
 
 def test_alpha_obstruction_message_is_concrete():
     with pytest.raises(ValueError, match=r"maps 3 to 8"):
-        make_quotient(3)
+        QuotientLoop(3)
 
 
 def test_reduction_is_homomorphism():
     rng = make_rng(70)
     for m in (2, 4, 5):
-        q = make_quotient(m)
+        q = QuotientLoop(m)
         for _ in range(300):
             a = tuple(rng.randint(-20, 20) for _ in range(8))
             b = tuple(rng.randint(-20, 20) for _ in range(8))
@@ -63,7 +60,7 @@ def test_reduction_is_homomorphism():
 
 def test_lift_independence():
     rng = make_rng(71)
-    q = make_quotient(5)
+    q = QuotientLoop(5)
     for _ in range(300):
         a = tuple(rng.randrange(5) for _ in range(8))
         b = tuple(rng.randrange(5) for _ in range(8))
@@ -74,7 +71,7 @@ def test_lift_independence():
 
 def test_division_and_powers():
     rng = make_rng(72)
-    q = make_quotient(5)
+    q = QuotientLoop(5)
     x = (1, 0, 0, 0, 0, 0, 0, 0)
     assert q.power(x, 5) == (0,) * 8
     for _ in range(200):
@@ -85,7 +82,7 @@ def test_division_and_powers():
 
 def test_power_matches_reduced_iterated_products():
     rng = make_rng(73)
-    q = make_quotient(5)
+    q = QuotientLoop(5)
     for _ in range(40):
         a = tuple(rng.randrange(5) for _ in range(8))
         acc = (0,) * 8
@@ -100,7 +97,7 @@ def test_power_at_a_huge_exponent():
     # (Lagrange's theorem holds in commutative automorphic loops), and 5^8
     # divides 10^30, so a^(10^30 + r) = a^r
     rng = make_rng(74)
-    q = make_quotient(5)
+    q = QuotientLoop(5)
     for _ in range(20):
         a = tuple(rng.randrange(5) for _ in range(8))
         powers = PowCache(a)
@@ -110,11 +107,11 @@ def test_power_at_a_huge_exponent():
 
 def test_power_refuses_a_non_integral_exponent():
     with pytest.raises(TypeError):
-        make_quotient(5).power((1, 2, 3, 4, 0, 0, 0, 0), 2.5)
+        QuotientLoop(5).power((1, 2, 3, 4, 0, 0, 0, 0), 2.5)
 
 
 def test_element_indexing_is_lexicographic():
-    q = make_quotient(2)
+    q = QuotientLoop(2)
     assert q.element_index((0,) * 8) == 0
     assert q.element_index((0, 0, 0, 0, 0, 0, 0, 1)) == 1
     assert q.element_index((1, 0, 0, 0, 0, 0, 0, 0)) == 128
@@ -123,7 +120,7 @@ def test_element_indexing_is_lexicographic():
 
 
 def test_axioms_check_m2():
-    report = exhaustive_check(2, "axioms")
+    report = QuotientLoop(2).exhaustive_check("axioms")
     assert report.passed
     assert report.checks["latin-rows"] and report.checks["latin-columns"]
     assert report.checks["commutative"]
@@ -137,14 +134,14 @@ def test_axioms_check_does_not_scan_inner_maps(monkeypatch):
 
     monkeypatch.setattr(QuotientLoop, "_distinct_inner_maps", refuse)
     monkeypatch.setattr(QuotientLoop, "left_division_table", refuse)
-    report = make_quotient(2).exhaustive_check("axioms")
+    report = QuotientLoop(2).exhaustive_check("axioms")
     assert report.passed
     assert report.counts["center-size"] == 16
     assert report.counts["products-checked"] == 65536
 
 
 def test_product_table_matches_scalar_products():
-    q = make_quotient(2)
+    q = QuotientLoop(2)
     coords = [q.element_coords(i) for i in range(q.order)]
     reference = np.array(
         [[q.element_index(q.mul(a, b)) for b in coords] for a in coords]
@@ -197,7 +194,7 @@ def test_sampled_failures_match_a_scalar_reference(trials):
 def test_sampled_check_rejects_nonpositive_trials():
     for trials in (0, -5):
         with pytest.raises(ValueError, match="trials must be at least 1"):
-            exhaustive_check(5, "automorphic-sampled", trials=trials)
+            QuotientLoop(5).exhaustive_check("automorphic-sampled", trials=trials)
 
 
 def _peak_formed(fn, *tuples) -> int:
@@ -246,7 +243,7 @@ def test_intermediate_bound_covers_the_kernel():
 def test_inner_l_is_the_reduced_defining_equation(m):
     # the closed form, reduced once, equals L_{a,b}(c) solved in the quotient
     # from its defining equation (b * a) * z = b * (a * c); on int64 arrays too
-    q = make_quotient(m)
+    q = QuotientLoop(m)
     rng = make_rng(74)
     triples = [tuple(tuple(rng.randrange(m) for _ in range(8)) for _ in range(3))
                for _ in range(300)]
@@ -319,7 +316,7 @@ _IDX = np.arange(256)
 @pytest.mark.parametrize(
     "loop, expected",
     [
-        pytest.param(lambda: make_quotient(2), list(range(16)), id="m2"),
+        pytest.param(lambda: QuotientLoop(2), list(range(16)), id="m2"),
         pytest.param(lambda: _loop_with_table(_IDX[:, None] ^ _IDX[None, :]),
                      list(range(256)), id="xor-group"),
         # a non-commutative Latin square: dividing by b * a instead of a * b
@@ -334,14 +331,14 @@ def test_center_is_the_fixed_set_of_every_inner_map(loop, expected):
 
 
 def test_center_is_the_final_tail_block():
-    q = make_quotient(2)
+    q = QuotientLoop(2)
     center = q.center_indices()
     assert center == list(range(16))
     assert all(q.element_coords(i)[:4] == (0, 0, 0, 0) for i in center)
 
 
 def test_quotient_has_nilpotency_class_three():
-    q = make_quotient(2)
+    q = QuotientLoop(2)
     e1 = q.element_coords(q.element_index((1, 0, 0, 0, 0, 0, 0, 0)))
     e3 = (0, 0, 1, 0, 0, 0, 0, 0)
     # u1's residue is moved by an inner mapping, so it is not central,
@@ -353,7 +350,7 @@ def test_quotient_has_nilpotency_class_three():
 
 def test_sampled_automorphic_checks():
     for m in (2, 4, 5):
-        report = exhaustive_check(m, "automorphic-sampled", trials=150)
+        report = QuotientLoop(m).exhaustive_check("automorphic-sampled", trials=150)
         assert report.passed
         assert report.counts["quadruples-checked"] == 150
 
@@ -361,7 +358,7 @@ def test_sampled_automorphic_checks():
 def test_sampled_check_is_budgeted_by_trials_not_modulus(monkeypatch):
     # the check costs O(trials) at any modulus the int64 guard admits
     for m in (7, 2434):
-        report = exhaustive_check(m, "automorphic-sampled", trials=150)
+        report = QuotientLoop(m).exhaustive_check("automorphic-sampled", trials=150)
         assert report.passed and report.counts["quadruples-checked"] == 150
 
     def no_trials(*_):
@@ -369,22 +366,31 @@ def test_sampled_check_is_budgeted_by_trials_not_modulus(monkeypatch):
 
     monkeypatch.setattr(QuotientLoop, "_sampled_failures", no_trials)
     with pytest.raises(BudgetExceeded, match=f"{MAX_SAMPLED_TRIALS} trials"):
-        exhaustive_check(5, "automorphic-sampled", trials=10 ** 11)
+        QuotientLoop(5).exhaustive_check("automorphic-sampled", trials=10 ** 11)
 
 
-def test_budgets_enforced():
+def test_budgets_enforced(monkeypatch):
     with pytest.raises(BudgetExceeded):
-        exhaustive_check(4, "axioms")
+        QuotientLoop(4).exhaustive_check("axioms")
     with pytest.raises(BudgetExceeded):
-        exhaustive_check(4, "automorphic-full")
+        QuotientLoop(4).exhaustive_check("automorphic-full")
     with pytest.raises(BudgetExceeded):
-        make_quotient(4).center_indices()
+        QuotientLoop(4).center_indices()
     with pytest.raises(BudgetExceeded):
-        make_quotient(4).product_table()
+        QuotientLoop(4).product_table()
     with pytest.raises(BudgetExceeded, match="int64"):
-        exhaustive_check(3001, "automorphic-sampled", trials=1)
+        QuotientLoop(3001).exhaustive_check("automorphic-sampled", trials=1)
     with pytest.raises(ValueError, match="unknown level"):
-        exhaustive_check(2, "everything")
+        QuotientLoop(2).exhaustive_check("everything")
+
+    # the table levels are refused before any kernel work
+    def no_kernel(*_):
+        raise AssertionError("the kernel ran past the table budget")
+
+    monkeypatch.setattr(quotient, "mul_coords", no_kernel)
+    for level in ("axioms", "automorphic-full"):
+        with pytest.raises(BudgetExceeded):
+            QuotientLoop(4).exhaustive_check(level)
 
 
 def test_check_options_stay_public_quotient_names():
@@ -397,7 +403,7 @@ def test_check_options_stay_public_quotient_names():
 
 def test_table_export_csv(tmp_path):
     path = tmp_path / "table.csv"
-    export_table(2, str(path), "csv")
+    QuotientLoop(2).export_table(str(path), "csv")
     lines = path.read_text().splitlines()
     assert len(lines) == 257
     assert lines[0] == "caloop-table m=2 order=256 ordering=lex"
@@ -408,7 +414,7 @@ def test_table_export_csv(tmp_path):
 
 def test_table_export_bin(tmp_path):
     path = tmp_path / "table.bin"
-    export_table(2, str(path), "bin")
+    QuotientLoop(2).export_table(str(path), "bin")
     data = path.read_bytes()
     assert data[:4] == b"CLT1"
     assert len(data) == 4 + 4 + 256 * 256 * 4
@@ -419,7 +425,7 @@ def test_table_export_bin(tmp_path):
     # budget, and at m = 2 the table would be built first
     for m in (2, 5):
         with pytest.raises(ValueError, match="unknown table format"):
-            make_quotient(m).export_table(str(tmp_path / "t.x"), "xml")
+            QuotientLoop(m).export_table(str(tmp_path / "t.x"), "xml")
 
 
 @pytest.mark.parametrize(
@@ -431,7 +437,7 @@ def test_table_export_bin(tmp_path):
 )
 def test_table_export_bytes_are_pinned(tmp_path, fmt, size, sha256):
     path = tmp_path / f"table.{fmt}"
-    export_table(2, str(path), fmt)
+    QuotientLoop(2).export_table(str(path), fmt)
     data = path.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256
@@ -439,8 +445,8 @@ def test_table_export_bytes_are_pinned(tmp_path, fmt, size, sha256):
 
 def test_formats_agree(tmp_path):
     csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
-    export_table(2, str(csv_path), "csv")
-    export_table(2, str(bin_path), "bin")
+    QuotientLoop(2).export_table(str(csv_path), "csv")
+    QuotientLoop(2).export_table(str(bin_path), "bin")
     from caloop.quotient import _read_table_bin, _read_table_csv
 
     _, _, a = _read_table_csv(str(csv_path))
@@ -450,7 +456,7 @@ def test_formats_agree(tmp_path):
 
 def test_validator_catches_tampering(tmp_path):
     path = tmp_path / "table.csv"
-    export_table(2, str(path), "csv")
+    QuotientLoop(2).export_table(str(path), "csv")
     lines = path.read_text().splitlines()
     row = lines[5].split(",")
     row[0], row[1] = row[1], row[0]  # rows stay permutations, columns break
@@ -582,7 +588,7 @@ def test_validator_refuses_a_wide_csv_row_before_converting_it(tmp_path):
 
 def test_validator_refuses_a_csv_file_at_its_first_extra_row(tmp_path):
     path = tmp_path / "long.csv"
-    export_table(2, str(path), "csv")
+    QuotientLoop(2).export_table(str(path), "csv")
     lines = path.read_text().splitlines()
     # a blank line is skipped; the garbage after the extra row is never read
     path.write_text("\n".join(lines + ["", lines[1], "not a row"]) + "\n")
@@ -614,7 +620,7 @@ def test_validator_refuses_a_bin_file_with_modulus_zero(tmp_path):
     ids=["csv", "bin"],
 )
 def test_validator_refuses_modulus_one(tmp_path, name, data):
-    # a one-element table is a Latin square, but make_quotient refuses m < 2
+    # a one-element table is a Latin square, but QuotientLoop refuses m < 2
     path = tmp_path / name
     path.write_bytes(data)
     with pytest.raises(ValueError, match="m=1 is below 2") as info:
