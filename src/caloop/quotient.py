@@ -11,9 +11,10 @@ forever, so exported artifacts are byte-reproducible.  The m = 2 quotient
 the full automorphism law over all 256^4 quadruples; that check runs on a
 precomputed product table with numpy gathers.
 
-The full check scans all 65 536 inner mappings L_{a,b} once, keeps the
-distinct permutations among them (43 at m = 2), and checks
-L(c * d) = L(c) * L(d) for every pair (c, d) against each distinct map.
+The full check scans all 65 536 inner mappings L_{a,b} once, one b at a
+time, keeps the distinct permutations among them (43 at m = 2), and checks
+L(c * d) = L(c) * L(d) for every pair (c, d) against each distinct map in
+turn, so that no step holds more than a few order x order arrays.
 Whether that law holds depends only on the permutation L, not on the pair
 (a, b) that produced it, so the check still decides every one of the
 256^4 quadruples (a, b, c, d).  The center needs no scan: c is fixed by
@@ -40,7 +41,7 @@ import reprlib
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -250,29 +251,41 @@ class QuotientLoop:
             self._ldiv = ldiv
         return self._ldiv
 
-    def _inner_perms(self, a: int) -> np.ndarray:
-        """perms[b, c] = index of L_{a,b}(c), for one fixed a, all b and c."""
-        t = self.product_table()
-        ldiv = self.left_division_table()
+    def _inner_perms(self) -> Iterator[np.ndarray]:
+        """Yield perms[a, c] = index of L_{a,b}(c), for all a and c, one b at a time.
+
+        L_{a,b}(c) is the z with (a * b) * z = b * (a * c).  The table is
+        copied to intp once per scan, so that row b of the table takes
+        b * (a * c) for every a and c in one gather with no index arithmetic;
+        the division is a second gather, from the raveled division table.
+        Row a divides by a * b, not b * a, which keeps non-commutative
+        tables right.
+        """
+        ldiv = self.left_division_table().ravel()
+        t = self.product_table().astype(np.intp)  # t[a, c] = a * c
         order = self.order
-        ta = t[a].astype(np.intp)  # a * c
-        # flat gathers: row r, column k of a table is entry r * order + k
-        mid = np.take(t, np.arange(0, order * order, order)[:, None] + ta)  # b * (a * c)
-        return np.take(ldiv, (ta * order)[:, None] + mid)  # divide by b * a (= a * b)
+        for b in range(order):
+            mid = t[b].take(t)  # [a, c] = b * (a * c)
+            mid += (t[:, b] * order)[:, None]  # flat index of row a * b, column mid
+            yield ldiv.take(mid)
 
     def _distinct_inner_maps(self) -> np.ndarray:
         """k x order array of the distinct inner mappings L_{a,b}; cached.
 
         Rows are permutations of the element indices, in order of first
-        appearance scanning a, then b.  Duplicates are found by comparing
-        the rows' bytes exactly.
+        appearance scanning b, then a.  Duplicates are found by comparing
+        the rows' bytes exactly: each block of ``_inner_perms`` is turned
+        into one bytes buffer and sliced into rows.
         """
         if self._inner_maps is None:
             order = self.order
-            rows = dict.fromkeys(  # insertion-ordered set of each row's bytes
-                row.tobytes() for a in range(order) for row in self._inner_perms(a)
-            )
             dtype = self.product_table().dtype
+            width = order * dtype.itemsize
+            rows = dict.fromkeys(  # insertion-ordered set of each row's bytes
+                buf[i:i + width]
+                for buf in (perms.tobytes() for perms in self._inner_perms())
+                for i in range(0, len(buf), width)
+            )
             self._inner_maps = np.frombuffer(b"".join(rows), dtype=dtype).reshape(-1, order)
         return self._inner_maps
 
@@ -283,10 +296,10 @@ class QuotientLoop:
         exactly when (a * b) * c = b * (a * c).  This tests that equation for
         every a, b and c on the product table itself, with no division table
         and no inner-map scan.  On a table whose rows are permutations, as
-        ``_inner_perms`` assumes, left division by a * b is one-to-one, so
-        the c that satisfy it are exactly the fixed points of L_{a,b}; the
-        row a * b (not b * a) keeps the two definitions equal on
-        non-commutative tables too.
+        the division table behind ``_inner_perms`` assumes, left division by
+        a * b is one-to-one, so the c that satisfy it are exactly the fixed
+        points of L_{a,b}; both divide by the row a * b, not b * a, which
+        keeps the two definitions equal on non-commutative tables too.
         """
         t = self.product_table()
         t_cols = np.ascontiguousarray(t.T)  # t_cols[y, x] = x * y
@@ -362,19 +375,12 @@ class QuotientLoop:
 
     def _check_automorphic_full(self, report: "QuotientReport") -> None:
         t = self.product_table()
-        order = self.order
         maps = self._distinct_inner_maps()
-        ok = True
-        # at most `order` maps per gather bounds memory at order^3 entries
-        for start in range(0, len(maps), order):
-            perms = maps[start:start + order]
-            lhs = perms[:, t]  # L(c * d)
-            rhs = t[perms[:, :, None], perms[:, None, :]]  # L(c) * L(d)
-            if not np.array_equal(lhs, rhs):
-                ok = False
-                break
-        report.checks["automorphism-full"] = ok
-        report.counts["quadruples-checked"] = order ** 4
+        # L(c * d) = L(c) * L(d) for every c and d, one map at a time
+        report.checks["automorphism-full"] = all(
+            np.array_equal(p[t], t[p][:, p]) for p in maps
+        )
+        report.counts["quadruples-checked"] = self.order ** 4
         report.counts["distinct-inner-maps"] = len(maps)
 
     # -- export -----------------------------------------------------------------

@@ -7,6 +7,9 @@ fails the criterion.
 
 import time
 
+import numpy as np
+
+from caloop import quotient
 from caloop.arith import alpha, beta
 from caloop.calculus import assoc_coords
 from caloop.core import Elem8, basis, inv_coords, left_div_coords, mul_coords
@@ -14,6 +17,7 @@ from caloop.quotient import QuotientLoop
 from caloop.symbolic import mutated_product_polys, verify_all, verify_identity
 from caloop.words import evaluate, format_canonical, parse
 
+import support
 from support import GOLDEN_WORDS, SEED, ZERO8, PowCache, make_rng, mulmany
 
 E = {i: tuple(basis(i)) for i in range(1, 9)}
@@ -66,66 +70,112 @@ def test_criterion_3_free_relation_table():
     _report(3, "all six generator associator relations hold exactly")
 
 
-def test_criterion_4_numeric_power_suites():
+def _same(x, y) -> bool:
+    """x == y coordinate by coordinate, on int tuples and int64 columns alike.
+
+    Broadcasting matters: ``assoc_coords`` returns the int 0 in coordinates
+    1-2, and ``np.array_equal(0, column)`` is False even for a zero column.
+    """
+    return all(np.all(u == v) for u, v in zip(x, y, strict=True))
+
+
+def _check_power_laws(a, b, c, assoc) -> None:
+    """The single-power laws (n in [-6, 6]) and the triple-power law (i, j, k
+    in [-4, 4]) at (a, b, c), whose coordinates are ints or int64 columns;
+    powers come from the ``PowCache`` recurrences."""
+    t = assoc(a, b, c)
+    base = {
+        ("a", "a"): PowCache(assoc(t, a, a)),
+        ("a", "b"): PowCache(assoc(t, a, b)),
+        ("a", "c"): PowCache(assoc(t, a, c)),
+        ("b", "a"): PowCache(assoc(t, b, a)),
+        ("b", "b"): PowCache(assoc(t, b, b)),
+        ("b", "c"): PowCache(assoc(t, b, c)),
+        ("c", "a"): PowCache(assoc(t, c, a)),
+        ("c", "b"): PowCache(assoc(t, c, b)),
+        ("c", "c"): PowCache(assoc(t, c, c)),
+    }
+    pt = PowCache(t)
+    pa, pb, pc = PowCache(a), PowCache(b), PowCache(c)
+
+    for n in range(-6, 7):
+        an, bn = alpha(n), beta(n)
+        assert _same(assoc(pa.get(n), b, c), mulmany(
+            [pt.get(n), base["a", "a"].get(an),
+             base["a", "b"].get(bn), base["a", "c"].get(bn)]
+        ))
+        assert _same(assoc(a, pb.get(n), c), mulmany(
+            [pt.get(n), base["b", "b"].get(an),
+             base["b", "a"].get(bn), base["b", "c"].get(bn)]
+        ))
+        assert _same(assoc(a, b, pc.get(n)), mulmany(
+            [pt.get(n), base["c", "c"].get(an),
+             base["c", "a"].get(bn), base["c", "b"].get(bn)]
+        ))
+
+    for i in range(-4, 5):
+        ai, bi = alpha(i), beta(i)
+        xi = pa.get(i)
+        for j in range(-4, 5):
+            aj, bj = alpha(j), beta(j)
+            yj = pb.get(j)
+            for k in range(-4, 5):
+                ak, bk = alpha(k), beta(k)
+                lhs = assoc(xi, yj, pc.get(k))
+                rhs = mulmany([
+                    pt.get(i * j * k),
+                    base["a", "a"].get(ai * j * k),
+                    base["a", "b"].get(bi * j * j * k),
+                    base["a", "c"].get(bi * j * k * k),
+                    base["b", "a"].get(i * bj * k),
+                    base["b", "b"].get(i * aj * k),
+                    base["b", "c"].get(i * bj * k * k),
+                    base["c", "a"].get(i * j * bk),
+                    base["c", "b"].get(i * j * bk),
+                    base["c", "c"].get(i * j * ak),
+                ])
+                assert _same(lhs, rhs)
+
+
+def test_criterion_4_numeric_power_suites(monkeypatch):
     rng = make_rng(1004)
     tuples = 1000
     start = time.perf_counter()
-    for _ in range(tuples):
-        a = tuple(rng.randint(-4, 4) for _ in range(8))
-        b = tuple(rng.randint(-4, 4) for _ in range(8))
-        c = tuple(rng.randint(-4, 4) for _ in range(8))
-        t = assoc_coords(a, b, c)
-        base = {
-            ("a", "a"): PowCache(assoc_coords(t, a, a)),
-            ("a", "b"): PowCache(assoc_coords(t, a, b)),
-            ("a", "c"): PowCache(assoc_coords(t, a, c)),
-            ("b", "a"): PowCache(assoc_coords(t, b, a)),
-            ("b", "b"): PowCache(assoc_coords(t, b, b)),
-            ("b", "c"): PowCache(assoc_coords(t, b, c)),
-            ("c", "a"): PowCache(assoc_coords(t, c, a)),
-            ("c", "b"): PowCache(assoc_coords(t, c, b)),
-            ("c", "c"): PowCache(assoc_coords(t, c, c)),
-        }
-        pt = PowCache(t)
-        pa, pb, pc = PowCache(a), PowCache(b), PowCache(c)
+    drawn = [
+        tuple(tuple(rng.randint(-4, 4) for _ in range(8)) for _ in range(3))
+        for _ in range(tuples)
+    ]
+    # a few tuples on exact Python ints, the rest alongside them on int64
+    # columns: one kernel call then covers all the tuples at once
+    for a, b, c in drawn[:3]:
+        _check_power_laws(a, b, c, assoc_coords)
 
-        for n in range(-6, 7):
-            an, bn = alpha(n), beta(n)
-            assert assoc_coords(pa.get(n), b, c) == mulmany(
-                [pt.get(n), base["a", "a"].get(an),
-                 base["a", "b"].get(bn), base["a", "c"].get(bn)]
-            )
-            assert assoc_coords(a, pb.get(n), c) == mulmany(
-                [pt.get(n), base["b", "b"].get(an),
-                 base["b", "a"].get(bn), base["b", "c"].get(bn)]
-            )
-            assert assoc_coords(a, b, pc.get(n)) == mulmany(
-                [pt.get(n), base["c", "c"].get(an),
-                 base["c", "a"].get(bn), base["c", "b"].get(bn)]
-            )
+    # every operand of a kernel call is a drawn tuple or the output of an
+    # earlier call.  If the kernel cannot overflow int64 on operands within
+    # the largest |value| seen in each of the eight coordinates, then the
+    # first call to overflow would have had exact operands within those
+    # bounds: there is none, and every value is exact
+    largest = [0] * 8
 
-        for i in range(-4, 5):
-            ai, bi = alpha(i), beta(i)
-            xi = pa.get(i)
-            for j in range(-4, 5):
-                aj, bj = alpha(j), beta(j)
-                yj = pb.get(j)
-                for k in range(-4, 5):
-                    ak, bk = alpha(k), beta(k)
-                    lhs = assoc_coords(xi, yj, pc.get(k))
-                    rhs = mulmany([
-                        pt.get(i * j * k),
-                        base["a", "a"].get(ai * j * k),
-                        base["a", "b"].get(bi * j * j * k),
-                        base["a", "c"].get(bi * j * k * k),
-                        base["b", "a"].get(i * bj * k),
-                        base["b", "b"].get(i * aj * k),
-                        base["b", "c"].get(i * bj * k * k),
-                        base["c", "a"].get(i * j * bk),
-                        base["c", "b"].get(i * j * bk),
-                        base["c", "c"].get(i * j * ak),
-                    ])
-                    assert lhs == rhs
+    def recorded(kernel):
+        def run(*operands):
+            for x in operands:
+                for k, v in enumerate(x):
+                    largest[k] = max(largest[k], int(np.abs(v).max()))
+            return kernel(*operands)
+        return run
+
+    monkeypatch.setattr(support, "mul_coords", recorded(mul_coords))  # PowCache and mulmany
+    a, b, c = (
+        tuple(np.array(col, dtype=np.int64) for col in zip(*elems))
+        for elems in zip(*drawn)
+    )
+    _check_power_laws(a, b, c, recorded(assoc_coords))
+    peak = [0]
+    bound = tuple(quotient._Magnitude(m, peak) for m in largest)
+    mul_coords(bound, bound)
+    assoc_coords(bound, bound, bound)
+    assert peak[0] <= quotient._INT64_MAX, f"int64 columns could overflow: {peak[0]}"
 
     # the six compounded generator associators collapse to two values
     assert (

@@ -295,19 +295,46 @@ def test_full_check_fails_on_a_tampered_table():
     assert not report.passed
     assert not report.checks["automorphism-full"]
     assert report.counts["distinct-inner-maps"] == 132
-    # reference: the center from every L_{a,b}, one value of a at a time
-    fixed = np.ones(256, dtype=bool)
-    for a in range(256):
-        fixed &= (q._inner_perms(a) == idx[None, :]).all(axis=0)
-    assert q.center_indices() == [int(i) for i in np.nonzero(fixed)[0]] == [0, 3]
+    assert q.center_indices() == _fixed_by_every_inner_map(q) == [0, 3]
 
 
 def _fixed_by_every_inner_map(q: QuotientLoop) -> list:
+    """Reference center: the c fixed by every L_{a,b}, one value of b at a time."""
     idx = np.arange(q.order)
     fixed = np.ones(q.order, dtype=bool)
-    for a in range(q.order):
-        fixed &= (q._inner_perms(a) == idx[None, :]).all(axis=0)
+    for perms in q._inner_perms():  # perms[a, c] = L_{a,b}(c)
+        fixed &= (perms == idx[None, :]).all(axis=0)
     return [int(i) for i in np.nonzero(fixed)[0]]
+
+
+def test_distinct_inner_maps_match_an_a_major_reference_scan():
+    # L_{a,b}(c) for one a and every b, c by two flat gathers, as a scan by a
+    # computes it; the b-major scan must find the same set of permutations
+    q = QuotientLoop(2)
+    t, ldiv, order = q.product_table(), q.left_division_table(), q.order
+    reference = set()
+    for a in range(order):
+        ta = t[a].astype(np.intp)  # [b] = a * b, and [c] = a * c
+        mid = np.take(t, np.arange(0, order * order, order)[:, None] + ta)  # [b, c] = b * (a * c)
+        perms = np.take(ldiv, (ta * order)[:, None] + mid)  # divide by a * b
+        reference.update(row.tobytes() for row in perms)
+    maps = q._distinct_inner_maps()
+    assert len(maps) == len(reference) == 43
+    assert {row.tobytes() for row in maps} == reference
+
+
+def test_full_check_stays_within_its_memory_bound():
+    # a fresh check builds both tables and scans the inner maps; checking
+    # the law on up to `order` maps per gather traced about 13.7 MiB
+    q = QuotientLoop(2)
+    tracemalloc.start()
+    try:
+        report = q.exhaustive_check("automorphic-full")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 << 20
 
 
 _IDX = np.arange(256)
