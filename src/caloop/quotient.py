@@ -26,8 +26,8 @@ index maps) is written once on coordinate tuples and runs unchanged on
 tuples of int64 numpy arrays, since the kernel formulas use only + - * and
 an exact // 3; ``inner_l`` is the closed form
 :func:`caloop.calculus.inner_l_coords`, reduced mod m.  The product table
-is one broadcast call of that code over all pairs, and the sampled check
-evaluates its trials a chunk at a time.
+and the sampled check make at most ARRAY_CHUNK kernel evaluations per array
+call.  A loop caches its product table and nothing else.
 Every array path first checks that no intermediate of the kernel can
 overflow int64 at the modulus (:func:`_intermediate_bound`).
 """
@@ -41,7 +41,7 @@ import reprlib
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,10 +68,10 @@ MAX_TABLE_ORDER = 256
 # trials the sampled check may run: it costs ~2 us per trial at any modulus
 # the int64 guard admits (2-CPU host), so the largest run takes ~2 s
 MAX_SAMPLED_TRIALS = 10 ** 6
-# trials evaluated per array call in the sampled check; bounds its memory
-SAMPLE_CHUNK = 2048
-# rows of the product table built per array call; bounds its memory
-TABLE_BLOCK_ROWS = 8
+# kernel evaluations per array call, which bounds their memory: the sampled
+# check runs this many trials per call, and the product table this many
+# products, ARRAY_CHUNK // order rows (8 at m = 2)
+ARRAY_CHUNK = 2048
 
 
 class BudgetExceeded(ValueError):
@@ -154,8 +154,6 @@ class QuotientLoop:
         self.modulus = modulus
         self.order = modulus ** 8
         self._table: Optional[np.ndarray] = None
-        self._ldiv: Optional[np.ndarray] = None
-        self._inner_maps: Optional[np.ndarray] = None
 
     # -- element arithmetic -------------------------------------------------
     #
@@ -218,7 +216,7 @@ class QuotientLoop:
     def product_table(self) -> np.ndarray:
         """order x order table of element indices; cached after first build.
 
-        A broadcast product of a block of TABLE_BLOCK_ROWS elements with
+        A broadcast product of a block of ARRAY_CHUNK // order elements with
         every element, block after block, so the product's int64
         intermediates stay the size of a block, not of the table.  The
         indices stay below order, which the table budget keeps within uint16.
@@ -232,62 +230,52 @@ class QuotientLoop:
         if self._table is None:
             self._require_int64("product table")
             order = self.order
+            rows = ARRAY_CHUNK // order
             cols = self.element_coords(np.arange(order, dtype=np.int64))
             every = [c[None, :] for c in cols]
             table = np.empty((order, order), dtype=np.uint16)
-            for start in range(0, order, TABLE_BLOCK_ROWS):
-                block = slice(start, start + TABLE_BLOCK_ROWS)
+            for start in range(0, order, rows):
+                block = slice(start, start + rows)
                 table[block] = self.element_index(mul_coords([c[block, None] for c in cols], every))
             self._table = table
         return self._table
 
     def left_division_table(self) -> np.ndarray:
         """ldiv[a, t[a, b]] = b, the row-inverse of the product table."""
-        if self._ldiv is None:
-            t = self.product_table()
-            order = self.order
-            ldiv = np.empty_like(t)
-            ldiv[np.arange(order)[:, None], t] = np.arange(order, dtype=t.dtype)[None, :]
-            self._ldiv = ldiv
-        return self._ldiv
-
-    def _inner_perms(self) -> Iterator[np.ndarray]:
-        """Yield perms[a, c] = index of L_{a,b}(c), for all a and c, one b at a time.
-
-        L_{a,b}(c) is the z with (a * b) * z = b * (a * c).  The table is
-        copied to intp once per scan, so that row b of the table takes
-        b * (a * c) for every a and c in one gather with no index arithmetic;
-        the division is a second gather, from the raveled division table.
-        Row a divides by a * b, not b * a, which keeps non-commutative
-        tables right.
-        """
-        ldiv = self.left_division_table().ravel()
-        t = self.product_table().astype(np.intp)  # t[a, c] = a * c
-        order = self.order
-        for b in range(order):
-            mid = t[b].take(t)  # [a, c] = b * (a * c)
-            mid += (t[:, b] * order)[:, None]  # flat index of row a * b, column mid
-            yield ldiv.take(mid)
+        t = self.product_table()
+        ldiv = np.empty_like(t)
+        ldiv[np.arange(self.order)[:, None], t] = np.arange(self.order, dtype=t.dtype)[None, :]
+        return ldiv
 
     def _distinct_inner_maps(self) -> np.ndarray:
-        """k x order array of the distinct inner mappings L_{a,b}; cached.
+        """k x order array of the distinct inner mappings L_{a,b}.
+
+        L_{a,b}(c) is the z with (a * b) * z = b * (a * c).  The scan takes
+        one b at a time.  The table is copied to intp once, so that row b of
+        the table takes b * (a * c) for every a and c in one gather with no
+        index arithmetic; the division is a second gather, from the raveled
+        division table.  Row a divides by a * b, not b * a, which keeps
+        non-commutative tables right.
 
         Rows are permutations of the element indices, in order of first
         appearance scanning b, then a.  Duplicates are found by comparing
-        the rows' bytes exactly: each block of ``_inner_perms`` is turned
-        into one bytes buffer and sliced into rows.
+        the rows' bytes exactly: each b's block of maps is turned into one
+        bytes buffer and sliced into rows.
         """
-        if self._inner_maps is None:
-            order = self.order
-            dtype = self.product_table().dtype
-            width = order * dtype.itemsize
-            rows = dict.fromkeys(  # insertion-ordered set of each row's bytes
-                buf[i:i + width]
-                for buf in (perms.tobytes() for perms in self._inner_perms())
-                for i in range(0, len(buf), width)
-            )
-            self._inner_maps = np.frombuffer(b"".join(rows), dtype=dtype).reshape(-1, order)
-        return self._inner_maps
+        t = self.product_table()
+        ldiv = self.left_division_table().ravel()
+        ti = t.astype(np.intp)  # ti[a, c] = a * c
+        order = self.order
+        width = order * t.dtype.itemsize
+        rows = {}  # insertion-ordered set of each row's bytes
+        for b in range(order):
+            mid = ti[b].take(ti)  # [a, c] = b * (a * c)
+            mid += (ti[:, b] * order)[:, None]  # flat index of row a * b, column mid
+            buf = ldiv.take(mid).tobytes()  # [a, c] = L_{a,b}(c)
+            del mid  # release this b's index block before the next is built
+            for i in range(0, len(buf), width):
+                rows[buf[i:i + width]] = None
+        return np.frombuffer(b"".join(rows), dtype=t.dtype).reshape(-1, order)
 
     def center_indices(self) -> list:
         """Brute-force center: elements fixed by every inner mapping L_{a,b}.
@@ -296,7 +284,7 @@ class QuotientLoop:
         exactly when (a * b) * c = b * (a * c).  This tests that equation for
         every a, b and c on the product table itself, with no division table
         and no inner-map scan.  On a table whose rows are permutations, as
-        the division table behind ``_inner_perms`` assumes, left division by
+        the division table of the inner-map scan assumes, left division by
         a * b is one-to-one, so the c that satisfy it are exactly the fixed
         points of L_{a,b}; both divide by the row a * b, not b * a, which
         keeps the two definitions equal on non-commutative tables too.
@@ -355,15 +343,15 @@ class QuotientLoop:
         Each trial takes 32 little-endian 32-bit words from
         random.Random(seed).randbytes, the 8 coordinates of a, b, c, then d,
         and maps each word x to the residue (x * m) >> 32; the bias is at
-        most m / 2^32.  A chunk of at most SAMPLE_CHUNK trials is drawn in one
+        most m / 2^32.  A chunk of at most ARRAY_CHUNK trials is drawn in one
         call and evaluated at once.
         """
         self._require_int64("sampled automorphism check")
         rng = random.Random(seed)
         m = np.uint64(self.modulus)
         bad = 0
-        for start in range(0, trials, SAMPLE_CHUNK):
-            n = min(SAMPLE_CHUNK, trials - start)
+        for start in range(0, trials, ARRAY_CHUNK):
+            n = min(ARRAY_CHUNK, trials - start)
             words = np.frombuffer(rng.randbytes(4 * 32 * n), dtype="<u4")
             draws = ((words.astype(np.uint64) * m) >> np.uint64(32)).astype(np.int64)
             # draws[trial, element, coordinate] -> one array per (element, coordinate)
@@ -422,9 +410,10 @@ def _table_checks(t: np.ndarray) -> dict:
 class QuotientReport:
     """Outcome of a brute-force quotient check.
 
-    ``millis`` is the wall time of the call that made the report.  Tables and
-    inner maps that an earlier call cached on the same loop are reused and
-    not timed again, so on a fresh loop it is the full cost of the check.
+    ``millis`` is the wall time of the call that made the report.  A product
+    table that an earlier call built on the same loop is reused and not timed
+    again; nothing else is cached, so on a fresh loop it is the full cost of
+    the check.
     """
 
     modulus: int

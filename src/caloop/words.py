@@ -511,27 +511,11 @@ def format_canonical(a: Elem8) -> str:
     the two groups; central v-factors follow unparenthesized.  Factors with
     exponent 0 are omitted and the empty word prints as "1".
     """
-    xy = [f for f in (_factor("x", a[0]), _factor("y", a[1])) if f]
-    us = [f for f in (_factor("u1", a[2]), _factor("u2", a[3])) if f]
-    vs = [
-        f
-        for f in (
-            _factor("v1", a[4]),
-            _factor("v2", a[5]),
-            _factor("v3", a[6]),
-            _factor("v4", a[7]),
-        )
-        if f
-    ]
-    if xy and us:
-        head = " ".join(xy) + " . " + " ".join(us)
-        head_count = len(xy) + len(us)
-    else:
-        head = " ".join(xy or us)
-        head_count = len(xy) + len(us)
-    if head_count >= 2:
+    # _GENERATORS names the coordinates in order; _factor gives None for exponent 0
+    x, y, u1, u2, v1, v2, v3, v4 = map(_factor, _GENERATORS, a)
+    xy = " ".join(filter(None, (x, y)))
+    us = " ".join(filter(None, (u1, u2)))
+    head = " . ".join(filter(None, (xy, us)))
+    if " " in head:  # two or more factors
         head = f"({head})"
-    parts = ([head] if head else []) + vs
-    if not parts:
-        return "1"
-    return " ".join(parts)
+    return " ".join(filter(None, (head, v1, v2, v3, v4))) or "1"

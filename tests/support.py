@@ -27,7 +27,8 @@ class PowCache:
     """Shared iterated-multiplication powers of one element.
 
     Uses exactly the recurrences p^(n+1) = p^n * p and p^-(n+1) = p^-n * p^-1,
-    so cached values agree with pow_coords by construction.
+    so cached values are built from the product alone; criterion 4 checks
+    them against the closed form pow_coords.
     """
 
     def __init__(self, base):

@@ -12,7 +12,9 @@ import numpy as np
 from caloop import quotient
 from caloop.arith import alpha, beta
 from caloop.calculus import assoc_coords
-from caloop.core import Elem8, basis, inv_coords, left_div_coords, mul_coords
+from caloop.core import (
+    Elem8, basis, inv_coords, left_div_coords, mul_coords, pow_closed_form, pow_coords,
+)
 from caloop.quotient import QuotientLoop
 from caloop.symbolic import mutated_product_polys, verify_all, verify_identity
 from caloop.words import evaluate, format_canonical, parse
@@ -82,7 +84,9 @@ def _same(x, y) -> bool:
 def _check_power_laws(a, b, c, assoc) -> None:
     """The single-power laws (n in [-6, 6]) and the triple-power law (i, j, k
     in [-4, 4]) at (a, b, c), whose coordinates are ints or int64 columns;
-    powers come from the ``PowCache`` recurrences."""
+    powers come from the ``PowCache`` recurrences, and the powers of a, b, c
+    and t = (a, b, c) for n in [-6, 6] equal ``pow_coords`` in all eight
+    coordinates."""
     t = assoc(a, b, c)
     base = {
         ("a", "a"): PowCache(assoc(t, a, a)),
@@ -99,6 +103,10 @@ def _check_power_laws(a, b, c, assoc) -> None:
     pa, pb, pc = PowCache(a), PowCache(b), PowCache(c)
 
     for n in range(-6, 7):
+        # the laws below compare only values that a wrong product can leave
+        # alone; the iterated powers against the closed form catch it
+        for p in (pa, pb, pc, pt):
+            assert _same(p.get(n), pow_coords(p.base, n))
         an, bn = alpha(n), beta(n)
         assert _same(assoc(pa.get(n), b, c), mulmany(
             [pt.get(n), base["a", "a"].get(an),
@@ -151,10 +159,11 @@ def test_criterion_4_numeric_power_suites(monkeypatch):
         _check_power_laws(a, b, c, assoc_coords)
 
     # every operand of a kernel call is a drawn tuple or the output of an
-    # earlier call.  If the kernel cannot overflow int64 on operands within
-    # the largest |value| seen in each of the eight coordinates, then the
-    # first call to overflow would have had exact operands within those
-    # bounds: there is none, and every value is exact
+    # earlier call; the bases given to pow_coords are a, b, c and t, each an
+    # operand of a recorded associator call.  If the kernel cannot overflow
+    # int64 on operands within the largest |value| seen in each of the eight
+    # coordinates, then the first call to overflow would have had exact
+    # operands within those bounds: there is none, and every value is exact
     largest = [0] * 8
 
     def recorded(kernel):
@@ -175,6 +184,8 @@ def test_criterion_4_numeric_power_suites(monkeypatch):
     bound = tuple(quotient._Magnitude(m, peak) for m in largest)
     mul_coords(bound, bound)
     assoc_coords(bound, bound, bound)
+    for n in range(-6, 7):
+        pow_closed_form(bound, n)
     assert peak[0] <= quotient._INT64_MAX, f"int64 columns could overflow: {peak[0]}"
 
     # the six compounded generator associators collapse to two values
