@@ -1,4 +1,4 @@
-"""The exponent maps alpha and beta.
+"""The exponent maps alpha and beta, and :class:`Magnitude` bounds on the kernel.
 
 alpha(n) = (n^3 - n)/3 and beta(n) = n^2 - n are the exponents of the
 paper's power formulas.  The kernel in :mod:`caloop.core` inlines them in
@@ -10,7 +10,7 @@ nothing is ever rounded.
 
 from __future__ import annotations
 
-__all__ = ["alpha", "beta"]
+__all__ = ["alpha", "beta", "Magnitude"]
 
 
 def alpha(n: int) -> int:
@@ -25,3 +25,37 @@ def alpha(n: int) -> int:
 def beta(n: int) -> int:
     """Return n^2 - n."""
     return n * n - n
+
+
+class Magnitude:
+    """An upper bound on |x|, carried through the kernel's + - * and exact // 3.
+
+    |x + y| and |x - y| are at most |x| + |y|, |x * y| is |x| |y|, and an
+    exact x // 3 is |x| / 3, so running the kernel on magnitudes bounds every
+    value the same run forms on integers.  ``peak`` holds the largest bound.
+    """
+
+    __slots__ = ("bound", "peak")
+
+    def __init__(self, bound: int, peak: list):
+        self.bound = bound
+        self.peak = peak
+        if bound > peak[0]:
+            peak[0] = bound
+
+    def __add__(self, other) -> "Magnitude":
+        return Magnitude(self.bound + _magnitude(other), self.peak)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other) -> "Magnitude":
+        return Magnitude(self.bound * _magnitude(other), self.peak)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other: int) -> "Magnitude":
+        return Magnitude(-(-self.bound // abs(other)), self.peak)
+
+
+def _magnitude(x) -> int:
+    return x.bound if isinstance(x, Magnitude) else abs(x)

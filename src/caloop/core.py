@@ -157,7 +157,7 @@ def pow_coords(a: Sequence[int], n: int) -> Coords8:
     """n-th power a^n for an integer n; TypeError for any other n.
 
     Evaluates :func:`pow_closed_form` after ``operator.index(n)``, the same
-    check ``range(n)`` makes.
+    check ``range(n)`` makes; ``a`` may hold ints or polynomials.
     """
     return pow_closed_form(a, operator.index(n))
 

@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import Magnitude
 from .calculus import inner_l_coords
 from .core import left_div_coords, mul_coords, pow_coords
 from .quotient_options import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS
@@ -78,40 +79,6 @@ class BudgetExceeded(ValueError):
     """Raised when a requested enumeration is over the configured budget."""
 
 
-class _Magnitude:
-    """An upper bound on |x|, carried through the kernel's + - * and exact // 3.
-
-    |x + y| and |x - y| are at most |x| + |y|, |x * y| is |x| |y|, and an
-    exact x // 3 is |x| / 3, so running the kernel on magnitudes bounds every
-    value the same run forms on integers.  ``peak`` holds the largest bound.
-    """
-
-    __slots__ = ("bound", "peak")
-
-    def __init__(self, bound: int, peak: list):
-        self.bound = bound
-        self.peak = peak
-        if bound > peak[0]:
-            peak[0] = bound
-
-    def __add__(self, other) -> "_Magnitude":
-        return _Magnitude(self.bound + _magnitude(other), self.peak)
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other) -> "_Magnitude":
-        return _Magnitude(self.bound * _magnitude(other), self.peak)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other: int) -> "_Magnitude":
-        return _Magnitude(-(-self.bound // abs(other)), self.peak)
-
-
-def _magnitude(x) -> int:
-    return x.bound if isinstance(x, _Magnitude) else abs(x)
-
-
 def _intermediate_bound(m: int) -> int:
     """Largest |value| that ``mul_coords``, ``left_div_coords`` or
     ``inner_l_coords`` can form on coordinates in (-m, m), including every
@@ -121,7 +88,7 @@ def _intermediate_bound(m: int) -> int:
     the formulas: it grows like m^5, the degree of the product polynomial.
     """
     peak = [0]
-    x = tuple(_Magnitude(m - 1, peak) for _ in range(8))
+    x = tuple(Magnitude(m - 1, peak) for _ in range(8))
     mul_coords(x, x)
     left_div_coords(x, x)  # runs the product on its own, larger, intermediates
     inner_l_coords(x, x, x)

@@ -9,10 +9,8 @@ polynomial vanishing identically over the rationals vanishes at every
 integer point.
 
 A generic element is a plain 8-tuple of :class:`~caloop.poly.Polynomial`
-coordinates, and the expansion runs the shipped kernel itself on it:
-:func:`caloop.core.mul_coords`, :func:`caloop.core.left_div_coords`,
-:func:`caloop.core.mul4_coords`, :func:`caloop.core.inv_coords` and
-:func:`caloop.core.pow_closed_form` are called on those tuples, so the
+coordinates, and the expansion runs the shipped kernel itself on it (the
+product, division, inverse and power of :mod:`caloop.core`), so the
 catalog proves the code that the integer, quotient and parser layers run,
 not a copy of it.
 
@@ -21,14 +19,14 @@ grammar of :mod:`caloop.words` over the law's variables, such as
 ``innL(a, b, c * d) = innL(a, b, c) * innL(a, b, d)``; it is both the
 entry's summary and what is expanded.  A law text may also name the
 generators ``x``, ``y``, ``u1`` ... ``v4``, which expand as constants.
-Its products, ``ldiv``, ``assoc`` and ``innL`` run through :class:`SymLoopOps`, so the mutation run reaches
-them; ``inv`` and powers run :func:`caloop.core.inv_coords` and
-:func:`caloop.core.pow_closed_form`.  The entries that compare selected
-coordinates or need exponent arithmetic keep a builder under ``@_law``.
-The ``power-*`` entries take the exponent n as one more variable; together
-they prove that the closed-form power equals the iterated product for every
-integer n.  ``associator-formula`` and ``inner-map-formula`` prove
-:func:`caloop.calculus.assoc_coords` and
+Laws and loop words share one walker, ``caloop.words._value``: words run
+on the integer kernel, and laws on :class:`SymLoopOps`, whose products,
+``ldiv``, ``assoc`` and ``innL`` the mutation run reaches.  The entries
+that compare selected coordinates or need exponent arithmetic keep a
+builder under ``@_law``.  The ``power-*`` entries take the exponent n as
+one more variable; together they prove that the closed-form power equals
+the iterated product for every integer n.  ``associator-formula`` and
+``inner-map-formula`` prove :func:`caloop.calculus.assoc_coords` and
 :func:`caloop.calculus.inner_l_coords` equal to their defining equations,
 which :class:`SymLoopOps` solves by left division through its bound
 product.  ``inverse-negation`` states a * inv(a) = 1 with products only;
@@ -49,8 +47,7 @@ from . import poly
 from .calculus import assoc_coords, inner_l_coords
 from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
-from .words import Assoc, Expr, Generator, InnerL, Inverse, LeftDiv, Literal, Power, Product
-from .words import evaluate, parse_with_warnings
+from .words import Generator, _IntKernel, _value, parse_with_warnings
 
 __all__ = [
     "SymLoopOps",
@@ -80,9 +77,9 @@ def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> t
 class SymLoopOps:
     """Loop operations on 8-tuples of polynomials, bound to one product formula.
 
-    Only the operations that run the product live here, so that the mutation
-    run reaches them; the laws call the closed-form inverse and power of
-    :mod:`caloop.core` directly.
+    The kernel that laws are walked on: the operations that run the product,
+    so that the mutation run reaches them, and the walker's constants and
+    bound.  Inverses and powers are the closed forms of :mod:`caloop.core`.
     """
 
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
@@ -91,6 +88,12 @@ class SymLoopOps:
 
     def constant(self, coords: Sequence[int]) -> tuple:
         return tuple(Polynomial.const(self.table, c) for c in coords)
+
+    def generator(self, name: str) -> tuple:
+        return self.constant(_IntKernel.generator(name))
+
+    def bound(self, value: tuple) -> tuple:  # none: poly.TERM_LIMIT bounds the work
+        return value
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return self.product(a, b)
@@ -209,37 +212,6 @@ def _place(pair: Sequence, slot: int, w) -> tuple:
     return (*pair[:slot], w, *pair[slot:])
 
 
-# the SymLoopOps method that each node running the product expands through
-_OPS = {Product: "mul", LeftDiv: "left_divide", Assoc: "associator", InnerL: "inner_l"}
-
-
-def _expand(ops: SymLoopOps, expr: Expr, memo: dict) -> tuple:
-    """The generic element that a subterm of a law denotes.
-
-    `memo` maps every subterm of the law expanded so far, its variables
-    included, to its value, so a subterm written several times is expanded
-    once.  Any other generator, ``x``, ``y``, ``u1`` ... ``v4``, is its
-    constant basis element; :func:`caloop.words.evaluate` raises
-    ``ValueError`` for an unknown name.
-    """
-    value = memo.get(expr)
-    if value is None:
-        kind = type(expr)
-        if kind is Literal:
-            value = ops.constant(expr.coords)
-        elif kind is Generator:
-            value = ops.constant(evaluate(expr))
-        elif kind is Inverse:
-            value = inv_coords(_expand(ops, expr.arg, memo))
-        elif kind is Power:
-            value = pow_closed_form(_expand(ops, expr.base, memo), expr.exponent)
-        else:  # the node's fields are its operands, in order
-            method = getattr(ops, _OPS[kind])
-            value = method(*[_expand(ops, operand, memo) for operand in vars(expr).values()])
-        memo[expr] = value
-    return value
-
-
 def _equation(name: str, law: str, elements: str, pins: Optional[dict] = None) -> None:
     """Register the law text `law` as the catalog entry `name`.
 
@@ -258,7 +230,7 @@ def _equation(name: str, law: str, elements: str, pins: Optional[dict] = None) -
     def build(ops, *elems):
         memo = dict(zip(map(Generator, variables), elems))
         return [
-            ops.difference(_expand(ops, lhs, memo), _expand(ops, rhs, memo))
+            ops.difference(_value(lhs, ops, memo), _value(rhs, ops, memo))
             for lhs, rhs in equations
         ]
 
@@ -315,9 +287,7 @@ _equation("middle-nucleus-contains", "assoc(a, n, b) = 1", "a n b", pins={"n": 2
 
 @_law("middle-nucleus-pins", "(x, z, y) vanishes only if z has zero generator exponents", "z")
 def _build_middle_nucleus_pins(ops, z):
-    e1 = ops.constant((1, 0, 0, 0, 0, 0, 0, 0))
-    e2 = ops.constant((0, 1, 0, 0, 0, 0, 0, 0))
-    t = ops.associator(e1, z, e2)
+    t = ops.associator(ops.generator("x"), z, ops.generator("y"))
     # (x, z, y) has x- and y-exponent 0 and u-exponents exactly (z1, z2), so
     # membership in {first two coordinates 0} is equivalent to vanishing.
     return [_pad(ops.table, {0: t[0], 1: t[1], 2: t[2] - z[0], 3: t[3] - z[1]})]
@@ -347,20 +317,19 @@ _equation("center-contains", "innL(a, b, z) = z", "a b z", pins={"z": 4})
 @_law("center-pins", "an element fixed by all inner mappings has zero first four coordinates",
       "z")
 def _build_center_pins(ops, z):
-    e1 = ops.constant((1, 0, 0, 0, 0, 0, 0, 0))
-    e2 = ops.constant((0, 1, 0, 0, 0, 0, 0, 0))
+    x, y = ops.generator("x"), ops.generator("y")
     # (x, x, z) has u1-exponent z2; (y, y, z) has u2-exponent -z1; and once
     # z1 = z2 = 0, (x, x, z) reduces to v1^z3 v2^z4.  An element fixed by
     # every inner mapping kills all three associators, forcing z1..z4 = 0;
     # with center-contains this pins the center to 0 x 0 x 0 x 0 x Z^4.
-    txx = ops.associator(e1, e1, z)
-    tyy = ops.associator(e2, e2, z)
+    txx = ops.associator(x, x, z)
+    tyy = ops.associator(y, y, z)
     zero = Polynomial.zero(ops.table)
     z0 = (zero, zero) + z[2:]  # z with z1 = z2 = 0
     return [
         _pad(ops.table, {2: txx[2] - z[1]}),
         _pad(ops.table, {3: tyy[3] + z[0]}),
-        ops.difference(ops.associator(e1, e1, z0), _pad(ops.table, {4: z[2], 5: z[3]})),
+        ops.difference(ops.associator(x, x, z0), _pad(ops.table, {4: z[2], 5: z[3]})),
     ]
 
 

@@ -37,9 +37,10 @@ product or power multiplies the bit length of a coordinate by up to about
 five.  :func:`evaluate` therefore refuses, with a ``ValueError``, any value
 with a coordinate longer than ``MAX_BITS`` bits.  :func:`check_bits` is that
 check; the CLI's coordinate commands evaluate words over ``Literal`` leaves,
-so it bounds their inputs and results too.
-Evaluation runs on plain coordinate tuples and wraps only the root in an
-:class:`Elem8`.
+so it bounds their inputs and results too.  Evaluation walks plain
+coordinate tuples and wraps only the root in an :class:`Elem8`; the identity
+catalog of :mod:`caloop.symbolic` walks its laws with the same walker on a
+polynomial kernel.
 
 Associators use the named ``assoc(a, b, c)`` form rather than bare tuples
 so parentheses stay unambiguous grouping.
@@ -455,34 +456,52 @@ def evaluate(expr: Expr) -> Elem8:
     Raises ``ValueError`` as soon as a subexpression's value has a
     coordinate longer than ``MAX_BITS`` bits.
     """
-    return Elem8(_value(expr))
+    return Elem8(_value(expr, _IntKernel))
 
 
-def _value(expr: Expr) -> tuple:
-    """The coordinates of an expression, as a plain tuple, bounded at every node."""
+def _value(expr: Expr, kernel, memo: Optional[dict] = None):
+    """The value of an expression on ``kernel``, bounded at every node.
+
+    The one walk over the node types, for loop words and the laws of
+    :mod:`caloop.symbolic`.  ``kernel`` (:class:`_IntKernel` or a
+    :class:`caloop.symbolic.SymLoopOps`) supplies the leaves (``generator``
+    raises ``KeyError`` for an unknown name), the operations that differ
+    between the two and the per-node ``bound``.  ``memo``, if given, maps
+    each subterm walked (and any seeded variable) to its value.
+    """
+    if memo is not None:
+        value = memo.get(expr)
+        if value is not None:
+            return value
     kind = type(expr)
     if kind is Product:
-        value = mul_coords(_value(expr.left), _value(expr.right))
+        value = kernel.mul(_value(expr.left, kernel, memo), _value(expr.right, kernel, memo))
     elif kind is Generator:
         try:
-            return _GENERATORS[expr.name]
+            return kernel.generator(expr.name)  # in bounds, and as cheap as a memo lookup
         except KeyError:
             raise ValueError(f"unknown generator {expr.name!r}") from None
     elif kind is Power:
-        value = pow_coords(_value(expr.base), expr.exponent)
+        value = pow_coords(_value(expr.base, kernel, memo), expr.exponent)
     elif kind is Literal:
-        value = Elem8(expr.coords)  # refuses anything but 8 ints
+        value = kernel.constant(expr.coords)
     elif kind is Inverse:
-        value = inv_coords(_value(expr.arg))
+        value = inv_coords(_value(expr.arg, kernel, memo))
     elif kind is Assoc:
-        value = assoc_coords(_value(expr.a), _value(expr.b), _value(expr.c))
+        value = kernel.associator(_value(expr.a, kernel, memo), _value(expr.b, kernel, memo),
+                                  _value(expr.c, kernel, memo))
     elif kind is InnerL:
-        value = inner_l_coords(_value(expr.a), _value(expr.b), _value(expr.arg))
+        value = kernel.inner_l(_value(expr.a, kernel, memo), _value(expr.b, kernel, memo),
+                               _value(expr.arg, kernel, memo))
     elif kind is LeftDiv:
-        value = left_div_coords(_value(expr.left), _value(expr.right))
+        value = kernel.left_divide(_value(expr.left, kernel, memo),
+                                   _value(expr.right, kernel, memo))
     else:
         raise TypeError(f"not an expression node: {expr!r}")
-    return check_bits(value)
+    value = kernel.bound(value)
+    if memo is not None:
+        memo[expr] = value
+    return value
 
 
 def check_bits(value: tuple) -> tuple:
@@ -494,6 +513,18 @@ def check_bits(value: tuple) -> tuple:
     raise ValueError(
         f"value too large: a coordinate of {bits} bits passes the {MAX_BITS}-bit bound"
     )
+
+
+class _IntKernel:
+    """:func:`evaluate`'s kernel: the integer kernel functions, which tracers can rebind."""
+
+    mul = mul_coords
+    left_divide = left_div_coords
+    associator = assoc_coords
+    inner_l = inner_l_coords
+    constant = Elem8  # refuses anything but 8 ints
+    generator = _GENERATORS.__getitem__
+    bound = check_bits
 
 
 def _factor(name: str, exp: int) -> Optional[str]:

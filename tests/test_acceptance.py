@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from caloop import quotient
-from caloop.arith import alpha, beta
+from caloop.arith import Magnitude, alpha, beta
 from caloop.calculus import assoc_coords
 from caloop.core import (
     Elem8, basis, inv_coords, left_div_coords, mul_coords, pow_closed_form, pow_coords,
@@ -181,7 +181,7 @@ def test_criterion_4_numeric_power_suites(monkeypatch):
     )
     _check_power_laws(a, b, c, recorded(assoc_coords))
     peak = [0]
-    bound = tuple(quotient._Magnitude(m, peak) for m in largest)
+    bound = tuple(Magnitude(m, peak) for m in largest)
     mul_coords(bound, bound)
     assoc_coords(bound, bound, bound)
     for n in range(-6, 7):

@@ -14,7 +14,7 @@ from caloop.symbolic import (
     verify_all,
     verify_identity,
 )
-from caloop.words import Generator, evaluate, parse
+from caloop.words import Generator, _value, evaluate, parse, parse_with_warnings
 
 from support import make_rng
 
@@ -206,6 +206,40 @@ MUTATION_RESIDUALS = {
     "inner-map-formula": 10,
 }
 MUTATION_FLIPS = set(MUTATION_RESIDUALS)
+# str() of each nonzero residual of the flipped entries, all in the v1 coordinate
+MUTATION_RESIDUAL_TEXTS = {
+    "product-expansion-left": [
+        "a1^2*b1*c1*d2 + a1^2*b2*c1*d1 + 2*a1*a2*b1*c1*d1 + a1*b1^2*c1*d2 + 2*a1*b1*b2*c1*d1 + "
+        "2*a1*b1*c1^2*d2 + 2*a1*b1*c1*c2*d1 + 2*a1*b1*c1*d1*d2 - a1*b2*c1*d1^2 + "
+        "a2*b1^2*c1*d1 - a2*b1*c1*d1^2"
+    ],
+    "product-expansion-right": [
+        "a1^2*b1*c1*d2 + a1^2*b1*c2*d1 - 2*a1*a2*b1*c1*d1 - 2*a1*b1*b2*c1*d1 - a1*b1*c1^2*d2 - "
+        "2*a1*b1*c1*c2*d1 - 2*a1*b1*c1*d1*d2 - a1*b1*c2*d1^2 - 2*a2*b1^2*c1*d1 - "
+        "a2*b1*c1^2*d1 - a2*b1*c1*d1^2"
+    ],
+    "product-expansion-middle": [
+        "2*a1^2*b1*c1*d2 + a1^2*b1*c2*d1 + a1^2*b2*c1*d1 + a1*b1^2*c1*d2 + a1*b1*c1^2*d2 - "
+        "a1*b1*c2*d1^2 - a1*b2*c1*d1^2 - a2*b1^2*c1*d1 - a2*b1*c1^2*d1 - 2*a2*b1*c1*d1^2"
+    ],
+    "center-pins": ["z3"],
+    "L-automorphism": [
+        "2*a1^2*b2*c1*d1 + 2*a1*a2*b1*c1*d1 - a1*b1^2*c1*d2 - a1*b1^2*c2*d1 + "
+        "2*a1*b1*b2*c1*d1 + a1*b1*c1^2*d2 + 2*a1*b1*c1*c2*d1 + 2*a1*b1*c1*d1*d2 + "
+        "a1*b1*c2*d1^2 + a1*b2*c1^2*d1 + a1*b2*c1*d1^2"
+    ],
+    "power-recurrence": [
+        "-1/3*a1^4*a2*n^4 + 1/3*a1^4*a2*n^2 + a1^2*a3*n^2 + a1^2*a3*n"
+    ],
+    "associator-formula": [
+        "-a1^2*a2*b1*c1 - a1^2*b1*b2*c1 - a1*a2*b1^2*c1 + a1*b1^2*c1*c2 + a1*b1*b2*c1^2 + "
+        "a1*b1*c1^2*c2 - a1*b1*c3 + a3*b1*c1"
+    ],
+    "inner-map-formula": [
+        "a1^2*b1*b2*c1 - a1^2*b2*c1^2 + a1*a2*b1^2*c1 - a1*a2*b1*c1^2 + a1*b1^2*b2*c1 + "
+        "a1*b1^2*c1*c2 - a1*b1*b2*c1^2 - a1*b1*c1^2*c2 + a1*b1*c3 - a1*b3*c1"
+    ],
+}
 
 
 def test_mutation_flips_at_least_one_identity():
@@ -214,7 +248,8 @@ def test_mutation_flips_at_least_one_identity():
     assert {r.name for r in failed} == MUTATION_FLIPS
     for r in failed:
         assert r.residual_term_counts == (0, 0, 0, 0, MUTATION_RESIDUALS[r.name], 0, 0, 0)
-        assert any(not p.is_zero() for block in r.residual_blocks for p in block)
+        nonzero = [p for block in r.residual_blocks for p in block if not p.is_zero()]
+        assert [str(p) for p in nonzero] == MUTATION_RESIDUAL_TEXTS[r.name]
     assert {r.name: (r.max_degree, r.variables) for r in reports} == EXPECTED_SIZES
 
 
@@ -233,9 +268,31 @@ def test_law_texts_may_name_generators(monkeypatch):
     assert not report.passed
     assert report.residual_term_counts == (0, 0, 1, 1, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="unknown generator 'q'"):
-        symbolic._expand(SymLoopOps(VarTable(())), Generator("q"), {})
+        _value(Generator("q"), SymLoopOps(VarTable(())), {})
     with pytest.raises(ValueError, match="unknown identifier 'q'"):
         symbolic._equation("probe-unknown", "q * a = a", "a")
+
+
+def test_memo_expands_a_repeated_subterm_once():
+    # the laws' walk keeps every subterm it has expanded, so (a * b) is
+    # expanded once and the outer product makes the second call
+    table = VarTable(tuple(f"{p}{i}" for p in "ab" for i in range(1, 9)))
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_coords(a, b)
+
+    ops = SymLoopOps(table, counting)
+    a = tuple(Polynomial.var(table, i) for i in range(8))
+    b = tuple(Polynomial.var(table, i) for i in range(8, 16))
+    memo = {Generator("a"): a, Generator("b"): b}
+    expr, _ = parse_with_warnings("(a * b) * (a * b)", ("a", "b"))
+    square = _value(expr, ops, memo)
+    assert len(calls) == 2
+    ab = mul_coords(a, b)
+    assert square == mul_coords(ab, ab)
+    assert memo[expr.left] == ab
 
 
 def test_reports_are_deterministic():
