@@ -455,6 +455,17 @@ def _csv_line(path: str, lineno: int, raw: bytes) -> str:
         ) from None
 
 
+def _check_modulus(path: str, m: int, order: int) -> None:
+    """Refuse, before any entry is read, a header whose table no QuotientLoop exports."""
+    if m < 2:
+        raise ValueError(f"{path}: header modulus m={m} is below 2; no quotient loop has it")
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(
+            f"{path}: header order={_size(order)} is past the table budget of order <= "
+            f"{MAX_TABLE_ORDER} (m = 2); no quotient loop exports it"
+        )
+
+
 def _read_table_csv(path: str):
     with open(path, "rb") as fh:
         raw = fh.readline(_HEADER_LINE_BYTES + 1)
@@ -481,6 +492,7 @@ def _read_table_csv(path: str):
             raise ValueError(
                 f"{path}: unknown element ordering {reprlib.repr(fields.get('ordering'))}"
             )
+        _check_modulus(path, m, order)
         rows = []
         for lineno, raw in enumerate(fh, start=2):
             cells = raw.count(b",") + 1
@@ -525,6 +537,7 @@ def _read_table_bin(path: str):
                 f"{path}: expected {_size(order * order)} entries, found {size // 4}"
                 + (f" and {size % 4} stray bytes" if size % 4 else "")
             )
+        _check_modulus(path, m, order)
         data = np.frombuffer(fh.read(size), dtype="<u4")
     return m, order, data.reshape(order, order).astype(np.int64)
 
@@ -538,8 +551,6 @@ def validate_table_file(path: str) -> TableFileReport:
     with open(path, "rb") as fh:
         binary = fh.read(4) == b"CLT1"
     m, order, t = _read_table_bin(path) if binary else _read_table_csv(path)
-    if m < 2:
-        raise ValueError(f"{path}: header modulus m={m} is below 2; no quotient loop has it")
     if t.shape != (order, order):
         raise ValueError(f"{path}: table shape {t.shape} does not match order {order}")
     checks = _table_checks(t)

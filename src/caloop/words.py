@@ -150,8 +150,8 @@ class ParseError(ValueError):
 # parentheses, including those of calls.  It keeps the recursive parser and
 # evaluate well inside the interpreter's default recursion limit of 1000
 # frames: the parser spends 2 frames (_product, _atom) per open '(' of a
-# group or of pow(), and 3 (with _args) per open '(' of assoc, innL, inv and
-# ldiv, so at most 600; evaluate spends one frame per level of the tree.
+# group and 3 (with _list) per open '(' of a call, pow() included, so at
+# most 600; evaluate spends one frame per level of the tree.
 MAX_DEPTH = 200
 
 # Longest coordinate, in bits, of any value evaluate builds.  A coordinate
@@ -257,6 +257,18 @@ _GENERATOR_LEAVES = {name: (Generator(name), 0) for name in _GENERATORS}
 _ONE = (Literal((0,) * 8), 0)
 
 
+# Each call form: its node and the kinds of its arguments.  An expression
+# parses as a product; any other kind is an integer, named as errors name it.
+_EXPRESSION = "expression"
+_CALLS = {
+    "assoc": (Assoc, (_EXPRESSION,) * 3),
+    "innL": (InnerL, (_EXPRESSION,) * 3),
+    "ldiv": (LeftDiv, (_EXPRESSION,) * 2),
+    "inv": (Inverse, (_EXPRESSION,)),
+    "pow": (Power, (_EXPRESSION, "exponent")),
+}
+
+
 def _too_deep(index: int) -> _SyntaxError:
     return _SyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", index)
 
@@ -268,7 +280,8 @@ class _Parser:
     of its tree (a leaf has depth 0), so the depth limit is enforced as the
     tree is built.  The parser recurses once per open '(', so the nesting
     of parentheses is checked on the tokens before parsing starts.  Errors
-    are raised as _SyntaxError(message, token index).
+    are raised as _SyntaxError(message, token index).  One rule, :meth:`_list`,
+    parses every call form in ``_CALLS`` and a malformed ``elem[...]``.
     """
 
     def __init__(self, toks: list, leaves: dict):
@@ -277,17 +290,14 @@ class _Parser:
         self.i = 0
         self.warnings = []
         if toks.count("(") > MAX_DEPTH:  # fewer cannot nest deeper
-            self._check_nesting()
-
-    def _check_nesting(self) -> None:
-        open_groups = 0
-        for index, tok in enumerate(self.toks):
-            if tok == "(":
-                open_groups += 1
-                if open_groups > MAX_DEPTH:
-                    raise _too_deep(index)
-            elif tok == ")":
-                open_groups -= 1
+            open_groups = 0
+            for index, tok in enumerate(toks):
+                if tok == "(":
+                    open_groups += 1
+                    if open_groups > MAX_DEPTH:
+                        raise _too_deep(index)
+                elif tok == ")":
+                    open_groups -= 1
 
     def parse(self) -> Expr:
         expr, _ = self._product()
@@ -363,65 +373,43 @@ class _Parser:
             if value == 1:
                 return _ONE
             raise _SyntaxError(f"unexpected integer literal {value}", index)
+        call = _CALLS.get(tok)
+        if call is not None:
+            node, kinds = call
+            args, depth = self._list("(", kinds, ")")
+            if depth >= MAX_DEPTH:
+                raise _too_deep(index)
+            return node(*args), depth + 1
         if tok == "elem":  # a literal the literal token did not match
-            return self._literal(), 0
-        if tok == "assoc":
-            (a, b, c), depth = self._args(3)
-            node = Assoc(a, b, c)
-        elif tok == "innL":
-            (a, b, c), depth = self._args(3)
-            node = InnerL(a, b, c)
-        elif tok == "ldiv":
-            (p, q), depth = self._args(2)
-            node = LeftDiv(p, q)
-        elif tok == "inv":
-            (arg,), depth = self._args(1)
-            node = Inverse(arg)
-        elif tok == "pow":
-            self._expect("(")
-            base, depth = self._product()
-            self._expect(",")
-            node = Power(base, self._int("exponent"))
-            self._expect(")")
-        elif tok[:1].isalpha():
+            coords, _ = self._list("[", ("coordinate",) * 8, "]")
+            return Literal(tuple(coords)), 0
+        if tok[:1].isalpha():
             raise _SyntaxError(f"unknown identifier {tok!r}", index)
-        else:
-            raise _SyntaxError(f"unexpected {_shown(tok)!r}", index)
-        if depth >= MAX_DEPTH:
-            raise _too_deep(index)
-        return node, depth + 1
+        raise _SyntaxError(f"unexpected {_shown(tok)!r}", index)
 
-    def _args(self, count: int) -> tuple:
-        """Parse '(' expr, ... ')' into (list of expressions, their greatest depth)."""
-        self._expect("(")
-        expr, depth = self._product()
-        out = [expr]
-        for _ in range(count - 1):
-            self._expect(",")
-            expr, d = self._product()
-            out.append(expr)
-            depth = depth if depth > d else d
-        self._expect(")")
-        return out, depth
-
-    def _literal(self) -> Literal:
-        self._expect("[")
-        coords = [self._int("coordinate")]
-        for _ in range(7):
-            self._expect(",")
-            coords.append(self._int("coordinate"))
-        self._expect("]")
-        return Literal(tuple(coords))
+    def _list(self, open: str, kinds: tuple, close: str) -> tuple:
+        """Parse open item, ... close, one item of each kind; returns (items, greatest depth)."""
+        items = []
+        depth = 0
+        for kind in kinds:
+            self._expect("," if items else open)
+            if kind == _EXPRESSION:
+                item, d = self._product()
+                depth = depth if depth > d else d
+            else:
+                item = self._int(kind)
+            items.append(item)
+        self._expect(close)
+        return items, depth
 
 
 def parse_with_warnings(text: str, variables=()):
     """Parse a loop word; returns (expression, grouping warnings).
 
-    Each name in ``variables`` parses as a :class:`Generator` leaf, a
-    variable of a law, which :func:`evaluate` refuses as an unknown
-    generator.  The whole text is lexed first, so a lexical error anywhere wins over the
-    nesting check, which wins over any syntax error.  Positions are worked
-    out only for the error raised.
+    Each name in ``variables`` parses as a :class:`Generator` leaf, a variable of a
+    law, which :func:`evaluate` refuses as an unknown generator.  The whole text is
+    lexed first, so a lexical error anywhere wins over the nesting check, which wins
+    over any syntax error.  Positions are worked out only for the error raised.
     """
     toks = _TOKEN.findall(text)
     toks.append(_END)
@@ -431,15 +419,12 @@ def parse_with_warnings(text: str, variables=()):
     try:
         p = _Parser(toks, leaves)
         expr = p.parse()
-    except ValueError:  # int() refused an integer too long to convert
-        error = _lexical_error(text, toks)
-        if error is None:  # not a lexical error after all: let it surface as is
-            raise
-        raise error from None
-    except _SyntaxError as exc:
-        message, index = exc.args
+    except (_SyntaxError, ValueError) as exc:  # ValueError: int() refused a long integer
         error = _lexical_error(text, toks)
         if error is None:
+            if not isinstance(exc, _SyntaxError):  # not a lexical error after all
+                raise
+            message, index = exc.args
             match = next(islice(_TOKEN.finditer(text), index, None), None)  # None at _END
             error = ParseError(message, match.start() + 1 if match else len(text) + 1)
         raise error from None
@@ -540,8 +525,11 @@ def format_canonical(a: Elem8) -> str:
 
     The generator and u-factors form a parenthesized head with '.' between
     the two groups; central v-factors follow unparenthesized.  Factors with
-    exponent 0 are omitted and the empty word prints as "1".
+    exponent 0 are omitted and the empty word prints as "1".  Raises
+    ``ValueError`` unless ``a`` has exactly 8 coordinates.
     """
+    if len(a) != 8:  # map() below would stop at the eighth
+        raise ValueError(f"expected 8 coordinates, got {len(a)}")
     # _GENERATORS names the coordinates in order; _factor gives None for exponent 0
     x, y, u1, u2, v1, v2, v3, v4 = map(_factor, _GENERATORS, a)
     xy = " ".join(filter(None, (x, y)))

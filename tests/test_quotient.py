@@ -629,6 +629,29 @@ def test_validator_refuses_a_csv_file_at_its_first_extra_row(tmp_path):
         validate_table_file(str(path))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_validator_refuses_a_header_past_the_table_budget_before_reading_entries(tmp_path, fmt):
+    # m = 3 passes the order and size checks, but no QuotientLoop exports its table
+    path = tmp_path / f"m3.{fmt}"
+    order = 3 ** 8
+    if fmt == "csv":
+        path.write_text(f"caloop-table m=3 order={order} ordering=lex\nnot a row\n")
+    else:
+        with open(path, "wb") as fh:  # sparse: the 164 MiB body is never written
+            fh.write(b"CLT1" + struct.pack("<I", 3))
+            fh.truncate(8 + 4 * order * order)
+    tracemalloc.start()
+    try:
+        message = re.escape(f"header order={order} is past the table budget of order <= 256")
+        with pytest.raises(ValueError, match=message) as info:
+            validate_table_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 2 ** 20
+
+
 def test_validator_refuses_a_bin_file_with_modulus_zero(tmp_path):
     path = tmp_path / "m0.bin"
     path.write_bytes(b"CLT1" + struct.pack("<I", 0))

@@ -150,6 +150,12 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
         pytest.param("pow(x, y)", "position 8: expected integer exponent, found 'y'",
                      id="pow-of-name"),
         pytest.param("assoc(x,y)", "position 10: expected ',', found ')'", id="assoc-two-args"),
+        pytest.param("innL(x, y)", "position 10: expected ',', found ')'", id="innL-two-args"),
+        pytest.param("innL(x, y, u1, u2)", "position 14: expected ')', found ','",
+                     id="innL-four-args"),
+        pytest.param("inv(x, y)", "position 6: expected ')', found ','", id="inv-two-args"),
+        pytest.param("pow(x)", "position 6: expected ',', found ')'", id="pow-one-arg"),
+        pytest.param("pow(x, 2, 3)", "position 9: expected ')', found ','", id="pow-three-args"),
         pytest.param("inv()", "position 5: unexpected ')'", id="empty-call"),
         pytest.param("ldiv", "position 5: expected '(', found None", id="bare-ldiv"),
         pytest.param("ldiv(", "position 6: unexpected None", id="ldiv-open"),
@@ -327,12 +333,15 @@ def test_nested_calls_count_toward_the_depth():
     evaluate(parse(nested(MAX_DEPTH)))
     with pytest.raises(ParseError, match="nested deeper"):
         parse(nested(MAX_DEPTH + 1))
-    # a call or a power around a chain is one level above the chain
-    parse("inv(" + "*".join(["x"] * MAX_DEPTH) + ")")
-    with pytest.raises(ParseError, match="nested deeper"):
-        parse("inv(" + "*".join(["x"] * (MAX_DEPTH + 1)) + ")")
-    with pytest.raises(ParseError, match="nested deeper"):
-        parse("(" + "*".join(["x"] * (MAX_DEPTH + 1)) + ")^2")
+    # each call form, or a power, around a chain is one level above the chain;
+    # one too deep is refused at the call's name, or at the power's '^'
+    for call in ("assoc(x, y, {})", "innL({}, x, y)", "ldiv(x, {})", "inv({})", "pow({}, 2)",
+                 "({})^2"):
+        parse("  " + call.format("*".join(["x"] * MAX_DEPTH)))
+        text = "  " + call.format("*".join(["x"] * (MAX_DEPTH + 1)))
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse(text)
+        assert info.value.position == (text.index("^") + 1 if "^" in text else 3), call
 
 
 @pytest.mark.parametrize(
@@ -457,3 +466,10 @@ def test_format_examples():
     assert format_canonical(Elem8((0,) * 8)) == "1"
     assert format_canonical(Elem8((2, 1, -1, 0, 0, 0, 0, 0))) == "(x^2 y . u1^-1)"
     assert format_canonical(Elem8((0, 0, 0, 0, 0, 0, 1, 0))) == "v3"
+
+
+@pytest.mark.parametrize("coords", [(), tuple(range(1, 8)), tuple(range(1, 10))],
+                         ids=["0", "7", "9"])
+def test_format_refuses_a_tuple_of_other_than_8_coordinates(coords):
+    with pytest.raises(ValueError, match=f"expected 8 coordinates, got {len(coords)}"):
+        format_canonical(coords)
