@@ -17,7 +17,10 @@ Membership in the structural subloops uses the coordinate description
     left/right/full nucleus = center    = {a1 = a2 = a3 = a4 = 0}
 
 which the symbolic catalog verifies against the mapping-theoretic
-definitions (entries ``middle-nucleus-*`` and ``center-*``).
+definitions (entries ``middle-nucleus-*`` and ``center-*``).  Each kind's
+row of ``_KINDS`` is its number of leading zero coordinates and its witness
+slots (0 left, 1 middle, 2 right), which ``_place`` fills and
+``_SLOT_NAMES`` names; the catalog builds its slot families with both.
 """
 
 from __future__ import annotations
@@ -138,42 +141,38 @@ class NucleusKind(enum.Enum):
     ASSOCIATOR_SUBLOOP = "associator-subloop"
 
 
-_WIDE = (NucleusKind.MIDDLE, NucleusKind.ASSOCIATOR_SUBLOOP)
+# kind -> (leading coordinates that are 0, slots whose associators witness a non-member)
+_KINDS = {
+    NucleusKind.LEFT: (4, (0,)),
+    NucleusKind.MIDDLE: (2, (1,)),
+    NucleusKind.RIGHT: (4, (2,)),
+    NucleusKind.FULL: (4, (0, 1, 2)),
+    NucleusKind.CENTER: (4, (0, 1, 2)),
+    NucleusKind.ASSOCIATOR_SUBLOOP: (2, (1,)),
+}
+_SLOT_NAMES = ("left", "middle", "right")
+
+
+def _place(pair: Sequence, slot: int, w) -> tuple:
+    """The three associator arguments with w in `slot` (0, 1 or 2) and the
+    two of `pair` filling the other slots in order."""
+    return (*pair[:slot], w, *pair[slot:])
 
 
 def is_member(z: Elem8, kind: NucleusKind) -> bool:
     """Coordinate test for membership in the named structural subloop."""
-    if kind in _WIDE:
-        return z[0] == 0 and z[1] == 0
-    return z[0] == 0 and z[1] == 0 and z[2] == 0 and z[3] == 0
+    return not any(z[:_KINDS[kind][0]])
 
 
 class Witness(NamedTuple):
     """Concrete elements showing z is outside a nucleus: the associator with
-    z placed in `slot` ('left'/'middle'/'right') among (a, b) is not 1."""
+    z placed in `slot` (a name in ``_SLOT_NAMES``) among (a, b) is not 1."""
 
     a: Elem8
     b: Elem8
     slot: str
     value: Elem8
 
-
-def _slot_assoc(z: Elem8, a: Elem8, b: Elem8, slot: str) -> Elem8:
-    if slot == "left":
-        return associator(z, a, b)
-    if slot == "middle":
-        return associator(a, z, b)
-    return associator(a, b, z)
-
-
-_SLOTS = {
-    NucleusKind.LEFT: ("left",),
-    NucleusKind.MIDDLE: ("middle",),
-    NucleusKind.ASSOCIATOR_SUBLOOP: ("middle",),
-    NucleusKind.RIGHT: ("right",),
-    NucleusKind.FULL: ("left", "middle", "right"),
-    NucleusKind.CENTER: ("left", "middle", "right"),
-}
 
 # Pairs that provably detect every non-member: (x,x,.) sees the y-exponent
 # and, once a1 = a2 = 0, the u-exponents; (y,y,.) sees the x-exponent;
@@ -189,9 +188,9 @@ def witness_noncentral(kind: NucleusKind, z: Elem8) -> Optional[Witness]:
     """
     if is_member(z, kind):
         return None
-    for slot in _SLOTS[kind]:
+    for slot in _KINDS[kind][1]:
         for a, b in _CANDIDATE_PAIRS:
-            value = _slot_assoc(z, a, b, slot)
+            value = associator(*_place((a, b), slot, z))
             if value != IDENTITY:
-                return Witness(a, b, slot, value)
+                return Witness(a, b, _SLOT_NAMES[slot], value)
     raise AssertionError(f"no witness found for {z!r} and {kind}")  # pragma: no cover

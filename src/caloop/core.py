@@ -229,7 +229,27 @@ def project_coords(a: Sequence[int]) -> Coords4:
 _INT = frozenset((int,))
 
 
-class Elem8(tuple):
+class _Element(tuple):
+    """Exactly ``_LENGTH`` coordinates of type exactly ``int``, checked on construction."""
+
+    __slots__ = ()
+    _LENGTH: int
+
+    def __new__(cls, coords: Iterable[int]):
+        coords = tuple(coords)
+        if len(coords) != cls._LENGTH or not _INT.issuperset(map(type, coords)):
+            raise ValueError(f"{cls.__name__} needs exactly {cls._LENGTH} integers, got {coords!r}")
+        return super().__new__(cls, coords)
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{tuple(self)!r}"
+
+
+class Elem8(_Element):
     """An element of the class-3 loop: 8 integer exponents in canonical form.
 
     Supports ``*`` (loop product), ``**`` (integer powers), ``~`` and
@@ -251,16 +271,7 @@ class Elem8(tuple):
     """
 
     __slots__ = ()
-
-    def __new__(cls, coords: Iterable[int]) -> "Elem8":
-        coords = tuple(coords)
-        if len(coords) != 8 or not _INT.issuperset(map(type, coords)):
-            raise ValueError(f"Elem8 needs exactly 8 integers, got {coords!r}")
-        return super().__new__(cls, coords)
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(self)
+    _LENGTH = 8
 
     def __mul__(self, other: "Elem8") -> "Elem8":
         if type(self) is Elem8 and type(other) is Elem8:
@@ -288,34 +299,19 @@ class Elem8(tuple):
     def project(self) -> "Elem4":
         return Elem4(project_coords(self))
 
-    def __repr__(self) -> str:
-        return f"Elem8{tuple(self)!r}"
-
 
 # The unchecked constructor of results that cannot fail the check (see Elem8).
 _elem8 = functools.partial(tuple.__new__, Elem8)
 
 
-class Elem4(tuple):
+class Elem4(_Element):
     """An element of the class-2 loop: 4 integer exponents x, y, u1, u2."""
 
     __slots__ = ()
-
-    def __new__(cls, coords: Iterable[int]) -> "Elem4":
-        coords = tuple(coords)
-        if len(coords) != 4 or not _INT.issuperset(map(type, coords)):
-            raise ValueError(f"Elem4 needs exactly 4 integers, got {coords!r}")
-        return super().__new__(cls, coords)
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(self)
+    _LENGTH = 4
 
     def __mul__(self, other: "Elem4") -> "Elem4":
         return Elem4(mul4_coords(self, other))
-
-    def __repr__(self) -> str:
-        return f"Elem4{tuple(self)!r}"
 
 
 IDENTITY = Elem8(_ZERO8)

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import Magnitude
-from .calculus import inner_l_coords
+from .calculus import NucleusKind, inner_l_coords, is_member
 from .core import left_div_coords, mul_coords, pow_coords
 from .quotient_options import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS
 
@@ -124,8 +124,10 @@ class QuotientLoop:
 
     # -- element arithmetic -------------------------------------------------
     #
-    # Each method takes coordinate tuples of ints, or of broadcastable int64
-    # arrays (one array per coordinate) after _require_int64.
+    # Each method takes coordinate tuples of ints.  ``mul``, ``left_divide``
+    # and ``inner_l`` also take broadcastable int64 arrays (one array per
+    # coordinate) after _require_int64, whose bound covers their kernels;
+    # ``power`` takes ints only, since that bound does not cover pow_coords.
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         m = self.modulus
@@ -296,10 +298,8 @@ class QuotientLoop:
     def _check_axioms(self, report: "QuotientReport") -> None:
         report.checks.update(_table_checks(self.product_table()))
         center = self.center_indices()
-        expected = sorted(
-            self.element_index((0, 0, 0, 0) + tail)
-            for tail in np.ndindex(*(self.modulus,) * 4)
-        )
+        expected = [i for i in range(self.order)
+                    if is_member(self.element_coords(i), NucleusKind.CENTER)]
         report.checks["center-matches-coordinate-description"] = center == expected
         report.counts["products-checked"] = self.order ** 2
         report.counts["center-size"] = len(center)
@@ -421,7 +421,7 @@ class TableFileReport:
         return self.latin and self.symmetric and self.identity_row
 
 
-# characters a CSV header int may have: enough for any 64-bit int, so that
+# characters a CSV header int or table cell may have: any 64-bit int, so that
 # m ** 8 stays small and int() never meets Python's 4300-digit limit
 _HEADER_INT_CHARS = 20
 # bytes the CSV header line may have, its newline included, so that a huge
@@ -493,8 +493,11 @@ def _read_table_csv(path: str):
                 f"{path}: unknown element ordering {reprlib.repr(fields.get('ordering'))}"
             )
         _check_modulus(path, m, order)
+        limit = order * (_HEADER_INT_CHARS + 1) + 1  # order cells, their commas, a CRLF
         rows = []
-        for lineno, raw in enumerate(fh, start=2):
+        for lineno, raw in enumerate(iter(lambda: fh.readline(limit + 1), b""), start=2):
+            if len(raw) > limit:  # a long line is refused before it is read in full
+                raise ValueError(f"{path}: line {lineno} is longer than the limit of {limit} bytes")
             cells = raw.count(b",") + 1
             if cells > order:  # a wide row is refused before it is decoded or converted
                 raise ValueError(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import poly
-from .calculus import assoc_coords, inner_l_coords
+from .calculus import _SLOT_NAMES, _place, assoc_coords, inner_l_coords
 from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
 from .words import Generator, _IntKernel, _value, parse_with_warnings
@@ -206,12 +206,6 @@ def _pad(table: VarTable, slots: dict) -> tuple:
     return tuple(slots.get(i, zero) for i in range(8))
 
 
-def _place(pair: Sequence, slot: int, w) -> tuple:
-    """The three associator arguments with w in `slot` (0, 1 or 2) and the
-    two of `pair` filling the other slots in order."""
-    return (*pair[:slot], w, *pair[slot:])
-
-
 def _equation(name: str, law: str, elements: str, pins: Optional[dict] = None) -> None:
     """Register the law text `law` as the catalog entry `name`.
 
@@ -278,9 +272,8 @@ _equation("double-compounded-left-middle",
           "assoc(assoc(a, b, c), assoc(d, e, f), g) = 1", "a b c d e f g")
 _equation("inner-map-closed-form",
           "innL(b, c, a) = (a * assoc(a, b, c)) * assoc(b * c, a, assoc(a, b, c))", "a b c")
-_equation("product-expansion-left", _product_expansion(0), "a b c d")
-_equation("product-expansion-right", _product_expansion(2), "a b c d")
-_equation("product-expansion-middle", _product_expansion(1), "a b c d")
+for _slot in (0, 2, 1):  # left, right, middle: the catalog's order
+    _equation(f"product-expansion-{_SLOT_NAMES[_slot]}", _product_expansion(_slot), "a b c d")
 # n ranges over the middle nucleus, the elements with zero generator exponents
 _equation("middle-nucleus-contains", "assoc(a, n, b) = 1", "a n b", pins={"n": 2})
 
@@ -304,12 +297,10 @@ def _compounded_central(slot: int) -> Callable:
     return build
 
 
-_law("compounded-central-left", "((a,b,c), d, e) lies in 0x0x0x0xZ^4",
-     "a b c d e")(_compounded_central(0))
-_law("compounded-central-middle", "(d, (a,b,c), e) lies in 0x0x0x0xZ^4",
-     "a b c d e")(_compounded_central(1))
-_law("compounded-central-right", "(d, e, (a,b,c)) lies in 0x0x0x0xZ^4",
-     "a b c d e")(_compounded_central(2))
+for _slot in range(3):
+    _law(f"compounded-central-{_SLOT_NAMES[_slot]}",
+         f"({', '.join(_place(('d', 'e'), _slot, '(a,b,c)'))}) lies in 0x0x0x0xZ^4",
+         "a b c d e")(_compounded_central(_slot))
 # z ranges over 0x0x0x0xZ^4, which every inner mapping fixes
 _equation("center-contains", "innL(a, b, z) = z", "a b z", pins={"z": 4})
 

@@ -258,6 +258,52 @@ def test_witness_found_for_every_sampled_non_member():
     assert found > 0
 
 
+# the search witness_noncentral makes, written out by slot name: the kinds'
+# slots in order, then the generator pairs in order
+_REFERENCE_SLOTS = {
+    NucleusKind.LEFT: ("left",),
+    NucleusKind.MIDDLE: ("middle",),
+    NucleusKind.RIGHT: ("right",),
+    NucleusKind.FULL: ("left", "middle", "right"),
+    NucleusKind.CENTER: ("left", "middle", "right"),
+    NucleusKind.ASSOCIATOR_SUBLOOP: ("middle",),
+}
+_REFERENCE_PAIRS = ((e[1], e[1]), (e[2], e[2]), (e[1], e[2]), (e[2], e[1]))
+
+
+def _reference_witness(kind, z):
+    zeros = 2 if kind in (NucleusKind.MIDDLE, NucleusKind.ASSOCIATOR_SUBLOOP) else 4
+    if all(c == 0 for c in z[:zeros]):
+        return None
+    for slot in _REFERENCE_SLOTS[kind]:
+        for a, b in _REFERENCE_PAIRS:
+            value = {
+                "left": associator(z, a, b),
+                "middle": associator(a, z, b),
+                "right": associator(a, b, z),
+            }[slot]
+            if value != IDENTITY:
+                return (a, b, slot, value)
+    raise AssertionError(f"the reference search found no witness for {z}")
+
+
+def test_witness_matches_a_reference_search_on_members_and_non_members():
+    rng = make_rng(32)
+    members = {kind: 0 for kind in NucleusKind}
+    for i in range(400):
+        coords = random_coords(rng)
+        # every third element has 2, and every other third 4, leading zeros
+        zeros = (0, 2, 4)[i % 3]
+        z = Elem8((0,) * zeros + coords[zeros:])
+        for kind in NucleusKind:
+            w = witness_noncentral(kind, z)
+            expected = _reference_witness(kind, z)
+            assert is_member(z, kind) == (expected is None)
+            assert w == expected
+            members[kind] += expected is None
+    assert all(0 < n < 400 for n in members.values())
+
+
 def test_center_coordinate_description_sampled():
     rng = make_rng(32)
     for _ in range(300):

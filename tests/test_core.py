@@ -216,22 +216,30 @@ def test_projection_surjective_on_samples():
 
 
 def test_elem_validation():
-    with pytest.raises(ValueError):
-        Elem8((1, 2, 3))
-    with pytest.raises(ValueError):
-        Elem8((1.5, 0, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        Elem8((True,) * 8)
-    with pytest.raises(ValueError):
-        Elem8((1, 0, 0, 0, 0, 0, 0, False))
-    with pytest.raises(ValueError):
-        Elem4((True, 0, 0, 0))
-    with pytest.raises(ValueError):
-        Elem4((1, 2, 3, 4, 5))
+    for cls, coords, message in [
+        (Elem8, (1, 2, 3), "Elem8 needs exactly 8 integers, got (1, 2, 3)"),
+        (Elem8, [1.5] + [0] * 7, "Elem8 needs exactly 8 integers, got (1.5, 0, 0, 0, 0, 0, 0, 0)"),
+        (Elem8, (True,) * 8, f"Elem8 needs exactly 8 integers, got {(True,) * 8!r}"),
+        (Elem8, (1,) + (0,) * 6 + (False,),
+         "Elem8 needs exactly 8 integers, got (1, 0, 0, 0, 0, 0, 0, False)"),
+        (Elem4, (True, 0, 0, 0), "Elem4 needs exactly 4 integers, got (True, 0, 0, 0)"),
+        (Elem4, iter((1, 2, 3, 4, 5)), "Elem4 needs exactly 4 integers, got (1, 2, 3, 4, 5)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            cls(coords)
+        assert str(info.value) == message
     with pytest.raises(ValueError):
         basis(9)
     with pytest.raises(ValueError):
         basis(0)
+
+
+def test_elem_repr_and_coords():
+    e8, e4 = Elem8(range(-3, 5)), Elem4([1, -2, 0, 7])
+    assert repr(e8) == "Elem8(-3, -2, -1, 0, 1, 2, 3, 4)"
+    assert repr(e4) == "Elem4(1, -2, 0, 7)"
+    assert type(e8.coords) is tuple and e8.coords == (-3, -2, -1, 0, 1, 2, 3, 4)
+    assert type(e4.coords) is tuple and e4.coords == (1, -2, 0, 7)
 
 
 def test_basis_returns_the_shared_constants():

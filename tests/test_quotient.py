@@ -542,8 +542,10 @@ def test_validator_names_bad_header_field(tmp_path, header, message):
         ("0,1\n1,0,1\n", "line 3 has 3 cells where the first row has 2"),
         ("0,1\n1,\u00e90\n", "line 3 has the non-ASCII byte b'\\xc3'"),
         ("0,1\n1,1000000000000000000000000000000\n", "line 3 has a cell outside the int64 range"),
+        # under the line limit, a row of more cells than the order is refused unconverted
+        ("0," * 300 + "0\n", "line 2 has 301 cells, past the header's order=256"),
     ],
-    ids=["non-integer-cell", "ragged-rows", "non-ascii-byte", "cell-past-int64"],
+    ids=["non-integer-cell", "ragged-rows", "non-ascii-byte", "cell-past-int64", "wide-row"],
 )
 def test_validator_names_bad_csv_row(tmp_path, body, message):
     path = tmp_path / "bad.csv"
@@ -597,19 +599,39 @@ def test_validator_refuses_a_mis_sized_bin_file_unread(tmp_path):
 
 def test_validator_refuses_a_wide_csv_row_before_converting_it(tmp_path):
     # 2 000 000 cells (a 4 MB line) under an m = 2 header, whose rows have
-    # 256: the cells are counted, not converted to ints and an array
+    # 256 cells of at most 20 characters: the line is refused at its length
+    # limit, 256 * 21 + 1 bytes, before the rest of it is read
     path = tmp_path / "wide.csv"
     path.write_text("caloop-table m=2 order=256 ordering=lex\n" + "0," * 1_999_999 + "0\n")
     tracemalloc.start()
     try:
-        message = "line 2 has 2000000 cells, past the header's order=256$"
+        message = "line 2 is longer than the limit of 5377 bytes$"
         with pytest.raises(ValueError, match=message) as info:
             validate_table_file(str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert str(path) in str(info.value)
-    assert peak < 3 * path.stat().st_size  # converting the row took ~10 times its size
+    assert peak < 1 << 20
+
+
+def test_validator_refuses_a_long_single_cell_line_before_reading_it(tmp_path):
+    # one 4 MB cell of digits after a valid first row: refused at the length
+    # limit, not read in full and then refused by int()'s 4300-digit limit
+    path = tmp_path / "long.csv"
+    QuotientLoop(2).export_table(str(path), "csv")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["7" * 4_000_000]) + "\n")
+    tracemalloc.start()
+    try:
+        message = "line 3 is longer than the limit of 5377 bytes$"
+        with pytest.raises(ValueError, match=message) as info:
+            validate_table_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 1 << 20
 
 
 def test_validator_refuses_a_csv_file_at_its_first_extra_row(tmp_path):
