@@ -127,6 +127,14 @@ def peak_stats() -> tuple:
     return _peak_degree, _peak_terms
 
 
+def _raise_peaks(degree: int, terms: int) -> None:
+    """Raise the peak stats to at least (degree, terms): what a caller that
+    reuses a built result records in place of building it again."""
+    global _peak_degree, _peak_terms
+    _peak_degree = max(_peak_degree, degree)
+    _peak_terms = max(_peak_terms, terms)
+
+
 @dataclass(frozen=True)
 class VarTable:
     """Ordered variable names shared by a family of polynomials."""

@@ -142,8 +142,9 @@ class QuotientLoop:
 
     def power(self, a: Sequence[int], n: int) -> tuple:
         # reduction mod m is a homomorphism, so it maps the closed-form power
-        # a^n in Z^8 to the n-th power in the quotient
-        return self.reduce(pow_coords(a, n))
+        # a^n in Z^8 to the n-th power in the quotient; operator.index makes
+        # a numpy integer an exact int and refuses an array (TypeError)
+        return self.reduce(pow_coords(tuple(map(operator.index, a)), n))
 
     def inner_l(self, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
         # reduction mod m is a homomorphism, so it maps L_{a,b}(c) in Z^8 to

@@ -32,6 +32,16 @@ which :class:`SymLoopOps` solves by left division through its bound
 product.  ``inverse-negation`` states a * inv(a) = 1 with products only;
 with ``division-round-trip`` it shows that inv(a) = ldiv(a, 1).
 
+One :func:`verify_all` run builds one kernel per variable table: the
+entries of one layout run together, on one set of generic elements and one
+:class:`SymLoopOps`, which is dropped when they are done.  Its product is
+memoized on the identity of the operand tuples, for operands that are
+generic elements or earlier memoized products (hash-consing, after
+Filliâtre & Conchon, *Type-safe modular hash-consing*, ML Workshop 2006),
+so a product that several entries form is expanded once.  A memo hit
+raises :func:`caloop.poly.peak_stats` by the peak of the first expansion,
+so every report equals that of :func:`verify_identity` on the entry alone.
+
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
 which guards the prover against vacuous passes.
@@ -40,6 +50,7 @@ which guards the prover against vacuous passes.
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -85,6 +96,12 @@ class SymLoopOps:
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
         self.table = table
         self.product = product or mul_coords
+        # The tuples the product memo may key on, by id: the generic elements
+        # (see _make_context) and the memo's own results.  Each stays alive
+        # here, so no id in a key is reused.
+        self._kept: dict = {}
+        # (id(a), id(b)) -> (a * b, poly peak stats of its expansion)
+        self._products: dict = {}
 
     def constant(self, coords: Sequence[int]) -> tuple:
         return tuple(Polynomial.const(self.table, c) for c in coords)
@@ -96,7 +113,28 @@ class SymLoopOps:
         return value
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return self.product(a, b)
+        """The bound product.
+
+        A product of two kept tuples, generic elements or products of them,
+        is expanded once: a repeated call returns the first result and
+        raises :func:`caloop.poly.peak_stats` by the peak its expansion
+        reached, so the stats read as if it were expanded again.  Any other
+        operand, such as a quotient, is multiplied afresh each time.
+        """
+        kept = self._kept
+        if id(a) not in kept or id(b) not in kept:
+            return self.product(a, b)
+        key = (id(a), id(b))
+        hit = self._products.get(key)
+        if hit is None:
+            outer = poly.peak_stats()
+            poly.reset_stats()
+            c = self.product(a, b)
+            hit = self._products[key] = (c, poly.peak_stats())
+            kept[id(c)] = c
+            poly._raise_peaks(*outer)
+        poly._raise_peaks(*hit[1])
+        return hit[0]
 
     def left_divide(self, a: tuple, c: tuple) -> tuple:
         """The unique b with a * b = c, by triangular back-substitution."""
@@ -137,6 +175,7 @@ def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequ
             coords.append(Polynomial.var(table, k))
             k += 1
         elems.append(tuple(coords))
+    ops._kept.update((id(e), e) for e in elems)
     elems.extend(Polynomial.var(table, k + i) for i in range(len(integers)))
     return ops, elems
 
@@ -379,12 +418,33 @@ def _lookup(name: str) -> _Entry:
         raise ValueError(f"unknown identity {name!r}; known identities: {known}") from None
 
 
+# The contexts that the running verify_all() shares among the entries of one
+# layout, by _context_key; None outside a run.
+_RUN_CONTEXTS: ContextVar = ContextVar("_RUN_CONTEXTS", default=None)
+
+
+def _context_key(entry: _Entry, product: Optional[ProductFn]) -> tuple:
+    return entry.layout, entry.integers, product
+
+
+def _context(entry: _Entry, product: Optional[ProductFn]) -> tuple:
+    """The kernel and generic elements `entry` expands on: those the running
+    verify_all() shares among the entries of its layout, else fresh ones."""
+    shared = _RUN_CONTEXTS.get()
+    if shared is None:
+        return _make_context(entry.layout, product, entry.integers)
+    key = _context_key(entry, product)
+    if key not in shared:
+        shared[key] = _make_context(entry.layout, product, entry.integers)
+    return shared[key]
+
+
 def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityReport:
     """Expand one named identity over generic elements and report residuals."""
     entry = _lookup(name)
     poly.reset_stats()
     start = time.perf_counter()
-    ops, elems = _make_context(entry.layout, product, entry.integers)
+    ops, elems = _context(entry, product)
     blocks = entry.build(ops, *elems)
     millis = int((time.perf_counter() - start) * 1000)
     max_degree, _ = poly.peak_stats()
@@ -404,5 +464,23 @@ def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityR
 
 
 def verify_all(product: Optional[ProductFn] = None) -> list:
-    """Run the whole catalog in registration order."""
-    return [verify_identity(name, product) for name in _CATALOG]
+    """Run the whole catalog; the reports come in registration order.
+
+    The entries run grouped by layout, and each group shares one context:
+    a variable table, its generic elements and one :class:`SymLoopOps`,
+    whose product memo expands a product that several entries form once.
+    A group's context is dropped when the group ends, so at most one is
+    alive.  Each report equals that of :func:`verify_identity` run alone.
+    """
+    groups: dict = {}
+    for name, entry in _CATALOG.items():
+        groups.setdefault(_context_key(entry, product), []).append(name)
+    reports = {}
+    for names in groups.values():
+        token = _RUN_CONTEXTS.set({})
+        try:
+            for name in names:
+                reports[name] = verify_identity(name, product)
+        finally:
+            _RUN_CONTEXTS.reset(token)
+    return [reports[name] for name in _CATALOG]

@@ -110,6 +110,17 @@ def test_power_refuses_a_non_integral_exponent():
         QuotientLoop(5).power((1, 2, 3, 4, 0, 0, 0, 0), 2.5)
 
 
+def test_power_refuses_array_coordinates_and_takes_numpy_integers_exactly():
+    # the int64 bound does not cover pow_coords, whose intermediates at this
+    # exponent pass int64, so an array coordinate is refused, not wrapped
+    q = QuotientLoop(2)
+    ones = tuple(np.ones(3, dtype=np.int64) for _ in range(8))
+    with pytest.raises(TypeError):
+        q.power(ones, 10 ** 6)
+    assert q.power((1,) * 8, 10 ** 6) == (0,) * 8
+    assert q.power(tuple(np.int64(1) for _ in range(8)), 10 ** 6) == (0,) * 8
+
+
 def test_element_indexing_is_lexicographic():
     q = QuotientLoop(2)
     assert q.element_index((0,) * 8) == 0

@@ -1,9 +1,10 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
-from caloop import symbolic
+from caloop import poly, symbolic
 from caloop.core import left_div_coords, mul_coords
 from caloop.poly import Polynomial, VarTable
 from caloop.symbolic import (
@@ -293,6 +294,62 @@ def test_memo_expands_a_repeated_subterm_once():
     ab = mul_coords(a, b)
     assert square == mul_coords(ab, ab)
     assert memo[expr.left] == ab
+
+
+def _report_key(r):
+    """Everything a report says but its time, residual texts included."""
+    texts = [[str(p) for p in block] for block in r.residual_blocks]
+    return r.name, r.passed, r.residual_term_counts, r.max_degree, r.variables, texts
+
+
+@pytest.mark.parametrize("product", [None, mutated_product_polys], ids=["shipped", "mutated"])
+def test_shared_kernel_changes_no_report(product):
+    # verify_all() shares one kernel and its product memo among the entries
+    # of a layout; each report still equals the entry's run on its own
+    shared = [_report_key(r) for r in verify_all(product)]
+    alone = [_report_key(verify_identity(name, product)) for name in catalog_names()]
+    assert shared == alone
+
+
+def test_memo_hit_reads_the_peak_of_the_first_expansion():
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_coords(a, b)
+
+    ops, (a, b) = symbolic._make_context((("a", 0), ("b", 0)), counting)
+    poly.reset_stats()
+    mul_coords(a, b)
+    expanded = poly.peak_stats()
+    poly.reset_stats()
+    first = ops.mul(a, b)
+    assert poly.peak_stats() == expanded
+    poly.reset_stats()
+    assert ops.mul(a, b) is first
+    assert len(calls) == 1
+    assert poly.peak_stats() == expanded
+    # a quotient is no kept tuple, so its products are expanded each time
+    q = ops.left_divide(a, b)
+    before = len(calls)
+    ops.mul(a, q)
+    ops.mul(a, q)
+    assert len(calls) == before + 2
+
+
+def test_catalog_run_stays_within_its_memory_bound():
+    # one layout's context, with its product memo, is alive at a time: the
+    # run traces about 1.0 MiB, where the 32-variable products that the
+    # product-expansion-* entries and L-automorphism share dominate; a memo
+    # kept for the whole run traces about 1.9 MiB
+    tracemalloc.start()
+    try:
+        reports = verify_all()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 3 << 19
 
 
 def test_reports_are_deterministic():
