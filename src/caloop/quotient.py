@@ -19,21 +19,25 @@ Whether that law holds depends only on the permutation L, not on the pair
 (a, b) that produced it, so the check still decides every one of the
 256^4 quadruples (a, b, c, d).  The center needs no scan: c is fixed by
 L_{a,b} exactly when (a * b) * c = b * (a * c), which is tested on the
-product table directly for every a and b.
+product table directly, each a against the candidates c still standing.
 
 The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
 index maps) is written once on coordinate tuples and runs unchanged on
-tuples of int64 numpy arrays, since the kernel formulas use only + - * and
-an exact // 3; ``inner_l`` is the closed form
-:func:`caloop.calculus.inner_l_coords`, reduced mod m.  The product table
-and the sampled check make at most ARRAY_CHUNK kernel evaluations per array
-call.  A loop caches its product table and nothing else.
-Every array path first checks that no intermediate of the kernel can
-overflow int64 at the modulus (:func:`_intermediate_bound`).
+tuples of numpy integer arrays, since the kernel formulas use only + - *
+and an exact // 3; ``inner_l`` is the closed form
+:func:`caloop.calculus.inner_l_coords`, reduced mod m.  Each array path
+runs at the narrowest of int8/int16/int32/int64 that holds every value its
+kernels form at the modulus (:meth:`QuotientLoop._width`, from
+:func:`_intermediate_bound`), and is refused past int64: the product table
+runs ``mul_coords`` (int8 at m = 2), and the sampled check ``mul_coords``
+and ``inner_l_coords``.  Each array of an array call holds at most
+ARRAY_CHUNK int64s' worth of bytes, so a narrower width runs more kernel
+evaluations per call.  A loop caches its product table and nothing else.
 """
 
 from __future__ import annotations
 
+import inspect
 import operator
 import os
 import random
@@ -69,9 +73,8 @@ MAX_TABLE_ORDER = 256
 # trials the sampled check may run: it costs ~2 us per trial at any modulus
 # the int64 guard admits (2-CPU host), so the largest run takes ~2 s
 MAX_SAMPLED_TRIALS = 10 ** 6
-# kernel evaluations per array call, which bounds their memory: the sampled
-# check runs this many trials per call, and the product table this many
-# products, ARRAY_CHUNK // order rows (8 at m = 2)
+# int64s per array of one array call, which bounds their memory at 16 KiB;
+# a narrower width fits more values in the same bytes (_chunk)
 ARRAY_CHUNK = 2048
 
 
@@ -79,20 +82,33 @@ class BudgetExceeded(ValueError):
     """Raised when a requested enumeration is over the configured budget."""
 
 
-def _intermediate_bound(m: int) -> int:
-    """Largest |value| that ``mul_coords``, ``left_div_coords`` or
-    ``inner_l_coords`` can form on coordinates in (-m, m), including every
-    intermediate.
+# the widths an array path may run at, narrowest first
+_WIDTHS = (np.int8, np.int16, np.int32, np.int64)
 
-    Computed by running the kernel itself on magnitudes m - 1, so it follows
-    the formulas: it grows like m^5, the degree of the product polynomial.
+
+def _intermediate_bound(m: int, kernels: Sequence) -> int:
+    """Largest |value| that the ``kernels`` can form on coordinates in (-m, m),
+    including every intermediate and every constant.
+
+    Computed by running each kernel on magnitudes m - 1, so it follows the
+    formulas: it grows like m^5, the degree of the product polynomial.  Each
+    constant of a formula enters a + or * with a magnitude of at least 1,
+    and the divisor 3 is below the product's constant 5, so the bound holds
+    the constants too.
     """
     peak = [0]
     x = tuple(Magnitude(m - 1, peak) for _ in range(8))
-    mul_coords(x, x)
-    left_div_coords(x, x)  # runs the product on its own, larger, intermediates
-    inner_l_coords(x, x, x)
+    for kernel in kernels:
+        # x for each argument without a default, so that left division runs
+        # its own product
+        params = inspect.signature(kernel).parameters.values()
+        kernel(*(x for p in params if p.default is p.empty))
     return peak[0]
+
+
+def _chunk(width) -> int:
+    """Kernel evaluations per array call at ``width``: ARRAY_CHUNK int64s' bytes."""
+    return ARRAY_CHUNK * 8 // np.dtype(width).itemsize
 
 
 _INT64_MAX = 2 ** 63 - 1
@@ -124,10 +140,11 @@ class QuotientLoop:
 
     # -- element arithmetic -------------------------------------------------
     #
-    # Each method takes coordinate tuples of ints.  ``mul``, ``left_divide``
-    # and ``inner_l`` also take broadcastable int64 arrays (one array per
-    # coordinate) after _require_int64, whose bound covers their kernels;
-    # ``power`` takes ints only, since that bound does not cover pow_coords.
+    # Each method takes coordinate tuples of ints.  ``mul`` and ``inner_l``
+    # also take broadcastable arrays of residues (one array per coordinate)
+    # at the width _width gives for the kernels of the calling path;
+    # ``left_divide`` casts arrays to the width of its own, larger, kernel;
+    # ``power`` takes ints only, since no width bound covers pow_coords.
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         m = self.modulus
@@ -138,6 +155,11 @@ class QuotientLoop:
         return self.reduce(mul_coords(a, b))
 
     def left_divide(self, a: Sequence[int], c: Sequence[int]) -> tuple:
+        if any(isinstance(v, np.ndarray) for v in (*a, *c)):
+            # left_div_coords runs the product on its own, larger,
+            # intermediates, so it needs its own width
+            width = self._width("left division on arrays", (left_div_coords,))
+            a, c = ([np.asarray(v).astype(width) for v in e] for e in (a, c))
         return self.reduce(left_div_coords(a, c))
 
     def power(self, a: Sequence[int], n: int) -> tuple:
@@ -169,27 +191,33 @@ class QuotientLoop:
 
     # -- tables ---------------------------------------------------------------
 
-    def _require_int64(self, what: str) -> None:
-        """Refuse an int64 array path whose kernel intermediates could overflow.
+    def _width(self, what: str, kernels: Sequence) -> type:
+        """Narrowest of int8/int16/int32/int64 that holds every value the
+        ``kernels`` form at this modulus; past int64, ``what`` is refused.
 
         Array inputs are residues in [0, m), inside (-m, m), so every value
-        formed is at most _intermediate_bound(m) in absolute value.
+        formed is at most _intermediate_bound(m, kernels) in absolute value.
         """
-        bound = _intermediate_bound(self.modulus)
-        if bound > _INT64_MAX:
-            raise BudgetExceeded(
-                f"{what} runs on int64 arrays, but the product formula forms "
-                f"values up to {_size(bound)} at m = {_size(self.modulus)}, past "
-                f"the int64 maximum {_INT64_MAX}"
-            )
+        bound = _intermediate_bound(self.modulus, kernels)
+        for width in _WIDTHS:
+            if bound <= np.iinfo(width).max:
+                return width
+        raise BudgetExceeded(
+            f"{what} runs on integer arrays of at most 64 bits, but its kernels "
+            f"form values up to {_size(bound)} at m = {_size(self.modulus)}, "
+            f"past the int64 maximum {_INT64_MAX}"
+        )
 
     def product_table(self) -> np.ndarray:
         """order x order table of element indices; cached after first build.
 
-        A broadcast product of a block of ARRAY_CHUNK // order elements with
-        every element, block after block, so the product's int64
-        intermediates stay the size of a block, not of the table.  The
-        indices stay below order, which the table budget keeps within uint16.
+        A broadcast product of a block of rows with every element, block
+        after block, so the product's intermediates stay the size of a
+        block, not of the table.  The product runs at the width of
+        ``mul_coords`` (int8 at m = 2) and is indexed at a width that also
+        holds order - 1 (int16), so a block is 8192 products (32 rows) at
+        m = 2.  The indices stay below order, which the table budget keeps
+        within the table's uint16.
         """
         if self.order > MAX_TABLE_ORDER:
             raise BudgetExceeded(
@@ -198,15 +226,19 @@ class QuotientLoop:
                 f"{MAX_TABLE_ORDER} (m = 2)"
             )
         if self._table is None:
-            self._require_int64("product table")
+            width = self._width("product table", (mul_coords,))
             order = self.order
-            rows = ARRAY_CHUNK // order
-            cols = self.element_coords(np.arange(order, dtype=np.int64))
+            # element_index forms values up to order - 1 from the product's;
+            # its columns are the widest a block holds, so they size the block
+            index = np.promote_types(width, np.min_scalar_type(1 - order))
+            rows = _chunk(index) // order
+            cols = [c.astype(width) for c in self.element_coords(np.arange(order))]
             every = [c[None, :] for c in cols]
             table = np.empty((order, order), dtype=np.uint16)
             for start in range(0, order, rows):
                 block = slice(start, start + rows)
-                table[block] = self.element_index(mul_coords([c[block, None] for c in cols], every))
+                product = mul_coords([c[block, None] for c in cols], every)
+                table[block] = self.element_index(v.astype(index) for v in product)
             self._table = table
         return self._table
 
@@ -258,15 +290,24 @@ class QuotientLoop:
         a * b is one-to-one, so the c that satisfy it are exactly the fixed
         points of L_{a,b}; both divide by the row a * b, not b * a, which
         keeps the two definitions equal on non-commutative tables too.
+
+        Every c starts as a candidate, and each a tests every b against the
+        candidates still standing only, so a c drops out at its first
+        failing a and every c is still decided by the same equation.  The a
+        are taken in descending index order: the first coordinate is the
+        most significant lex digit, and at m = 2 the first a drops every
+        non-central candidate.
         """
         t = self.product_table()
         t_cols = np.ascontiguousarray(t.T)  # t_cols[y, x] = x * y
-        fixed = np.ones(self.order, dtype=bool)
-        for ta in t:  # ta[x] = a * x, one a at a time
-            lhs = t[ta]  # [b, c] = (a * b) * c
-            rhs = t_cols[ta].T  # [b, c] = b * (a * c); a row gather, then a view
-            fixed &= (lhs == rhs).all(axis=0)
-        return [int(i) for i in np.nonzero(fixed)[0]]
+        standing = np.arange(self.order)
+        rows = t_cols  # rows[j, x] = x * c for the j-th standing c
+        for ta in t[::-1]:  # ta[x] = a * x, one a at a time
+            # [j, b]: (a * b) * c against b * (a * c), for each standing c
+            held = (rows.take(ta, axis=1) == t_cols[ta[standing]]).all(axis=1)
+            if not held.all():
+                standing, rows = standing[held], rows[held]
+        return [int(i) for i in standing]
 
     # -- checks ---------------------------------------------------------------
 
@@ -311,17 +352,23 @@ class QuotientLoop:
         Each trial takes 32 little-endian 32-bit words from
         random.Random(seed).randbytes, the 8 coordinates of a, b, c, then d,
         and maps each word x to the residue (x * m) >> 32; the bias is at
-        most m / 2^32.  A chunk of at most ARRAY_CHUNK trials is drawn in one
-        call and evaluated at once.
+        most m / 2^32.  The residues are cast to the width of ``mul_coords``
+        and ``inner_l_coords`` at m (int32 at m = 5), and a chunk of trials,
+        _chunk(width) of them, is drawn in one call and evaluated at once.
         """
-        self._require_int64("sampled automorphism check")
+        width = self._width("sampled automorphism check", (mul_coords, inner_l_coords))
+        chunk = _chunk(width)
         rng = random.Random(seed)
         m = np.uint64(self.modulus)
         bad = 0
-        for start in range(0, trials, ARRAY_CHUNK):
-            n = min(ARRAY_CHUNK, trials - start)
-            words = np.frombuffer(rng.randbytes(4 * 32 * n), dtype="<u4")
-            draws = ((words.astype(np.uint64) * m) >> np.uint64(32)).astype(np.int64)
+        for start in range(0, trials, chunk):
+            n = min(chunk, trials - start)
+            # in place, and with no name kept for the random bytes, so that at
+            # most one uint64 array of the chunk's words is alive at a time
+            draws = np.frombuffer(rng.randbytes(4 * 32 * n), dtype="<u4").astype(np.uint64)
+            draws *= m
+            draws >>= np.uint64(32)
+            draws = draws.astype(width)
             # draws[trial, element, coordinate] -> one array per (element, coordinate)
             a, b, c, d = (tuple(e) for e in draws.reshape(n, 4, 8).transpose(1, 2, 0))
             lhs = self.inner_l(a, b, self.mul(c, d))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import re
@@ -152,7 +153,9 @@ def test_axioms_check_does_not_scan_inner_maps(monkeypatch):
 
 
 def test_product_table_matches_scalar_products():
+    # the table is built on int8 columns; every entry is the Python-int product
     q = QuotientLoop(2)
+    assert q._width("product table", (mul_coords,)) is np.int8
     coords = [q.element_coords(i) for i in range(q.order)]
     reference = np.array(
         [[q.element_index(q.mul(a, b)) for b in coords] for a in coords]
@@ -191,7 +194,9 @@ def _scalar_sampled_failures(q: QuotientLoop, trials: int, seed: int) -> int:
     return bad
 
 
-@pytest.mark.parametrize("trials", [1, 150, ARRAY_CHUNK + 1])
+# 2 * ARRAY_CHUNK + 1 trials cross a chunk boundary at m = 5, whose int32
+# columns fit 2 * ARRAY_CHUNK trials per chunk
+@pytest.mark.parametrize("trials", [1, 150, ARRAY_CHUNK + 1, 2 * ARRAY_CHUNK + 1])
 def test_sampled_failures_match_a_scalar_reference(trials):
     q = _SkewedLoop(5)
     bad = q._sampled_failures(trials, seed=11)
@@ -236,18 +241,101 @@ def test_intermediate_bound_covers_the_kernel():
     rng = make_rng(73)
     third = make_rng(75)  # the inner map's third argument
     for m in (2, 5, 11, 1000):
-        bound = _intermediate_bound(m)
-        worst = 0
+        worst = dict.fromkeys((mul_coords, left_div_coords, inner_l_coords), 0)
         for _ in range(100):
             # extreme coordinates come close to the bound
             a, b = (tuple(rng.choice((1 - m, m - 1, rng.randint(1 - m, m - 1)))
                           for _ in range(8)) for _ in range(2))
             c = tuple(third.choice((1 - m, m - 1, third.randint(1 - m, m - 1)))
                       for _ in range(8))
-            worst = max(worst, _peak_formed(mul_coords, a, b),
-                        _peak_formed(left_div_coords, a, b),
-                        _peak_formed(inner_l_coords, a, b, c))
-        assert 0 < worst <= bound
+            for kernel, args in ((mul_coords, (a, b)), (left_div_coords, (a, b)),
+                                 (inner_l_coords, (a, b, c))):
+                worst[kernel] = max(worst[kernel], _peak_formed(kernel, *args))
+        for kernel, peak in worst.items():
+            assert 0 < peak <= _intermediate_bound(m, (kernel,))
+
+
+_SAMPLED_KERNELS = (mul_coords, inner_l_coords)
+
+
+def test_intermediate_bound_runs_a_wrapped_kernel_like_the_kernel():
+    # a profiler or tracer may replace a kernel by a wrapper that takes
+    # *args; the bound reads the arguments from the wrapped signature
+    for kernel in (mul_coords, left_div_coords, inner_l_coords):
+        wrapped = functools.wraps(kernel)(lambda *args, kernel=kernel: kernel(*args))
+        assert _intermediate_bound(5, (wrapped,)) == _intermediate_bound(5, (kernel,))
+
+
+@pytest.mark.parametrize("m, kernels, width", [
+    (2, (mul_coords,), np.int8),
+    (2, (left_div_coords,), np.int16),
+    (4, _SAMPLED_KERNELS, np.int16),
+    (5, _SAMPLED_KERNELS, np.int32),
+    (25, _SAMPLED_KERNELS, np.int32),
+    (100, _SAMPLED_KERNELS, np.int64),
+    (2999, _SAMPLED_KERNELS, np.int64),
+], ids=["2-table", "2-left-division", "4-sampled", "5-sampled", "25-sampled",
+        "100-sampled", "2999-sampled"])
+def test_width_is_the_narrowest_that_holds_the_bound(m, kernels, width):
+    assert QuotientLoop(m)._width("check", kernels) is width
+    bound = _intermediate_bound(m, kernels)
+    assert bound <= np.iinfo(width).max
+    narrower = quotient._WIDTHS[:quotient._WIDTHS.index(width)]
+    assert all(bound > np.iinfo(w).max for w in narrower)
+
+
+class _RecordingLoop(QuotientLoop):
+    """Keeps every call of mul and inner_l, with its arguments and result."""
+
+    def __init__(self, modulus):
+        super().__init__(modulus)
+        self.calls = []
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        self.calls.append((QuotientLoop.mul, (a, b), out))
+        return out
+
+    def inner_l(self, a, b, c):
+        out = super().inner_l(a, b, c)
+        self.calls.append((QuotientLoop.inner_l, (a, b, c), out))
+        return out
+
+
+@pytest.mark.parametrize("m, width", [(4, np.int16), (5, np.int32), (2434, np.int64)])
+def test_sampled_columns_are_exact_at_each_width(m, width):
+    # every array value of the sampled check equals the Python-int kernel,
+    # reduced mod m, on the same seeded draws
+    trials = 300
+    q, exact = _RecordingLoop(m), QuotientLoop(m)
+    assert q._sampled_failures(trials, seed=13) == 0
+    rng = random.Random(13)
+    draws = [[w * m >> 32 for w in struct.unpack("<32I", rng.randbytes(128))]
+             for _ in range(trials)]
+    _, (a, b, c), _ = q.calls[2]  # inner_l(a, b, c), after mul(c, d) and inner_l(a, b, cd)
+    assert [[int(v[i]) for e in (a, b, c) for v in e] for i in range(trials)] == \
+        [d[:24] for d in draws]
+    for method, args, out in q.calls:
+        assert all(v.dtype == width for e in (*args, out) for v in e)
+        for i in range(trials):
+            ints = (tuple(int(v[i]) for v in e) for e in args)
+            assert method(exact, *ints) == tuple(int(v[i]) for v in out)
+
+
+def test_array_left_division_keeps_its_own_bound():
+    # at m = 2 the product runs on int8, but left division forms values up
+    # to 142: on int8 columns it is widened to int16 and stays exact
+    q = QuotientLoop(2)
+    cols = [c.astype(np.int8) for c in q.element_coords(np.arange(q.order))]
+    quotients = q.left_divide([c[:, None] for c in cols], [c[None, :] for c in cols])
+    assert all(v.dtype == np.int16 for v in quotients)
+    assert np.array_equal(q.element_index(quotients), q.left_division_table())
+    # at m = 2999 the sampled kernels fit int64 but left division does not
+    big = QuotientLoop(2999)
+    a, c = (1,) * 8, (2,) * 8
+    assert big.left_divide(a, c) == big.reduce(left_div_coords(a, c))
+    with pytest.raises(BudgetExceeded, match="int64"):
+        big.left_divide(tuple(np.ones(3, dtype=np.int64) for _ in range(8)), c)
 
 
 @pytest.mark.parametrize("m", [2, 5, 7])
@@ -267,13 +355,28 @@ def test_inner_l_is_the_reduced_defining_equation(m):
 
 
 def test_int64_guard_refuses_a_modulus_past_its_bound():
-    assert _intermediate_bound(2000) < 2 ** 63 <= _intermediate_bound(3001)
-    QuotientLoop(2000)._require_int64("sampled check")
+    bound = lambda m: _intermediate_bound(m, _SAMPLED_KERNELS)
+    assert bound(2000) < bound(2999) < 2 ** 63 <= bound(3001)
+    assert QuotientLoop(2000)._width("sampled check", _SAMPLED_KERNELS) is np.int64
     big = QuotientLoop(3001)
     with pytest.raises(BudgetExceeded, match="int64"):
-        big._require_int64("sampled check")
+        big._width("sampled check", _SAMPLED_KERNELS)
     with pytest.raises(BudgetExceeded, match="int64"):
         big._sampled_failures(1, seed=0)
+
+
+def test_sampled_check_admits_every_modulus_up_to_2999(monkeypatch):
+    # the guard bounds the two kernels the check runs, not left division,
+    # so 2999 (the largest m <= 3000 coprime to 3) runs
+    report = QuotientLoop(2999).exhaustive_check("automorphic-sampled", trials=150)
+    assert report.passed and report.counts["quadruples-checked"] == 150
+
+    def no_draws(*_):
+        raise AssertionError("a trial was drawn past the int64 guard")
+
+    monkeypatch.setattr(random.Random, "randbytes", no_draws)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        QuotientLoop(3001).exhaustive_check("automorphic-sampled", trials=150)
 
 
 def _loop_with_table(table: np.ndarray) -> QuotientLoop:
@@ -348,6 +451,9 @@ def test_full_check_stays_within_its_memory_bound():
 
 
 _IDX = np.arange(256)
+_M2 = QuotientLoop(2).product_table()
+_RELABEL = np.random.default_rng(5).permutation(256)  # old index -> new index
+_UNLABEL = np.argsort(_RELABEL)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +466,10 @@ _IDX = np.arange(256)
         # would find two fixed elements here
         pytest.param(lambda: _loop_with_table((_IDX[:, None] - _IDX[None, :]) % 256),
                      [], id="difference-square"),
+        # the m = 2 loop with its elements relabelled at random: the central
+        # ones are no longer the lowest indices, so candidates fall at many a
+        pytest.param(lambda: _loop_with_table(_RELABEL[_M2[_UNLABEL][:, _UNLABEL]]),
+                     sorted(int(i) for i in _RELABEL[:16]), id="relabelled-m2"),
     ],
 )
 def test_center_is_the_fixed_set_of_every_inner_map(loop, expected):
