@@ -11,10 +11,14 @@ forever, so exported artifacts are byte-reproducible.  The m = 2 quotient
 the full automorphism law over all 256^4 quadruples; that check runs on a
 precomputed product table with numpy gathers.
 
-The full check scans all 65 536 inner mappings L_{a,b} once, one b at a
-time, keeps the distinct permutations among them (43 at m = 2), and checks
-L(c * d) = L(c) * L(d) for every pair (c, d) against each distinct map in
-turn, so that no step holds more than a few order x order arrays.
+The full check scans the inner mappings L_{a,b} on representatives of the
+cosets of a central set that it verifies on the product table: on a loop,
+multiplying a or b by a central element does not change L_{a,b}
+(:meth:`QuotientLoop._distinct_inner_maps` has the proof), so at m = 2 the
+16 central elements leave 16 representatives and 256 of the 65 536 pairs
+(a, b).  It keeps the distinct permutations among them (43 at m = 2), and
+checks L(c * d) = L(c) * L(d) for every pair (c, d) against each distinct
+map in turn, so that no step holds more than a few order x order arrays.
 Whether that law holds depends only on the permutation L, not on the pair
 (a, b) that produced it, so the check still decides every one of the
 256^4 quadruples (a, b, c, d).  The center needs no scan: c is fixed by
@@ -249,35 +253,90 @@ class QuotientLoop:
         ldiv[np.arange(self.order)[:, None], t] = np.arange(self.order, dtype=t.dtype)[None, :]
         return ldiv
 
-    def _distinct_inner_maps(self) -> np.ndarray:
-        """k x order array of the distinct inner mappings L_{a,b}.
+    def _central_set(self, t: np.ndarray, ti: np.ndarray) -> np.ndarray:
+        """Indices of the candidates of ``center_indices`` that the product
+        table ``t`` shows to be central, given ``ti``, ``t`` copied to intp.
 
-        L_{a,b}(c) is the z with (a * b) * z = b * (a * c).  The scan takes
-        one b at a time.  The table is copied to intp once, so that row b of
-        the table takes b * (a * c) for every a and c in one gather with no
-        index arithmetic; the division is a second gather, from the raveled
-        division table.  Row a divides by a * b, not b * a, which keeps
-        non-commutative tables right.
+        A candidate z is kept when, for every x and y, z * x = x * z, row z
+        is a permutation, and (x * z) * y = x * (z * y),
+        (z * x) * y = z * (x * y) and x * (y * z) = (x * y) * z.  Once z
+        commutes, row z is column z too, so one array of z * (x * y) decides
+        the three associative laws: (z * x) * y against it is the left one,
+        x * (z * y) the right one, and the two together the middle one.
+        Each gather is into the table's uint16 and indexes with ``ti`` or a
+        single row, so no candidate makes an order x order intp array.  On a
+        table that is not a loop the set shrinks, and it may be empty.
+        """
+        idx = np.arange(self.order)
+        kept = []
+        for z in self.center_indices():
+            rz = t[z]  # [x] = z * x
+            if not ((rz == t[:, z]).all() and (np.sort(rz) == idx).all()):
+                continue
+            zxy = rz.take(ti)  # [x, y] = z * (x * y)
+            if (np.array_equal(t.take(rz, axis=0), zxy)  # (z * x) * y
+                    and np.array_equal(t.take(rz, axis=1), zxy)):  # x * (z * y)
+                kept.append(z)
+        return np.array(kept, dtype=np.intp)
+
+    def _coset_representatives(self, t: np.ndarray, central: np.ndarray) -> np.ndarray:
+        """Sorted indices of the elements x of the product table ``t`` with
+        x <= x * z for every z in ``central``.
+
+        From any element, a right product by a central element that lowers
+        the index leads on, step by step, to one of these, since indices
+        cannot fall forever.  When ``central`` is a subgroup, as the center
+        of a loop is, one step reaches a whole coset, so these are the
+        least elements of its cosets.
+        """
+        return np.flatnonzero((t[:, central] >= np.arange(self.order)[:, None]).all(axis=1))
+
+    def _distinct_inner_maps(self, ti: np.ndarray, reps: np.ndarray) -> np.ndarray:
+        """k x order array of the distinct inner mappings L_{a,b} with a and
+        b in ``reps``, given ``ti``, the product table copied to intp.
+
+        L_{a,b}(c) is the y with (a * b) * y = b * (a * c).  The pairs of
+        coset representatives give every distinct L_{a,b} of the table, by
+        this lemma.  Let z commute with every element, lie in the three
+        nuclei and have an injective column; ``_central_set`` checks each of
+        these on every pair of the table.  Then, by the middle nucleus,
+        commuting and the right nucleus,
+          (a * z) * b = a * (z * b) = a * (b * z) = (a * b) * z,
+          b * ((a * z) * c) = b * ((a * c) * z) = (b * (a * c)) * z,
+          ((a * b) * z) * y = (a * b) * (z * y) = ((a * b) * y) * z.
+        So y = L_{a*z,b}(c) solves ((a * b) * y) * z = (b * (a * c)) * z,
+        and cancelling z on the right gives (a * b) * y = b * (a * c), that
+        is, L_{a*z,b} = L_{a,b}.  With b * z for b the same steps give
+        L_{a,b*z} = L_{a,b}.  Each element reaches a representative by such
+        products, so every L_{a,b} is the map of a pair of representatives.
+        The division table solves for y, so rows are assumed to be
+        permutations, as there.
+
+        The scan takes one b at a time: row b of the table takes
+        b * (a * c) for every representative a and every c in one gather
+        with no index arithmetic, and the division is a second gather, from
+        the raveled division table.  Row a divides by a * b, not b * a,
+        which keeps non-commutative tables right.
 
         Rows are permutations of the element indices, in order of first
-        appearance scanning b, then a.  Duplicates are found by comparing
-        the rows' bytes exactly: each b's block of maps is turned into one
-        bytes buffer and sliced into rows.
+        appearance scanning b, then a.  That is the order a scan of every
+        pair finds them in: a map's first pair is a pair of representatives,
+        or a product by a central element would give a lower pair.
+        Duplicates are found by comparing the rows' bytes exactly: each b's
+        block of maps is turned into one bytes buffer and sliced into rows.
         """
-        t = self.product_table()
         ldiv = self.left_division_table().ravel()
-        ti = t.astype(np.intp)  # ti[a, c] = a * c
         order = self.order
-        width = order * t.dtype.itemsize
+        ta = ti[reps]  # [i, c] = a_i * c
+        width = order * ldiv.itemsize
         rows = {}  # insertion-ordered set of each row's bytes
-        for b in range(order):
-            mid = ti[b].take(ti)  # [a, c] = b * (a * c)
-            mid += (ti[:, b] * order)[:, None]  # flat index of row a * b, column mid
-            buf = ldiv.take(mid).tobytes()  # [a, c] = L_{a,b}(c)
-            del mid  # release this b's index block before the next is built
+        for b in reps:
+            mid = ti[b].take(ta)  # [i, c] = b * (a_i * c)
+            mid += (ta[:, b] * order)[:, None]  # flat index of row a_i * b, column mid
+            buf = ldiv.take(mid).tobytes()  # [i, c] = L_{a_i,b}(c)
             for i in range(0, len(buf), width):
                 rows[buf[i:i + width]] = None
-        return np.frombuffer(b"".join(rows), dtype=t.dtype).reshape(-1, order)
+        return np.frombuffer(b"".join(rows), dtype=ldiv.dtype).reshape(-1, order)
 
     def center_indices(self) -> list:
         """Brute-force center: elements fixed by every inner mapping L_{a,b}.
@@ -378,13 +437,18 @@ class QuotientLoop:
 
     def _check_automorphic_full(self, report: "QuotientReport") -> None:
         t = self.product_table()
-        maps = self._distinct_inner_maps()
+        ti = t.astype(np.intp)  # one index copy for every gather by the table
+        central = self._central_set(t, ti)
+        reps = self._coset_representatives(t, central)
+        maps = self._distinct_inner_maps(ti, reps)
         # L(c * d) = L(c) * L(d) for every c and d, one map at a time
         report.checks["automorphism-full"] = all(
-            np.array_equal(p[t], t[p][:, p]) for p in maps
+            np.array_equal(p.take(ti), t.take(p, axis=0).take(p, axis=1)) for p in maps
         )
         report.counts["quadruples-checked"] = self.order ** 4
         report.counts["distinct-inner-maps"] = len(maps)
+        report.counts["central-elements"] = len(central)
+        report.counts["inner-maps-computed"] = len(reps) ** 2
 
     # -- export -----------------------------------------------------------------
 
@@ -398,8 +462,9 @@ class QuotientLoop:
                 fh.write(
                     f"caloop-table m={self.modulus} order={self.order} ordering=lex\n"
                 )
+                names = [str(i) for i in range(self.order)]  # each index's text, made once
                 for row in t.tolist():
-                    fh.write(",".join(map(str, row)))
+                    fh.write(",".join([names[v] for v in row]))
                     fh.write("\n")
         else:
             with open(path, "wb") as fh:

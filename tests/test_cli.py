@@ -221,6 +221,10 @@ def test_check_quotient_full_m2(capsys):
     assert doc["pass"] is True
     assert doc["counts"]["quadruples-checked"] == 4294967296
     assert doc["counts"]["distinct-inner-maps"] == 43
+    # the work behind those counts: 16 central elements leave 16 coset
+    # representatives, so 16 * 16 maps are computed, not 65 536
+    assert doc["counts"]["central-elements"] == 16
+    assert doc["counts"]["inner-maps-computed"] == 256
 
 
 @pytest.mark.parametrize(

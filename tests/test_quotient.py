@@ -385,25 +385,55 @@ def _loop_with_table(table: np.ndarray) -> QuotientLoop:
     return q
 
 
+_IDX = np.arange(256)
+_XOR = _IDX[:, None] ^ _IDX[None, :]  # the elementary abelian group (Z/2)^8
+_M2 = QuotientLoop(2).product_table()
+_RELABEL = np.random.default_rng(5).permutation(256)  # old index -> new index
+_UNLABEL = np.argsort(_RELABEL)
+
+
+def _tampered() -> np.ndarray:
+    # the xor group with the intercalate on rows 1, 2 x columns 4, 7 and its
+    # mirror image swapped: still a commutative Latin square with identity,
+    # but no longer automorphic
+    t = _XOR.copy()
+    for r, c in ((1, 4), (1, 7), (2, 4), (2, 7)):
+        t[r, c] = t[c, r] = t[r, c] ^ 3
+    return t
+
+
+def _reference_inner_maps(q: QuotientLoop) -> set:
+    """Row bytes of all 65 536 maps L_{a,b}, scanned a-major with no central
+    shortcut: for one a, L_{a,b}(c) for every b and c by two flat gathers."""
+    t, ldiv, order = q.product_table(), q.left_division_table(), q.order
+    reference = set()
+    for a in range(order):
+        ta = t[a].astype(np.intp)  # [b] = a * b, and [c] = a * c
+        mid = np.take(t, np.arange(0, order * order, order)[:, None] + ta)  # [b, c] = b * (a * c)
+        perms = np.take(ldiv, (ta * order)[:, None] + mid)  # divide by a * b
+        reference.update(row.tobytes() for row in perms)
+    return reference
+
+
+def _fixed_by_every_inner_map(q: QuotientLoop) -> list:
+    """Reference center: the c fixed by every one of the 65 536 maps L_{a,b}."""
+    maps = np.frombuffer(b"".join(_reference_inner_maps(q)), dtype=np.uint16)
+    fixed = (maps.reshape(-1, q.order) == np.arange(q.order)).all(axis=0)
+    return [int(i) for i in np.nonzero(fixed)[0]]
+
+
 def test_full_check_on_a_group_sees_one_inner_map():
-    idx = np.arange(256)
-    xor = idx[:, None] ^ idx[None, :]  # the elementary abelian group (Z/2)^8
-    report = _loop_with_table(xor).exhaustive_check("automorphic-full")
+    report = _loop_with_table(_XOR).exhaustive_check("automorphic-full")
     assert report.passed
     assert report.counts["distinct-inner-maps"] == 1
     assert report.counts["quadruples-checked"] == 256 ** 4
 
 
 def test_full_check_fails_on_a_tampered_table():
-    idx = np.arange(256)
-    t = idx[:, None] ^ idx[None, :]
-    # swap the intercalate on rows 1, 2 x columns 4, 7 and its mirror image:
-    # still a commutative Latin square with identity, but no longer automorphic
-    for r, c in ((1, 4), (1, 7), (2, 4), (2, 7)):
-        t[r, c] = t[c, r] = t[r, c] ^ 3
-    assert (t == t.T).all() and (t[0] == idx).all()
-    assert (np.sort(t, axis=0) == idx[:, None]).all()
-    assert (np.sort(t, axis=1) == idx[None, :]).all()
+    t = _tampered()
+    assert (t == t.T).all() and (t[0] == _IDX).all()
+    assert (np.sort(t, axis=0) == _IDX[:, None]).all()
+    assert (np.sort(t, axis=1) == _IDX[None, :]).all()
     q = _loop_with_table(t)
     report = q.exhaustive_check("automorphic-full")
     assert not report.passed
@@ -412,33 +442,103 @@ def test_full_check_fails_on_a_tampered_table():
     assert q.center_indices() == _fixed_by_every_inner_map(q) == [0, 3]
 
 
-def _fixed_by_every_inner_map(q: QuotientLoop) -> list:
-    """Reference center: the c fixed by every L_{a,b}, from the distinct
-    maps, which the scan keeps by exact comparison of every map's bytes."""
-    fixed = (q._distinct_inner_maps() == np.arange(q.order)).all(axis=0)
-    return [int(i) for i in np.nonzero(fixed)[0]]
+@pytest.mark.parametrize(
+    "table, central, maps",
+    [
+        pytest.param(_M2, 16, 43, id="m2"),
+        pytest.param(_XOR, 256, 1, id="xor-group"),
+        pytest.param(_tampered(), 2, 132, id="tampered"),
+        # not commutative, so nothing is central and every pair is scanned
+        pytest.param((_IDX[:, None] - _IDX[None, :]) % 256, 0, 128, id="difference-square"),
+        pytest.param(_RELABEL[_M2[_UNLABEL][:, _UNLABEL]], 16, 43, id="relabelled-m2"),
+    ],
+)
+def test_distinct_inner_maps_match_a_full_reference_scan(table, central, maps):
+    # the scan over coset representatives of the central set finds exactly
+    # the maps of all 65 536 pairs (a, b), on loops and on tables that are not
+    q = _loop_with_table(table)
+    t = q.product_table()
+    ti = t.astype(np.intp)
+    central_set = q._central_set(t, ti)
+    assert len(central_set) == central
+    scanned = q._distinct_inner_maps(ti, q._coset_representatives(t, central_set))
+    assert len(scanned) == maps
+    assert {row.tobytes() for row in scanned} == _reference_inner_maps(q)
 
 
-def test_distinct_inner_maps_match_an_a_major_reference_scan():
-    # L_{a,b}(c) for one a and every b, c by two flat gathers, as a scan by a
-    # computes it; the b-major scan must find the same set of permutations
-    q = QuotientLoop(2)
-    t, ldiv, order = q.product_table(), q.left_division_table(), q.order
-    reference = set()
-    for a in range(order):
-        ta = t[a].astype(np.intp)  # [b] = a * b, and [c] = a * c
-        mid = np.take(t, np.arange(0, order * order, order)[:, None] + ta)  # [b, c] = b * (a * c)
-        perms = np.take(ldiv, (ta * order)[:, None] + mid)  # divide by a * b
-        reference.update(row.tobytes() for row in perms)
-    maps = q._distinct_inner_maps()
-    assert len(maps) == len(reference) == 43
-    assert {row.tobytes() for row in maps} == reference
+@pytest.mark.parametrize(
+    "table, passed, maps, central",
+    [
+        pytest.param(_M2, True, 43, list(range(16)), id="m2"),
+        pytest.param(_tampered(), False, 132, [0, 3], id="tampered"),
+    ],
+)
+def test_central_set_drops_every_candidate_that_is_not_central(
+        monkeypatch, table, passed, maps, central):
+    # with every element handed in as a candidate, the commutation, row and
+    # nucleus tests alone must cut the set back to the center; kept too
+    # many, the scan would see too few representatives and too few maps
+    monkeypatch.setattr(QuotientLoop, "center_indices", lambda self: list(range(self.order)))
+    q = _loop_with_table(table)
+    t = q.product_table()
+    assert q._central_set(t, t.astype(np.intp)).tolist() == central
+    report = q.exhaustive_check("automorphic-full")
+    assert report.checks["automorphism-full"] is passed
+    assert report.counts["distinct-inner-maps"] == maps
+    assert report.counts["central-elements"] == len(central)
+
+
+def _times_xor(magma: np.ndarray) -> np.ndarray:
+    """The product of a magma on 0..n-1, n dividing 256, with the xor group
+    of order 256 // n; the pair (a, g) has index a * (256 // n) + g."""
+    k = 256 // len(magma)
+    xor = _IDX[:k, None] ^ _IDX[None, :k]
+    return (magma[:, None, :, None] * k + xor[None, :, None, :]).reshape(256, 256)
+
+
+# an order-4 magma whose element 2 commutes with every element and has a
+# permutation for its row, found by a seeded search
+_LEFT_LAW_ONLY = np.array([[0, 3, 1, 3], [1, 2, 0, 2], [1, 0, 3, 2], [0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "magma, z, failing",
+    [
+        # a left identity of the magma x * y = y: its row is the identity
+        pytest.param(np.array([[0, 1], [0, 1]]), 1, {"commutes"}, id="right-projection"),
+        # an absorbing element of a commutative monoid
+        pytest.param(np.array([[0, 1], [1, 1]]), 1, {"row-permutes"}, id="absorbing"),
+        pytest.param(_LEFT_LAW_ONLY, 2, {"middle", "right"}, id="left-law-only"),
+        pytest.param(_LEFT_LAW_ONLY.T, 2, {"left", "middle"}, id="right-law-only"),
+    ],
+)
+def test_central_set_refuses_a_candidate_that_fails_one_test(monkeypatch, magma, z, failing):
+    # each z fails just one of the four tests _central_set makes: that z
+    # commutes, that its row permutes, and its two comparisons, which are
+    # the left and the right law once z commutes; on a commutative table
+    # either law gives the other, so only tables like the last two tell
+    # whether each comparison is made
+    q = _loop_with_table(_times_xor(magma))
+    z *= 256 // len(magma)
+    t = q.product_table()
+    rz, cz = t[z], t[:, z]  # z * x and x * z
+    holds = {
+        "commutes": np.array_equal(rz, cz),
+        "row-permutes": np.array_equal(np.sort(rz), _IDX),
+        "left": np.array_equal(t[rz], rz[t]),  # (z * x) * y = z * (x * y)
+        "middle": np.array_equal(t[cz], t[:, rz]),  # (x * z) * y = x * (z * y)
+        "right": np.array_equal(t[:, cz], cz[t]),  # x * (y * z) = (x * y) * z
+    }
+    assert {name for name, ok in holds.items() if not ok} == failing
+    monkeypatch.setattr(QuotientLoop, "center_indices", lambda self: [z])
+    assert q._central_set(t, t.astype(np.intp)).tolist() == []
 
 
 def test_full_check_stays_within_its_memory_bound():
-    # a fresh check builds both tables and scans the inner maps, which
-    # traces about 1.65 MiB; the bound leaves room for numpy's own
-    # allocations but not for two of the scan's 512 KiB index blocks at once
+    # a fresh check builds both uint16 tables, one intp copy of the table
+    # (512 KiB) and uint16 gathers of 128 KiB for the central set and the
+    # law, which traces about 1.07 MiB; the bound leaves room for numpy's
+    # own allocations but not for a second intp copy of the table
     q = QuotientLoop(2)
     tracemalloc.start()
     try:
@@ -447,21 +547,14 @@ def test_full_check_stays_within_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 2 << 20
-
-
-_IDX = np.arange(256)
-_M2 = QuotientLoop(2).product_table()
-_RELABEL = np.random.default_rng(5).permutation(256)  # old index -> new index
-_UNLABEL = np.argsort(_RELABEL)
+    assert peak < 3 << 19
 
 
 @pytest.mark.parametrize(
     "loop, expected",
     [
         pytest.param(lambda: QuotientLoop(2), list(range(16)), id="m2"),
-        pytest.param(lambda: _loop_with_table(_IDX[:, None] ^ _IDX[None, :]),
-                     list(range(256)), id="xor-group"),
+        pytest.param(lambda: _loop_with_table(_XOR), list(range(256)), id="xor-group"),
         # a non-commutative Latin square: dividing by b * a instead of a * b
         # would find two fixed elements here
         pytest.param(lambda: _loop_with_table((_IDX[:, None] - _IDX[None, :]) % 256),
