@@ -3,7 +3,7 @@
 alpha(n) = (n^3 - n)/3 and beta(n) = n^2 - n are the exponents of the
 paper's power formulas.  The kernel in :mod:`caloop.core` inlines them in
 its ``+ - *`` and exact ``// 3``, so that one formula runs on ints,
-polynomials and int64 arrays; these functions are their exact integer
+polynomials and int8-int64 arrays; these functions are their exact integer
 form.  Every quantity in this package is an exact integer or rational;
 nothing is ever rounded.
 """

@@ -5,7 +5,7 @@ the inner mapping L_{a,b} = L_a L_b L_{ba}^-1 sends c to the unique z with
 (b*a)*z = b*(a*c).  Both are computed by one hand-factored polynomial
 formula each (:func:`assoc_coords`, :func:`inner_l_coords`), in the
 kernel's + - * and exact // 3, so the same code runs on ints, on
-polynomials and on int64 arrays.  Each formula is proved equal to its
+polynomials and on int8-int64 arrays.  Each formula is proved equal to its
 defining equation, solved by exact left division through the loop product,
 by the identity catalog in :mod:`caloop.symbolic` (entries
 ``associator-formula`` and ``inner-map-formula``), for all integer

@@ -33,8 +33,9 @@ The product, division and power use only + - * and exact // (by 3, and by
 15 in the power), so the same code also runs on tuples of polynomials,
 where the identity catalog in :mod:`caloop.symbolic` proves its laws
 (including, with ``power-*`` entries and a polynomial exponent, that
-P(n; a) is the iterated product), and on tuples of int64 arrays, for the
-finite quotients in :mod:`caloop.quotient`.
+P(n; a) is the iterated product), and on tuples of int8-int64 arrays, for
+the finite quotients in :mod:`caloop.quotient`, each at the narrowest width
+that holds every value the formula forms at the modulus.
 """
 
 from __future__ import annotations

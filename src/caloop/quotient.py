@@ -23,7 +23,13 @@ Whether that law holds depends only on the permutation L, not on the pair
 (a, b) that produced it, so the check still decides every one of the
 256^4 quadruples (a, b, c, d).  The center needs no scan: c is fixed by
 L_{a,b} exactly when (a * b) * c = b * (a * c), which is tested on the
-product table directly, each a against the candidates c still standing.
+product table directly, a block of a at a time against the candidates c
+still standing, the block as large as keeps its arrays to the table's size.
+
+A CSV table file is read line by line under the same bounds whatever its
+cells, and its cells are converted in one bulk call when they are only
+digits and commas; any other body, or one the bulk call refuses, is
+converted line by line, which names the line of the first fault.
 
 The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
 index maps) is written once on coordinate tuples and runs unchanged on
@@ -47,6 +53,7 @@ import os
 import random
 import reprlib
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -350,22 +357,30 @@ class QuotientLoop:
         points of L_{a,b}; both divide by the row a * b, not b * a, which
         keeps the two definitions equal on non-commutative tables too.
 
-        Every c starts as a candidate, and each a tests every b against the
-        candidates still standing only, so a c drops out at its first
-        failing a and every c is still decided by the same equation.  The a
-        are taken in descending index order: the first coordinate is the
-        most significant lex digit, and at m = 2 the first a drops every
-        non-central candidate.
+        Every c starts as a candidate, and each block of a tests every b
+        against the candidates still standing only, so a c drops out in the
+        block of its first failing a and every c is still decided by the
+        same equation.  A block holds order // (candidates standing) rows of
+        a, at least one, so its arrays hold at most order x order entries,
+        the size of the table.  The blocks are taken in descending index
+        order of a: the first coordinate is the most significant lex digit,
+        and at m = 2 the first a, alone in its block, drops every
+        non-central candidate, and the other 255 run in blocks of 16.
         """
         t = self.product_table()
+        order = self.order
         t_cols = np.ascontiguousarray(t.T)  # t_cols[y, x] = x * y
-        standing = np.arange(self.order)
+        standing = np.arange(order)
         rows = t_cols  # rows[j, x] = x * c for the j-th standing c
-        for ta in t[::-1]:  # ta[x] = a * x, one a at a time
-            # [j, b]: (a * b) * c against b * (a * c), for each standing c
-            held = (rows.take(ta, axis=1) == t_cols[ta[standing]]).all(axis=1)
+        end = order  # the a below end are still to be tested
+        while end and len(standing):
+            start = max(0, end - max(1, order // len(standing)))
+            ta = t[start:end]  # ta[i, x] = a_i * x
+            # [j, i, b]: (a_i * b) * c against b * (a_i * c), for each standing c
+            held = (rows.take(ta, axis=1) == t_cols[ta[:, standing].T]).all(axis=(1, 2))
             if not held.all():
                 standing, rows = standing[held], rows[held]
+            end = start
         return [int(i) for i in standing]
 
     # -- checks ---------------------------------------------------------------
@@ -607,34 +622,66 @@ def _read_table_csv(path: str):
             )
         _check_modulus(path, m, order)
         limit = order * (_HEADER_INT_CHARS + 1) + 1  # order cells, their commas, a CRLF
-        rows = []
-        for lineno, raw in enumerate(iter(lambda: fh.readline(limit + 1), b""), start=2):
-            if len(raw) > limit:  # a long line is refused before it is read in full
-                raise ValueError(f"{path}: line {lineno} is longer than the limit of {limit} bytes")
-            cells = raw.count(b",") + 1
-            if cells > order:  # a wide row is refused before it is decoded or converted
-                raise ValueError(
-                    f"{path}: line {lineno} has {cells} cells, past the header's order={order}"
-                )
-            line = _csv_line(path, lineno, raw).strip()
-            if not line:
-                continue
-            if len(rows) == order:  # refuse a long file at its first extra row
-                raise ValueError(
-                    f"{path}: line {lineno} is row {order + 1}, past the header's order={order}"
-                )
-            try:
-                row = np.array(list(map(int, line.split(","))), dtype=np.int64)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
-            except OverflowError:
-                raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range") from None
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"
-                )
-            rows.append(row)
-    return m, order, np.array(rows, dtype=np.int64)
+        linenos, lines = [], []  # each non-blank body line, stripped, and its number
+        try:
+            for lineno, raw in enumerate(iter(lambda: fh.readline(limit + 1), b""), start=2):
+                if len(raw) > limit:  # a long line is refused before it is read in full
+                    raise ValueError(
+                        f"{path}: line {lineno} is longer than the limit of {limit} bytes"
+                    )
+                cells = raw.count(b",") + 1
+                if cells > order:  # a wide row is refused before it is decoded or converted
+                    raise ValueError(
+                        f"{path}: line {lineno} has {cells} cells, past the header's order={order}"
+                    )
+                line = _csv_line(path, lineno, raw).strip()
+                if not line:
+                    continue
+                if len(lines) == order:  # refuse a long file at its first extra row
+                    raise ValueError(
+                        f"{path}: line {lineno} is row {order + 1}, past the header's order={order}"
+                    )
+                linenos.append(lineno)
+                lines.append(line)
+        except ValueError:
+            # a bad cell on an earlier line is the first fault: converting
+            # the lines read so far names it
+            _csv_cells(path, linenos, lines)
+            raise
+    return m, order, _csv_cells(path, linenos, lines)
+
+
+def _csv_cells(path: str, linenos: list, lines: list) -> np.ndarray:
+    """int64 table of the stripped CSV body ``lines``, numbered ``linenos``.
+
+    A body of ASCII digits and commas alone, with no line longer than the
+    digits int() may read, is converted in one ``np.loadtxt`` call, which
+    reads such cells as int() does.  Any other body, or one that call
+    refuses (a ragged row, an empty cell, a cell past int64), is converted
+    line by line, which raises at the first bad line; so line numbers are
+    worked out only for the error raised.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if (lines and not "".join(lines).encode("ascii").translate(None, b"0123456789,")
+            and not 0 < digits < max(map(len, lines))):
+        try:
+            return np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    rows = []
+    for lineno, line in zip(linenos, lines):
+        try:
+            row = np.array(list(map(int, line.split(","))), dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
+        except OverflowError:
+            raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"
+            )
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def _read_table_bin(path: str):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from caloop.calculus import inner_l_coords
 from caloop.core import left_div_coords, mul_coords
@@ -20,6 +22,7 @@ from caloop.quotient import (
     BudgetExceeded,
     QuotientLoop,
     _intermediate_bound,
+    _read_table_csv,
     validate_table_file,
 )
 
@@ -550,6 +553,21 @@ def test_full_check_stays_within_its_memory_bound():
     assert peak < 3 << 19
 
 
+def test_axioms_check_stays_within_its_memory_bound():
+    # a fresh check builds the uint16 table (128 KiB), and each block of a
+    # that the center search tests holds at most order x order entries, so
+    # the check traces about 0.57 MiB
+    q = QuotientLoop(2)
+    tracemalloc.start()
+    try:
+        report = q.exhaustive_check("axioms")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "loop, expected",
     [
@@ -568,6 +586,36 @@ def test_full_check_stays_within_its_memory_bound():
 def test_center_is_the_fixed_set_of_every_inner_map(loop, expected):
     q = loop()
     assert q.center_indices() == _fixed_by_every_inner_map(q) == expected
+
+
+class _SliceSpy(np.ndarray):
+    """A product table that records the rows of every slice taken of it,
+    the blocks of a that ``center_indices`` tests at once."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.blocks.append(range(*key.indices(len(self))))
+        return super().__getitem__(key)
+
+
+def test_center_drops_a_candidate_inside_a_block_of_several_a():
+    # on the tampered table the candidates fall one by one, so the blocks
+    # grow from one a to several while non-central candidates still stand
+    t = _tampered().astype(np.uint16)
+    q = QuotientLoop(2)
+    q._table = spy = t.view(_SliceSpy)
+    spy.blocks = []
+    center = q.center_indices()
+    assert center == _fixed_by_every_inner_map(_loop_with_table(t)) == [0, 3]
+    # every a is tested once, and the first block that holds an a with
+    # (a * b) * c != b * (a * c) for some b is the block that drops c
+    assert sorted(a for block in spy.blocks for a in block) == list(range(256))
+    dropped_by = {}
+    for c in range(256):
+        failing = set(np.flatnonzero((t[t, c] != t[:, t[:, c]].T).any(axis=1)).tolist())
+        dropped_by[c] = next((b for b in spy.blocks if failing & set(b)), None)
+    assert [c for c, block in dropped_by.items() if block is None] == center
+    assert any(len(block) > 1 for block in dropped_by.values() if block is not None)
 
 
 def test_center_is_the_final_tail_block():
@@ -767,6 +815,117 @@ def test_validator_names_bad_csv_row(tmp_path, body, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         validate_table_file(str(path))
     assert str(path) in str(info.value)
+
+
+def _per_line_reader(path: str):
+    """The CSV reader before the bulk conversion, for a body under an m = 2
+    header: each line is converted by int() as it is read."""
+    order = 256
+    limit = order * 21 + 1
+    with open(path, "rb") as fh:
+        fh.readline()
+        rows = []
+        for lineno, raw in enumerate(iter(lambda: fh.readline(limit + 1), b""), start=2):
+            if len(raw) > limit:
+                raise ValueError(f"{path}: line {lineno} is longer than the limit of {limit} bytes")
+            cells = raw.count(b",") + 1
+            if cells > order:
+                raise ValueError(
+                    f"{path}: line {lineno} has {cells} cells, past the header's order={order}"
+                )
+            line = quotient._csv_line(path, lineno, raw).strip()
+            if not line:
+                continue
+            if len(rows) == order:
+                raise ValueError(
+                    f"{path}: line {lineno} is row {order + 1}, past the header's order={order}"
+                )
+            try:
+                row = np.array(list(map(int, line.split(","))), dtype=np.int64)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
+            except OverflowError:
+                raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"
+                )
+            rows.append(row)
+    return 2, order, np.array(rows, dtype=np.int64)
+
+
+def _read_outcome(reader, path: str):
+    try:
+        m, order, t = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return m, order, t.dtype, t.shape, t.tolist()
+
+
+@st.composite
+def _csv_bodies(draw):
+    """Lines of one width, or of that width and one more, among blank lines
+    and CRLF ends; the cells are decimal ints (past int64 at times), or, in
+    half the bodies, short texts too, over the characters a hostile cell
+    may hold."""
+    width = draw(st.integers(1, 4))
+    cell = st.integers(0, 2 ** 64).map(str)
+    if draw(st.booleans()):
+        cell = st.one_of(cell, st.text("0123456789,+-_ \tx\u00e9", max_size=3))
+    line = st.one_of(
+        st.just(""),
+        st.lists(cell, min_size=width, max_size=width + draw(st.integers(0, 1))).map(",".join),
+    )
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=6))
+    return "".join(text + end for text, end in lines)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_bodies())
+def test_csv_reader_matches_the_per_line_reader(tmp_path, body):
+    # the same table, or the same error at the same line, as when every
+    # line was converted by int() as it was read
+    path = tmp_path / "body.csv"
+    path.write_text("caloop-table m=2 order=256 ordering=lex\n" + body, encoding="utf-8", newline="")
+    assert _read_outcome(_read_table_csv, str(path)) == _read_outcome(_per_line_reader, str(path))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # a ragged line 3, then a bad cell on line 4
+        ("0,1\n1,0,1\n1,x\n", "line 3 has 3 cells where the first row has 2"),
+        # the same with only digits and commas, which the bulk call refuses
+        ("0,1\n1,0,1\n1,\n", "line 3 has 3 cells where the first row has 2"),
+        # a bad cell on line 3, then a fault the line loop finds on line 4
+        ("0,1\n1,x\n1,\u00e9\n", "line 3 has a cell that is not an integer"),
+        # more digits than int() reads, though they are all zeros
+        ("0,1\n" + "0" * 4301 + ",1\n", "line 3 has a cell that is not an integer"),
+    ],
+    ids=["ragged-then-letter", "ragged-then-empty-cell", "letter-then-non-ascii",
+         "4301-digit-zero"],
+)
+def test_csv_reader_names_the_first_of_two_faults(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("caloop-table m=2 order=256 ordering=lex\n" + body, encoding="utf-8")
+    outcome = _read_outcome(_read_table_csv, str(path))
+    assert outcome == _read_outcome(_per_line_reader, str(path))
+    assert outcome == f"{path}: {message}"
+
+
+def test_csv_validation_stays_within_its_memory_bound(tmp_path):
+    # the body's lines (~230 KB), the int64 table (512 KiB) and a sorted
+    # copy of it for the Latin checks trace about 1.13 MiB
+    path = tmp_path / "table.csv"
+    QuotientLoop(2).export_table(str(path), "csv")
+    tracemalloc.start()
+    try:
+        report = validate_table_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 3 << 19
 
 
 def test_table_cache_reused():
