@@ -28,11 +28,16 @@ ever rounded.
 
 Only ``table`` and ``check-quotient`` import :mod:`caloop.quotient`, and
 with it numpy; the other commands run without loading numpy.
+
+:func:`main` builds its parser once per process, on its first call, and
+parses every later argv with the same one; :func:`build_parser` returns a
+fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -268,9 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call; parsing keeps no
+    state in it, so every argv is parsed as by a fresh one."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ParseError and BudgetExceeded too

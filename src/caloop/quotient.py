@@ -35,7 +35,11 @@ The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
 index maps) is written once on coordinate tuples and runs unchanged on
 tuples of numpy integer arrays, since the kernel formulas use only + - *
 and an exact // 3; ``inner_l`` is the closed form
-:func:`caloop.calculus.inner_l_coords`, reduced mod m.  Each array path
+:func:`caloop.calculus.inner_l_coords`, reduced mod m.  ``reduce`` and
+``element_index`` take residues by one rule, :func:`_residue`: when m is
+a power of two (m = 2, the table's modulus) a mask with m - 1, which two's
+complement makes exact for negative values too, and otherwise % (m = 5,
+say), so no integer division runs where a mask does.  Each array path
 runs at the narrowest of int8/int16/int32/int64 that holds every value its
 kernels form at the modulus (:meth:`QuotientLoop._width`, from
 :func:`_intermediate_bound`), and is refused past int64: the product table
@@ -125,6 +129,17 @@ def _chunk(width) -> int:
 _INT64_MAX = 2 ** 63 - 1
 
 
+def _residue(values, m: int):
+    """``values % m`` for an int or a numpy integer array, in [0, m).
+
+    When m is a power of two it masks with m - 1 instead, which needs no
+    integer division: Python ints and numpy's fixed-width ints are both two's
+    complement, so a negative value masks to its residue too.  The rule
+    depends on m alone.
+    """
+    return values & (m - 1) if m & (m - 1) == 0 else values % m
+
+
 def _size(n: int) -> str:
     """n in decimal if it fits in 64 bits, else its bit length, so that no
     message prints an unbounded int in full."""
@@ -159,7 +174,7 @@ class QuotientLoop:
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         m = self.modulus
-        return tuple(c % m for c in coords)
+        return tuple(_residue(c, m) for c in coords)
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple:
         """Product of residue tuples: lift, multiply exactly, reduce."""
@@ -187,9 +202,10 @@ class QuotientLoop:
     # -- indexing (lexicographic on coordinate tuples) -----------------------
 
     def element_index(self, coords: Sequence[int]) -> int:
+        m = self.modulus
         idx = 0
         for c in coords:
-            idx = idx * self.modulus + c % self.modulus
+            idx = idx * m + _residue(c, m)
         return idx
 
     def element_coords(self, index: int) -> tuple:
@@ -414,8 +430,9 @@ class QuotientLoop:
     def _check_axioms(self, report: "QuotientReport") -> None:
         report.checks.update(_table_checks(self.product_table()))
         center = self.center_indices()
-        expected = [i for i in range(self.order)
-                    if is_member(self.element_coords(i), NucleusKind.CENTER)]
+        # every element's coordinates from one array call, as int tuples
+        elements = zip(*(c.tolist() for c in self.element_coords(np.arange(self.order))))
+        expected = [i for i, e in enumerate(elements) if is_member(e, NucleusKind.CENTER)]
         report.checks["center-matches-coordinate-description"] = center == expected
         report.counts["products-checked"] = self.order ** 2
         report.counts["center-size"] = len(center)
@@ -687,7 +704,8 @@ def _csv_cells(path: str, linenos: list, lines: list) -> np.ndarray:
 def _read_table_bin(path: str):
     """(m, order, table) of a binary table file, whose magic b'CLT1' the
     caller has matched.  The file's size is checked against the header
-    before any entry is read."""
+    before any entry is read.  The table is the file's uint32 entries as
+    read, a read-only view of its bytes; the checks need no wider copy."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) < 8:
@@ -702,7 +720,7 @@ def _read_table_bin(path: str):
             )
         _check_modulus(path, m, order)
         data = np.frombuffer(fh.read(size), dtype="<u4")
-    return m, order, data.reshape(order, order).astype(np.int64)
+    return m, order, data.reshape(order, order)
 
 
 def validate_table_file(path: str) -> TableFileReport:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import caloop
-from caloop import symbolic
+from caloop import cli, symbolic
 from caloop.calculus import NucleusKind
-from caloop.cli import main
+from caloop.cli import build_parser, main
 from caloop.quotient import QuotientLoop, validate_table_file
 from caloop.words import MAX_BITS
 
@@ -482,6 +483,57 @@ def test_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("caloop ")
+
+
+# one argv of every subcommand; the report lines' timings are masked
+_EVERY_COMMAND = [
+    ["eval", "x*y*x"],  # a warning on stderr too
+    ["mul", "[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]"],
+    ["inv", "[1,2,3,4,5,6,7,8]", "--json"],
+    ["assoc", "[1,0,0,0,0,0,0,0]", "[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]"],
+    ["inner", "[1,2,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]", "[1,1,0,0,0,0,0,0]"],
+    ["member", "--kind", "center", "[1,0,0,0,0,0,0,0]"],
+    ["verify", "--identity", "commutativity"],
+    ["table", "--mod", "2", "--out", "table.csv", "--json"],
+    ["check-quotient", "--mod", "2", "--level", "axioms"],
+    ["check-quotient", "--mod", "5", "--level", "automorphic-sampled", "--trials", "50", "--json"],
+    ["eval", "x*"],  # a parse error, exit 2
+]
+_USAGE_ERROR = ["inv", "[1,0,0,0,0,0,0,0]", "--seed", "1"]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, with timings masked."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'\b\d+ ms\b|"millis":\d+', "<ms>", out), err
+
+
+def test_main_parses_every_call_as_its_first(capsys, tmp_path, monkeypatch):
+    # main keeps the parser of its first call; every later call, also after
+    # a usage error or --version, prints what the first one printed
+    monkeypatch.chdir(tmp_path)
+    cli._parser.cache_clear()
+    first = [_outcome(capsys, argv) for argv in _EVERY_COMMAND]
+    assert [code for code, _, _ in first] == [0] * 10 + [2]
+    usage = _outcome(capsys, _USAGE_ERROR)
+    assert usage[0] == 2 and "error: unrecognized arguments: --seed 1" in usage[2]
+    version = _outcome(capsys, ["--version"])
+    assert version == (0, f"caloop {caloop.__version__}\n", "")
+    for argv, outcome in zip(_EVERY_COMMAND, first):
+        assert _outcome(capsys, argv) == outcome
+        assert _outcome(capsys, _USAGE_ERROR) == usage
+        assert _outcome(capsys, argv) == outcome
+        assert _outcome(capsys, ["--version"]) == version
+        assert _outcome(capsys, argv) == outcome
+
+
+def test_build_parser_is_fresh_and_main_reuses_one():
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
 
 
 def test_json_output_deterministic(capsys):

@@ -22,7 +22,9 @@ from caloop.quotient import (
     BudgetExceeded,
     QuotientLoop,
     _intermediate_bound,
+    _read_table_bin,
     _read_table_csv,
+    _residue,
     validate_table_file,
 )
 
@@ -132,6 +134,20 @@ def test_element_indexing_is_lexicographic():
     assert q.element_index((1, 0, 0, 0, 0, 0, 0, 0)) == 128
     for i in (0, 1, 2, 37, 255):
         assert q.element_index(q.element_coords(i)) == i
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 7, 8])
+def test_residue_is_the_remainder(m):
+    values = list(range(-130, 130)) + [-2 ** 63, 2 ** 63 - 1, -(10 ** 40) - 3, 10 ** 40 + 3]
+    assert [_residue(v, m) for v in values] == [v % m for v in values]
+    for width in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(width)
+        a = np.array([info.min, info.min + 1, -m - 1, -m, -1, 0, 1, m - 1, m, m + 1, info.max - 1,
+                      info.max, *range(-50, 50)], dtype=width)
+        r = _residue(a, m)
+        assert r.dtype == a.dtype
+        assert np.array_equal(r, a % m)
+        assert all(0 <= v < m for v in r.tolist())
 
 
 def test_axioms_check_m2():
@@ -926,6 +942,28 @@ def test_csv_validation_stays_within_its_memory_bound(tmp_path):
         tracemalloc.stop()
     assert report.passed
     assert peak < 3 << 19
+
+
+def test_bin_validation_checks_the_entries_as_read(tmp_path):
+    # the file's bytes (256 KiB) and a sorted uint32 copy for the Latin checks
+    # trace about 0.69 MiB; a widened int64 copy of the table would add 512 KiB
+    path = tmp_path / "table.bin"
+    QuotientLoop(2).export_table(str(path), "bin")
+    assert _read_table_bin(str(path))[2].dtype == np.dtype("<u4")
+    tracemalloc.start()
+    try:
+        report = validate_table_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 7 << 17
+    # an entry past every index, near the top of uint32, is still compared exactly
+    data = bytearray(path.read_bytes())
+    data[8 + 4 * 300:8 + 4 * 301] = struct.pack("<I", 2 ** 32 - 1)
+    path.write_bytes(bytes(data))
+    report = validate_table_file(str(path))
+    assert not report.latin and not report.symmetric and report.identity_row
 
 
 def test_table_cache_reused():
