@@ -553,11 +553,140 @@ def test_central_set_refuses_a_candidate_that_fails_one_test(monkeypatch, magma,
     assert q._central_set(t, t.astype(np.intp)).tolist() == []
 
 
+# a commutative loop of order 8 that is neither associative nor automorphic,
+# and whose center is its identity alone, found by a seeded search
+_LOOP8 = np.array([
+    [0, 1, 2, 3, 4, 5, 6, 7], [1, 4, 0, 5, 3, 6, 7, 2], [2, 0, 4, 1, 5, 7, 3, 6],
+    [3, 5, 1, 7, 6, 4, 2, 0], [4, 3, 5, 6, 7, 2, 0, 1], [5, 6, 7, 4, 2, 0, 1, 3],
+    [6, 7, 3, 2, 0, 1, 5, 4], [7, 2, 6, 0, 1, 3, 4, 5],
+])
+
+
+def _reference_central_set(t: np.ndarray, candidates) -> list:
+    """The candidates z that pass every test of ``_central_set``, each made
+    on every pair (x, y): commuting, a permuting row and the three nuclei."""
+    kept = []
+    for z in candidates:
+        rz, cz = t[z], t[:, z]  # z * x and x * z
+        if (np.array_equal(rz, cz) and np.array_equal(np.sort(rz), _IDX)
+                and np.array_equal(t[rz], rz[t])  # (z * x) * y = z * (x * y)
+                and np.array_equal(t[cz], t[:, rz])  # (x * z) * y = x * (z * y)
+                and np.array_equal(t[:, cz], cz[t])):  # x * (y * z) = (x * y) * z
+            kept.append(z)
+    return kept
+
+
+def _law_holds(t: np.ndarray, p: np.ndarray) -> bool:
+    """p(x * y) = p(x) * p(y) on every one of the 65 536 pairs (x, y)."""
+    return np.array_equal(p[t], t[p][:, p])
+
+
+@pytest.mark.parametrize(
+    "table, central, holds",
+    [
+        pytest.param(_M2, 16, True, id="m2"),
+        pytest.param(_XOR, 256, True, id="xor-group"),
+        pytest.param(_tampered(), 2, False, id="tampered"),
+        pytest.param((_IDX[:, None] - _IDX[None, :]) % 256, 0, False, id="difference-square"),
+        pytest.param(_RELABEL[_M2[_UNLABEL][:, _UNLABEL]], 16, True, id="relabelled-m2"),
+        pytest.param(_times_xor(np.array([[0, 1], [0, 1]])), 0, True, id="right-projection"),
+        pytest.param(_times_xor(np.array([[0, 1], [1, 1]])), 128, True, id="absorbing"),
+        pytest.param(_times_xor(_LEFT_LAW_ONLY), 0, False, id="left-law-only"),
+        pytest.param(_times_xor(_LEFT_LAW_ONLY.T), 0, False, id="right-law-only"),
+        pytest.param(_times_xor(_LOOP8), 32, False, id="loop8-times-xor"),
+    ],
+)
+def test_reduced_law_and_central_set_match_an_exhaustive_reference(
+        monkeypatch, table, central, holds):
+    q = _loop_with_table(table)
+    t = q.product_table()
+    ti = t.astype(np.intp)
+    kept = q._central_set(t, ti)
+    assert kept.tolist() == _reference_central_set(t, q.center_indices())
+    assert len(kept) == central
+    # the closure keeps a candidate untested only when testing it would keep
+    # it, whether the candidates are the center search's or every element
+    monkeypatch.setattr(q, "center_indices", lambda: list(range(256)))
+    assert q._central_set(t, ti).tolist() == _reference_central_set(t, range(256))
+    reps = q._coset_representatives(t, kept)
+    maps = q._distinct_inner_maps(ti, reps)
+    assert quotient.automorphic_law(t, ti, kept, reps, maps)[0] is holds
+    assert all(_law_holds(t, p) for p in maps) is holds
+    # each map on its own, and each with two images outside the central set
+    # swapped, which keeps hypothesis (ii) and mostly breaks the law: once at
+    # two representatives, which (c) compares, and once at two other
+    # elements, which only (b) compares
+    outside = ~np.isin(_IDX, kept)
+    is_rep = np.isin(_IDX, reps)
+    for p in maps:
+        assert quotient.automorphic_law(t, ti, kept, reps, p[None])[0] is _law_holds(t, p)
+        for at in (is_rep, ~is_rep):
+            i = np.flatnonzero(at & outside[p])[:2]
+            swapped = p.copy()
+            swapped[i] = swapped[i[::-1]]
+            assert (quotient.automorphic_law(t, ti, kept, reps, swapped[None])[0]
+                    is _law_holds(t, swapped))
+
+
+@pytest.mark.parametrize(
+    "central, p",
+    [
+        # (i) fails: {1} is not a subgroup, and the x with x <= x * 1 are the
+        # even elements, whose products by 1 are the odd ones only
+        pytest.param([1], _IDX, id="not-covered"),
+        # (ii) fails: an automorphism of the xor group that swaps the two
+        # lowest bits moves 1 out of the subgroup {0, 1}
+        pytest.param([0, 1], (_IDX & ~3) | ((_IDX & 1) << 1) | ((_IDX >> 1) & 1),
+                     id="central-set-moved"),
+    ],
+)
+def test_law_falls_back_to_every_pair_when_a_hypothesis_fails(central, p):
+    t = _XOR.astype(np.uint16)
+    ti = t.astype(np.intp)
+    central = np.array(central, dtype=np.intp)
+    reps = _loop_with_table(_XOR)._coset_representatives(t, central)
+    maps = p.astype(np.uint16)[None]
+    assert quotient.automorphic_law(t, ti, central, reps, maps) == (True, 256 * 256)
+    # on every pair a map that is no homomorphism is refused as well
+    broken = maps.copy()
+    broken[0, [2, 5]] = broken[0, [5, 2]]
+    assert quotient.automorphic_law(t, ti, central, reps, broken) == (False, 256 * 256)
+
+
+def test_law_pairs_are_counted_in_the_full_report():
+    # at m = 2 each of the 43 maps is compared on 256 * 16 + 16 * 16 pairs;
+    # with nothing central, every pair of every map is compared
+    counts = QuotientLoop(2).exhaustive_check("automorphic-full").counts
+    assert counts["law-pairs-checked"] == 43 * 4352 == 187136
+    square = _loop_with_table((_IDX[:, None] - _IDX[None, :]) % 256)
+    counts = square.exhaustive_check("automorphic-full").counts
+    assert counts["central-elements"] == 0
+    assert counts["law-pairs-checked"] == 128 * 256 * 256
+
+
+def test_central_set_tests_the_identity_and_four_generators_at_m2(monkeypatch):
+    # every candidate at m = 2 is central; each tested one doubles the
+    # closure, and the other 11 are found inside it with no gather
+    sizes = []
+    close = quotient._close
+
+    def spy(t, members):
+        close(t, members)
+        sizes.append(int(members.sum()))
+
+    monkeypatch.setattr(quotient, "_close", spy)
+    q = QuotientLoop(2)
+    t = q.product_table()
+    assert q._central_set(t, t.astype(np.intp)).tolist() == list(range(16))
+    assert sizes == [1, 2, 4, 8, 16]
+
+
 def test_full_check_stays_within_its_memory_bound():
     # a fresh check builds both uint16 tables, one intp copy of the table
-    # (512 KiB) and uint16 gathers of 128 KiB for the central set and the
-    # law, which traces about 1.07 MiB; the bound leaves room for numpy's
-    # own allocations but not for a second intp copy of the table
+    # (512 KiB) and uint16 gathers of 128 KiB for the central set, while the
+    # law's arrays are order x 16 at most, which traces about 1.07 MiB; the
+    # bound leaves room for numpy's own allocations but not for a second
+    # intp copy of the table
     q = QuotientLoop(2)
     tracemalloc.start()
     try:
@@ -745,6 +874,17 @@ def test_table_export_bytes_are_pinned(tmp_path, fmt, size, sha256):
     data = path.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_csv_export_matches_a_per_cell_writer(tmp_path):
+    # the rows are joined from one gather of index texts each; a writer that
+    # formats every cell on its own must give the same bytes
+    q = QuotientLoop(2)
+    path = tmp_path / "table.csv"
+    q.export_table(str(path), "csv")
+    lines = ["caloop-table m=2 order=256 ordering=lex"]
+    lines += [",".join(str(v) for v in row) for row in q.product_table().tolist()]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_formats_agree(tmp_path):
