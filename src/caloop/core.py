@@ -268,7 +268,8 @@ class Elem8(_Element):
     gives exact ints again.
     A result from any other operand (a plain tuple, whose coordinates may be
     floats or bools, or a subclass, which may store or iterate over anything)
-    still goes through ``Elem8(...)``.
+    still goes through ``Elem8(...)``.  :func:`caloop.words.evaluate` skips
+    it by the same argument, made on the leaves of the word it evaluates.
     """
 
     __slots__ = ()

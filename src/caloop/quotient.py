@@ -275,9 +275,14 @@ class QuotientLoop:
         return self._table
 
     def left_division_table(self) -> np.ndarray:
-        """ldiv[a, t[a, b]] = b, the row-inverse of the product table."""
+        """ldiv[a, t[a, b]] = b, the row-inverse of the product table.
+
+        On a table whose rows are not all permutations, an entry that no b
+        reaches is 0, not whatever the allocation held, so every result
+        derived from the division table is the same in every process.
+        """
         t = self.product_table()
-        ldiv = np.empty_like(t)
+        ldiv = np.zeros_like(t)
         ldiv[np.arange(self.order)[:, None], t] = np.arange(self.order, dtype=t.dtype)[None, :]
         return ldiv
 
@@ -579,18 +584,24 @@ def automorphic_law(t: np.ndarray, ti: np.ndarray, central: np.ndarray,
     and (b) and the regrouping above with p(z1) and p(z2), in C by (ii), give
       p(x) * p(y) = (p(r) * p(z1)) * (p(s) * p(z2))
                   = ((p(r) * p(s)) * p(z1)) * p(z2).
-    Both hypotheses are checked on the table.  Where one fails, C is taken
-    empty and R every element, so that (b) is empty and (c) compares every
-    pair.  At m = 2 each map is compared on 256 * 16 + 16 * 16 = 4352 pairs
-    instead of 65 536.  The maps are taken one at a time, so no array holds
-    more than order x |C| or |R| x |R| entries.
+    Both hypotheses are checked on the table.  Where one fails, or where
+    (b) and (c) together would compare at least as many pairs as there are
+    (|C| * order + |R|^2 >= order^2, as with C = {identity}, or C every
+    element), C is taken empty and R every element, so that (b) is empty and
+    (c) compares every pair.  At m = 2 each map is compared on
+    256 * 16 + 16 * 16 = 4352 pairs instead of 65 536.  The maps are taken
+    one at a time, so no array holds more than order x |C| or |R| x |R|
+    entries.
     """
     order = len(t)
-    inside = np.zeros(order, dtype=bool)
-    inside[central] = True
-    covered = np.zeros(order, dtype=bool)
-    covered[t[np.ix_(reps, central)]] = True  # (i)
-    if not (covered.all() and inside[maps[:, central]].all()):  # (ii)
+    reduced = len(central) * order + len(reps) ** 2 < order * order
+    if reduced:
+        inside = np.zeros(order, dtype=bool)
+        inside[central] = True
+        covered = np.zeros(order, dtype=bool)
+        covered[t[np.ix_(reps, central)]] = True  # (i)
+        reduced = covered.all() and inside[maps[:, central]].all()  # (ii)
+    if not reduced:
         central, reps = central[:0], np.arange(order)
     tc = ti[:, central]  # [u, j] = u * z_j
     tr = ti[np.ix_(reps, reps)]  # [i, j] = r_i * r_j

@@ -30,6 +30,15 @@ the grammar, a '-' with no digits, an integer with more significant digits
 than ``int()`` converts) wins over the depth check, which wins over any
 syntax error.  Positions are worked out only for the error raised.
 
+The nodes are frozen dataclasses with slots.  Their public constructors
+run a frozen ``__init__``, which sets each field by a call of
+``object.__setattr__``; the parser instead allocates a node with
+``object.__new__`` and sets its slots through the slot descriptors'
+``__set__``, as :mod:`caloop.poly` builds a ``Polynomial``.  Either way the
+node is the same: equal, with the same hash and repr, and frozen.  A
+generator and '1' are shared leaves, looked up in the product loop, and a
+literal's eight coordinates are converted in one ``map(int, ...)``.
+
 Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
 of a left-grouped chain, are refused with a :class:`ParseError`.  Powers
 cost O(1) products whatever the exponent, so values can grow fast: each
@@ -38,7 +47,8 @@ five.  :func:`evaluate` therefore refuses, with a ``ValueError``, any value
 with a coordinate longer than ``MAX_BITS`` bits.  :func:`check_bits` is that
 check; the CLI's coordinate commands evaluate words over ``Literal`` leaves,
 so it bounds their inputs and results too.  Evaluation walks plain
-coordinate tuples and wraps only the root in an :class:`Elem8`; the identity
+coordinate tuples, checks each literal's coordinates without building an
+:class:`Elem8`, and wraps only the root in one, unchecked; the identity
 catalog of :mod:`caloop.symbolic` walks its laws with the same walker on a
 polynomial kernel.
 
@@ -49,13 +59,14 @@ so parentheses stay unambiguous grouping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Optional, Union
 
 from .calculus import assoc_coords, inner_l_coords
 from .calculus import associator, inner_l  # noqa: F401  (perfbench's tracer rebinds them here)
-from .core import Elem8, basis, inv_coords, left_div_coords, mul_coords, pow_coords
+from .core import _INT, Elem8, _elem8, basis
+from .core import inv_coords, left_div_coords, mul_coords, pow_coords
 
 __all__ = [
     "Expr",
@@ -89,48 +100,48 @@ _GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     coords: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Power:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inverse:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assoc:
     a: "Expr"
     b: "Expr"
     c: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InnerL:
     a: "Expr"
     b: "Expr"
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeftDiv:
     left: "Expr"
     right: "Expr"
@@ -252,20 +263,39 @@ class _SyntaxError(Exception):
     """A syntax error at a token index; parse_with_warnings finds its position."""
 
 
-# A generator parses to a shared leaf of depth 0; nodes are immutable.
-_GENERATOR_LEAVES = {name: (Generator(name), 0) for name in _GENERATORS}
+# The parser's node construction (see the module docstring): a bare instance
+# from object.__new__, whose slots are set through their descriptors.
+_new = object.__new__
+
+
+def _setters(node: type) -> tuple:
+    """The slot setters of a node class, in the order of its fields."""
+    return tuple(getattr(node, f.name).__set__ for f in fields(node))
+
+
+(_set_coords,) = _setters(Literal)
+_set_left, _set_right = _setters(Product)
+_set_base, _set_exponent = _setters(Power)
+
+
+# A generator or '1' parses to a shared leaf of depth 0; nodes are immutable.
 _ONE = (Literal((0,) * 8), 0)
+_LEAVES = {**{name: (Generator(name), 0) for name in _GENERATORS}, "1": _ONE}
 
 
-# Each call form: its node and the kinds of its arguments.  An expression
-# parses as a product; any other kind is an integer, named as errors name it.
+# Each call form: its node, the kinds of its arguments and the node's slot
+# setters.  An expression parses as a product; any other kind is an integer,
+# named as errors name it.
 _EXPRESSION = "expression"
 _CALLS = {
-    "assoc": (Assoc, (_EXPRESSION,) * 3),
-    "innL": (InnerL, (_EXPRESSION,) * 3),
-    "ldiv": (LeftDiv, (_EXPRESSION,) * 2),
-    "inv": (Inverse, (_EXPRESSION,)),
-    "pow": (Power, (_EXPRESSION, "exponent")),
+    name: (node, kinds, _setters(node))
+    for name, node, kinds in (
+        ("assoc", Assoc, (_EXPRESSION,) * 3),
+        ("innL", InnerL, (_EXPRESSION,) * 3),
+        ("ldiv", LeftDiv, (_EXPRESSION,) * 2),
+        ("inv", Inverse, (_EXPRESSION,)),
+        ("pow", Power, (_EXPRESSION, "exponent")),
+    )
 }
 
 
@@ -306,27 +336,38 @@ class _Parser:
             raise _SyntaxError(f"unexpected {_shown(tok)!r} after expression", self.i)
         return expr
 
-    def _expect(self, want: str) -> None:
-        tok = self.toks[self.i]
-        if tok != want:
-            raise _SyntaxError(f"expected {want!r}, found {_shown(tok)!r}", self.i)
-        self.i += 1
+    def _expected(self, want: str) -> _SyntaxError:
+        """The error for the current token, which is not ``want``."""
+        return _SyntaxError(f"expected {want!r}, found {_shown(self.toks[self.i])!r}", self.i)
 
     def _product(self) -> tuple:
         toks = self.toks
+        leaves = self.leaves
         factors = 0
         index = self.i
         while True:
-            unit, unit_depth = self._atom()
+            i = self.i
+            leaf = leaves.get(toks[i])  # a generator or '1', with no _atom frame
+            if leaf is None:
+                unit, unit_depth = self._atom()
+            else:
+                unit, unit_depth = leaf
+                self.i = i + 1
             if toks[self.i] == "^":  # power binds tighter than the product
                 caret = self.i
                 self.i += 1
                 n = self._int("exponent")
                 if unit_depth >= MAX_DEPTH:
                     raise _too_deep(caret)
-                unit, unit_depth = Power(unit, n), unit_depth + 1
+                power = _new(Power)
+                _set_base(power, unit)
+                _set_exponent(power, n)
+                unit, unit_depth = power, unit_depth + 1
             if factors:
-                expr = Product(expr, unit)
+                product = _new(Product)
+                _set_left(product, expr)
+                _set_right(product, unit)
+                expr = product
                 # a left-grouped chain of n factors is n - 1 levels deep
                 depth = (depth if depth > unit_depth else unit_depth) + 1
                 if depth > MAX_DEPTH:
@@ -355,19 +396,28 @@ class _Parser:
         return _to_int(tok)
 
     def _atom(self) -> tuple:
+        """Any unit but a leaf, which :meth:`_product` looks up itself."""
         index = self.i
         tok = self.toks[index]
         self.i += 1
-        leaf = self.leaves.get(tok)
-        if leaf is not None:
-            return leaf
         if tok == "(":
             inner = self._product()
-            self._expect(")")
+            if self.toks[self.i] != ")":
+                raise self._expected(")")
+            self.i += 1
             return inner
-        if _is_literal(tok):  # str.strip() skips what \s does; int() skips less
-            coords = tok[tok.index("[") + 1 : -1].split(",")
-            return Literal(tuple(map(_to_int, map(str.strip, coords)))), 0
+        if _is_literal(tok):
+            parts = tok[tok.index("[") + 1 : -1].split(",")
+            try:
+                coords = tuple(map(int, parts))
+            except ValueError:
+                # int() skips less whitespace than \s (not '\x1c'-'\x1f'), which
+                # str.strip() skips, and refuses more digits than its limit,
+                # which _to_int counts only where significant
+                coords = tuple(map(_to_int, map(str.strip, parts)))
+            literal = _new(Literal)
+            _set_coords(literal, coords)
+            return literal, 0
         if _is_int(tok):
             value = _to_int(tok)
             if value == 1:
@@ -375,11 +425,14 @@ class _Parser:
             raise _SyntaxError(f"unexpected integer literal {value}", index)
         call = _CALLS.get(tok)
         if call is not None:
-            node, kinds = call
+            node, kinds, setters = call
             args, depth = self._list("(", kinds, ")")
             if depth >= MAX_DEPTH:
                 raise _too_deep(index)
-            return node(*args), depth + 1
+            expr = _new(node)
+            for set_field, arg in zip(setters, args):
+                set_field(expr, arg)
+            return expr, depth + 1
         if tok == "elem":  # a literal the literal token did not match
             coords, _ = self._list("[", ("coordinate",) * 8, "]")
             return Literal(tuple(coords)), 0
@@ -389,17 +442,24 @@ class _Parser:
 
     def _list(self, open: str, kinds: tuple, close: str) -> tuple:
         """Parse open item, ... close, one item of each kind; returns (items, greatest depth)."""
+        toks = self.toks
         items = []
         depth = 0
+        want = open
         for kind in kinds:
-            self._expect("," if items else open)
+            if toks[self.i] != want:
+                raise self._expected(want)
+            self.i += 1
+            want = ","
             if kind == _EXPRESSION:
                 item, d = self._product()
                 depth = depth if depth > d else d
             else:
                 item = self._int(kind)
             items.append(item)
-        self._expect(close)
+        if toks[self.i] != close:
+            raise self._expected(close)
+        self.i += 1
         return items, depth
 
 
@@ -413,7 +473,7 @@ def parse_with_warnings(text: str, variables=()):
     """
     toks = _TOKEN.findall(text)
     toks.append(_END)
-    leaves = _GENERATOR_LEAVES
+    leaves = _LEAVES
     if variables:
         leaves = {**leaves, **{name: (Generator(name), 0) for name in variables}}
     try:
@@ -440,8 +500,15 @@ def evaluate(expr: Expr) -> Elem8:
 
     Raises ``ValueError`` as soon as a subexpression's value has a
     coordinate longer than ``MAX_BITS`` bits.
+
+    The root is wrapped with the unchecked ``_elem8``, because the check of
+    ``Elem8(...)`` cannot fail on it, by the argument of the :class:`Elem8`
+    docstring: every leaf the walker returns holds 8 exact ints (a generator
+    is a basis element, and a literal passes :func:`_constant`), and every
+    node applies a kernel function to such values, which returns 8 exact
+    ints again.  A node that is not an expression raises ``TypeError``.
     """
-    return Elem8(_value(expr, _IntKernel))
+    return _elem8(_value(expr, _IntKernel))
 
 
 def _value(expr: Expr, kernel, memo: Optional[dict] = None):
@@ -500,6 +567,15 @@ def check_bits(value: tuple) -> tuple:
     )
 
 
+def _constant(coords) -> tuple:
+    """``coords`` itself when it is a plain 8-tuple of exact ints; otherwise
+    ``Elem8(coords)``, which copies any other 8 exact ints and raises its
+    ``ValueError`` for anything else."""
+    if type(coords) is tuple and len(coords) == 8 and _INT.issuperset(map(type, coords)):
+        return coords
+    return Elem8(coords)
+
+
 class _IntKernel:
     """:func:`evaluate`'s kernel: the integer kernel functions, which tracers can rebind."""
 
@@ -507,7 +583,7 @@ class _IntKernel:
     left_divide = left_div_coords
     associator = assoc_coords
     inner_l = inner_l_coords
-    constant = Elem8  # refuses anything but 8 ints
+    constant = _constant  # refuses anything but 8 ints
     generator = _GENERATORS.__getitem__
     bound = check_bits
 

@@ -664,6 +664,58 @@ def test_law_pairs_are_counted_in_the_full_report():
     assert counts["law-pairs-checked"] == 128 * 256 * 256
 
 
+@pytest.mark.parametrize(
+    "table, central",
+    [
+        # C = {identity}: 256 + 65 536 pairs would be more than every pair
+        pytest.param(_M2, [0], id="identity-only"),
+        # C = every element, R = {identity}: 65 536 + 1 pairs
+        pytest.param(_XOR, _IDX, id="xor-group"),
+    ],
+)
+def test_law_never_compares_more_pairs_than_every_pair(table, central):
+    q = _loop_with_table(table)
+    t = q.product_table()
+    ti = t.astype(np.intp)
+    central = np.asarray(central, dtype=np.intp)
+    reps = q._coset_representatives(t, central)
+    maps = q._distinct_inner_maps(ti, reps)
+    assert len(central) * 256 + len(reps) ** 2 > 256 * 256
+    assert quotient.automorphic_law(t, ti, central, reps, maps) == (True, len(maps) * 256 * 256)
+
+
+def _fill_freed_memory(byte: int) -> None:
+    # a 2 MB block goes to mmap, and freeing it raises malloc's mmap
+    # threshold, so the second comes from the heap and is freed back to it
+    # with its bytes still set
+    for _ in range(2):
+        np.full(2 << 20, byte, dtype=np.uint8)
+
+
+def test_division_table_does_not_depend_on_allocation_history():
+    # rows 5 and 9 of the m = 2 table stop being permutations, so entries of
+    # the division table that no b reaches must read the same whatever the
+    # memory they are allocated in held before
+    t = _M2.copy()
+    t[5, 7] = t[5, 8]
+    t[9, :4] = t[9, 4]
+
+    def derived(byte):
+        q = _loop_with_table(t)
+        table = q.product_table()
+        ti = table.astype(np.intp)
+        reps = q._coset_representatives(table, q._central_set(table, ti))
+        _fill_freed_memory(byte)
+        ldiv = q.left_division_table()
+        _fill_freed_memory(byte)
+        return ldiv, q._distinct_inner_maps(ti, reps)
+
+    ldiv, maps = derived(0xA5)
+    again_ldiv, again_maps = derived(0x5A)
+    assert np.array_equal(ldiv, again_ldiv)
+    assert maps.shape == again_maps.shape and np.array_equal(maps, again_maps)
+
+
 def test_central_set_tests_the_identity_and_four_generators_at_m2(monkeypatch):
     # every candidate at m = 2 is central; each tested one doubles the
     # closure, and the other 11 are found inside it with no gather

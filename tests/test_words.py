@@ -1,6 +1,9 @@
+import copy
+import pickle
 import sys
 import time
 from array import array
+from dataclasses import FrozenInstanceError, fields
 from itertools import compress
 from operator import not_
 
@@ -116,6 +119,15 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
                      id="overlong-int-before-bad-char"),
         pytest.param("9" * 5000, "position 1: integer of 5000 characters is too long",
                      id="overlong-int"),
+        pytest.param("elem[" + "9" * 5000 + ",0,0,0,0,0,0,0]",
+                     "position 6: integer of 5000 characters is too long",
+                     id="overlong-first-coordinate"),
+        pytest.param("elem[1, -" + "0" * 10 + "9" * 4400 + " ,3,4,5,6,7,8]",
+                     "position 9: integer of 4411 characters is too long",
+                     id="overlong-zero-padded-coordinate"),
+        pytest.param("x * elem [0,0,0,-" + "8" * 4301 + ",0,0,0,0]^2",
+                     "position 17: integer of 4302 characters is too long",
+                     id="coordinate-one-past-the-digit-limit"),
         pytest.param(_LIT7 + "8,9]", "position 21: expected ']', found ','",
                      id="nine-coordinates"),
         pytest.param(_LIT7 + "-]", "position 20: dangling '-'", id="dangling-minus-in-literal"),
@@ -362,6 +374,97 @@ def test_evaluate_returns_an_elem8_for_every_node_kind(expr):
     value = evaluate(expr)
     assert type(value) is Elem8
     assert value == evaluate(parse(format_canonical(value)))
+
+
+_X, _Y, _U1 = Generator("x"), Generator("y"), Generator("u1")
+
+
+# Each node kind, as the parser builds it from the text and as the public
+# constructors build it.
+@pytest.mark.parametrize(
+    "text, built",
+    [
+        pytest.param("u2", Generator("u2"), id="Generator"),
+        pytest.param("elem[1,2,3,4,5,6,7,8]", Literal((1, 2, 3, 4, 5, 6, 7, 8)), id="Literal"),
+        pytest.param("1", Literal((0,) * 8), id="Literal-one"),
+        pytest.param("x*y", Product(_X, _Y), id="Product"),
+        pytest.param("x^3", Power(_X, 3), id="Power"),
+        pytest.param("pow(x, -2)", Power(_X, -2), id="Power-call"),
+        pytest.param("inv(y)", Inverse(_Y), id="Inverse"),
+        pytest.param("assoc(x,x,y)", Assoc(_X, _X, _Y), id="Assoc"),
+        pytest.param("innL(x,y,u1)", InnerL(_X, _Y, _U1), id="InnerL"),
+        pytest.param("ldiv(x,y)", LeftDiv(_X, _Y), id="LeftDiv"),
+    ],
+)
+def test_parsed_nodes_are_the_constructors_nodes(text, built):
+    parsed = parse(text)
+    assert type(parsed) is type(built)
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    for node in (parsed, built):
+        for field in fields(node):
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, field.name, getattr(node, field.name))
+        for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(twin) is type(built)
+            assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
+
+
+_SMALL = st.integers(min_value=-3, max_value=3)
+
+
+def _literal(coords):
+    return f"elem[{','.join(map(str, coords))}]", Literal(coords)
+
+
+def _compound(words):
+    """Every node kind above the leaves, with ``words`` as its children."""
+    def binary(node, form):
+        return st.tuples(words, words).map(
+            lambda p: (form.format(p[0][0], p[1][0]), node(p[0][1], p[1][1])))
+
+    def ternary(node, name):
+        return st.tuples(words, words, words).map(lambda p: (
+            f"{name}({p[0][0]}, {p[1][0]}, {p[2][0]})", node(p[0][1], p[1][1], p[2][1])))
+
+    return st.one_of(
+        binary(Product, "({}) * ({})"),
+        binary(Product, "({}).({})"),
+        binary(Product, "({}) ({})"),
+        binary(LeftDiv, "ldiv({}, {})"),
+        st.tuples(words, _SMALL).map(lambda p: (f"({p[0][0]})^{p[1]}", Power(p[0][1], p[1]))),
+        st.tuples(words, _SMALL).map(lambda p: (f"pow({p[0][0]}, {p[1]})", Power(p[0][1], p[1]))),
+        words.map(lambda p: (f"inv({p[0]})", Inverse(p[1]))),
+        ternary(Assoc, "assoc"),
+        ternary(InnerL, "innL"),
+    )
+
+
+# (text, the tree the public constructors build for it), over every node kind
+_words = st.recursive(
+    st.one_of(
+        st.sampled_from(list(words._GENERATORS)).map(lambda name: (name, Generator(name))),
+        st.just(("1", Literal((0,) * 8))),
+        st.tuples(*[_SMALL] * 8).map(_literal),
+    ),
+    _compound,
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200)
+@given(_words)
+def test_parse_builds_the_tree_the_constructors_build(word):
+    text, built = word
+    parsed = parse(text)
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    try:
+        expected = evaluate(built)
+    except ValueError as exc:  # a value past the bit bound, refused on both trees
+        with pytest.raises(ValueError) as info:
+            evaluate(parsed)
+        assert str(info.value) == str(exc)
+        return
+    assert evaluate(parsed) == expected
 
 
 @pytest.mark.parametrize(
