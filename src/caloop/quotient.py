@@ -48,10 +48,15 @@ say), so no integer division runs where a mask does.  Each array path
 runs at the narrowest of int8/int16/int32/int64 that holds every value its
 kernels form at the modulus (:meth:`QuotientLoop._width`, from
 :func:`_intermediate_bound`), and is refused past int64: the product table
-runs ``mul_coords`` (int8 at m = 2), and the sampled check ``mul_coords``
-and ``inner_l_coords``.  Each array of an array call holds at most
-ARRAY_CHUNK int64s' worth of bytes, so a narrower width runs more kernel
-evaluations per call.  A loop caches its product table and nothing else.
+runs ``mul_coords`` (int8 at m = 2) on the m^4 x m^4 pairs of coset
+representatives only, and the sampled check ``mul_coords`` and
+``inner_l_coords``.  The table is built in one unchunked call: coordinates
+5-8 of the factors only add into the product's
+(:meth:`QuotientLoop.product_table` has the proof), so the m^8 x m^8
+entries are indexed from m^8 products, at m = 2 in uint8 arrays of
+64 KiB.  The sampled check draws its trials in chunks: each of its arrays
+holds at most ARRAY_CHUNK int64s' worth of bytes, so a narrower width runs
+more trials per call.  A loop caches its product table and nothing else.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,8 +99,9 @@ MAX_TABLE_ORDER = 256
 # trials the sampled check may run: it costs ~2 us per trial at any modulus
 # the int64 guard admits (2-CPU host), so the largest run takes ~2 s
 MAX_SAMPLED_TRIALS = 10 ** 6
-# int64s per array of one array call, which bounds their memory at 16 KiB;
-# a narrower width fits more values in the same bytes (_chunk)
+# int64s per array of one call of the sampled check, which bounds their
+# memory at 16 KiB; a narrower width fits more trials in the same bytes
+# (_chunk).  The product table is built in one call, not in chunks.
 ARRAY_CHUNK = 2048
 
 
@@ -243,13 +250,27 @@ class QuotientLoop:
     def product_table(self) -> np.ndarray:
         """order x order table of element indices; cached after first build.
 
-        A broadcast product of a block of rows with every element, block
-        after block, so the product's intermediates stay the size of a
-        block, not of the table.  The product runs at the width of
-        ``mul_coords`` (int8 at m = 2) and is indexed at a width that also
-        holds order - 1 (int16), so a block is 8192 products (32 rows) at
-        m = 2.  The indices stay below order, which the table budget keeps
-        within the table's uint16.
+        Built from the products of the m^4 representatives (h, 0) of the
+        cosets of 0 x 0 x 0 x 0 x (Z/m)^4 alone, by this lemma, which the
+        catalog entry ``central-coordinates`` proves for all integer
+        coordinates.  Write a = (h, z), h its coordinates 1-4 and z its
+        coordinates 5-8.  Then, coordinate by coordinate,
+          (h1, z1) * (h2, z2) = (h1, 0) * (h2, 0) + (0, z1 + z2):
+        coordinates 5-8 of a factor enter ``mul_coords`` only as a5 + b5,
+        ..., a8 + b8.  Reduction mod m is a ring homomorphism, so the lemma
+        holds on residues too.  Lex order makes the index of a the index of
+        h times m^4 plus that of z, so the table, as an array over
+        (h1, z1, h2, z2), is one ``element_index`` call broadcast from the
+        residues of the representatives' product, with z1 + z2 added in
+        coordinates 5-8.  At m = 2 that is 256 products, not 65 536.
+
+        The product runs at the width of ``mul_coords`` (int8 at m = 2) on
+        residues, which holds every value it forms.  Its residues are cast
+        to the unsigned width of order - 1 (uint8 at m = 2).  That width
+        holds a residue plus z1 + z2, at most 3 (m - 1) <= order - 1, and
+        every idx * m + r that ``element_index`` forms, at most order - 1.
+        The indices stay below order, which the table budget keeps within
+        the table's uint16.
         """
         if self.order > MAX_TABLE_ORDER:
             raise BudgetExceeded(
@@ -259,19 +280,15 @@ class QuotientLoop:
             )
         if self._table is None:
             width = self._width("product table", (mul_coords,))
-            order = self.order
-            # element_index forms values up to order - 1 from the product's;
-            # its columns are the widest a block holds, so they size the block
-            index = np.promote_types(width, np.min_scalar_type(1 - order))
-            rows = _chunk(index) // order
-            cols = [c.astype(width) for c in self.element_coords(np.arange(order))]
-            every = [c[None, :] for c in cols]
-            table = np.empty((order, order), dtype=np.uint16)
-            for start in range(0, order, rows):
-                block = slice(start, start + rows)
-                product = mul_coords([c[block, None] for c in cols], every)
-                table[block] = self.element_index(v.astype(index) for v in product)
-            self._table = table
+            m, order, cosets = self.modulus, self.order, self.modulus ** 4
+            index = np.min_scalar_type(order - 1)
+            reps = [c.astype(width) for c in self.element_coords(np.arange(0, order, cosets))]
+            product = mul_coords([c[:, None] for c in reps], [c[None, :] for c in reps])
+            r = [_residue(v, m).astype(index)[:, None, :, None] for v in product]  # [h1, h2]
+            z = [c.astype(index) for c in self.element_coords(np.arange(cosets))[4:]]
+            tail = (v + (c[None, :, None, None] + c[None, None, None, :]) for v, c in zip(r[4:], z))
+            table = self.element_index(chain(r[:4], tail))  # [h1, z1, h2, z2]
+            self._table = table.reshape(order, order).astype(np.uint16)
         return self._table
 
     def left_division_table(self) -> np.ndarray:

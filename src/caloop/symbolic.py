@@ -31,6 +31,9 @@ the iterated product for every integer n.  ``associator-formula`` and
 which :class:`SymLoopOps` solves by left division through its bound
 product.  ``inverse-negation`` states a * inv(a) = 1 with products only;
 with ``division-round-trip`` it shows that inv(a) = ldiv(a, 1).
+``central-coordinates`` proves that coordinates 5-8 of the factors only
+add into the product's, the lemma that
+:meth:`caloop.quotient.QuotientLoop.product_table` is built on.
 
 One :func:`verify_all` run builds one kernel per variable table: the
 entries of one layout run together, on one set of generic elements and one
@@ -400,6 +403,20 @@ def _build_inner_map_formula(ops, a, b, c):
 
 
 _equation("inverse-negation", "a * inv(a) = 1", "a")
+
+
+@_law("central-coordinates",
+      "coordinates 5-8 of the factors add into the product: a * b = a' * b' + "
+      "(0,0,0,0,a5+b5,...,a8+b8), with a' = a, b' = b on coordinates 1-4 and 0 on 5-8",
+      "a b")
+def _build_central_coordinates(ops, a, b):
+    # with projection-homomorphism this states the loop as a central
+    # extension of the class-2 loop by Z^4; the quotient's product table is
+    # built on it
+    zero = (Polynomial.zero(ops.table),) * 4
+    ab, ab_bar = ops.mul(a, b), ops.mul(a[:4] + zero, b[:4] + zero)
+    central = zero + tuple(a[i] + b[i] for i in range(4, 8))
+    return [tuple(ab[i] - ab_bar[i] - central[i] for i in range(8))]
 
 
 def catalog_names() -> list:

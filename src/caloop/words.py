@@ -433,9 +433,10 @@ class _Parser:
             for set_field, arg in zip(setters, args):
                 set_field(expr, arg)
             return expr, depth + 1
-        if tok == "elem":  # a literal the literal token did not match
-            coords, _ = self._list("[", ("coordinate",) * 8, "]")
-            return Literal(tuple(coords)), 0
+        if tok == "elem":
+            # a malformed literal: any text this rule accepts lexes as one
+            # literal token, so _list raises, naming the literal's first fault
+            self._list("[", ("coordinate",) * 8, "]")
         if tok[:1].isalpha():
             raise _SyntaxError(f"unknown identifier {tok!r}", index)
         raise _SyntaxError(f"unexpected {_shown(tok)!r}", index)

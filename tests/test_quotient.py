@@ -182,6 +182,37 @@ def test_product_table_matches_scalar_products():
     assert np.array_equal(q.product_table(), reference)
 
 
+def test_product_table_multiplies_only_the_coset_representatives(monkeypatch):
+    # one array call on the 16 x 16 representatives (h, 0); the other
+    # entries follow from coordinates 5-8 adding into the product (the
+    # width bound runs the product once more, on scalars)
+    shapes = []
+
+    def spy(a, b):
+        if isinstance(a[0], np.ndarray):
+            shapes.append(np.broadcast_shapes(*(np.shape(v) for v in (*a, *b))))
+        return mul_coords(a, b)
+
+    monkeypatch.setattr(quotient, "mul_coords", spy)
+    t = QuotientLoop(2).product_table()
+    assert shapes == [(16, 16)]
+    assert t.dtype == np.uint16 and t.shape == (256, 256) and t.flags.c_contiguous
+
+
+def test_product_table_build_stays_within_its_memory_bound():
+    # the uint8 index arrays over (h1, z1, h2, z2) hold 64 KiB each, and the
+    # build traces about 0.32 MiB with the uint16 table; one order x order
+    # intp temporary (512 KiB) would break the bound
+    q = QuotientLoop(2)
+    tracemalloc.start()
+    try:
+        q.product_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 << 16
+
+
 class _SkewedLoop(QuotientLoop):
     """A product with an extra term in the last coordinate: not automorphic.
 

@@ -71,6 +71,9 @@ EXPECTED_CATALOG = (
      "the closed-form associator (a, b, c) solves (a * (b * c)) * t = (a * b) * c"),
     ("inner-map-formula", "the closed-form L_{a,b}(c) solves (b * a) * z = b * (a * c)"),
     ("inverse-negation", "a * inv(a) = 1"),
+    ("central-coordinates",
+     "coordinates 5-8 of the factors add into the product: a * b = a' * b' + "
+     "(0,0,0,0,a5+b5,...,a8+b8), with a' = a, b' = b on coordinates 1-4 and 0 on 5-8"),
 )
 
 # the entries whose summary is the law text they prove; the others compare
@@ -81,6 +84,7 @@ LAW_TEXTS = {
         "middle-nucleus-pins", "compounded-central-left", "compounded-central-middle",
         "compounded-central-right", "center-pins", "projection-homomorphism",
         "power-recurrence", "power-negation", "associator-formula", "inner-map-formula",
+        "central-coordinates",
     }
 }
 # leading coordinates pinned to 0 in the law texts' variables: n ranges over
@@ -174,6 +178,7 @@ EXPECTED_SIZES = {
     "associator-formula": (5, 24),
     "inner-map-formula": (5, 24),
     "inverse-negation": (2, 8),
+    "central-coordinates": (5, 16),
 }
 
 
@@ -252,6 +257,21 @@ def test_mutation_flips_at_least_one_identity():
         nonzero = [p for block in r.residual_blocks for p in block if not p.is_zero()]
         assert [str(p) for p in nonzero] == MUTATION_RESIDUAL_TEXTS[r.name]
     assert {r.name: (r.max_degree, r.variables) for r in reports} == EXPECTED_SIZES
+
+
+def test_central_coordinates_has_teeth():
+    # a product in which coordinates 5-8 of a factor do more than add into
+    # the product's leaves the hand-written cross term as the residual
+    def leaky(a, b):
+        c = list(mul_coords(a, b))
+        c[7] = c[7] + a[4] * b[0] + a[0] * b[4]
+        return tuple(c)
+
+    assert verify_identity("central-coordinates").residual_term_counts == (0,) * 8
+    report = verify_identity("central-coordinates", product=leaky)
+    assert not report.passed
+    assert report.residual_term_counts == (0, 0, 0, 0, 0, 0, 0, 2)
+    assert [str(p) for p in report.residual_blocks[0] if not p.is_zero()] == ["a1*b5 + a5*b1"]
 
 
 def test_unknown_identity_rejected():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import sys
 import time
 from array import array
@@ -216,6 +217,25 @@ def test_a_literal_takes_every_whitespace_character_around_its_coordinates():
 
 def _text(codes) -> str:
     return array("I", codes).tobytes().decode("utf-32-le", "surrogatepass")
+
+
+# every character the lexer's \s matches, the whitespace a literal may have
+# between its tokens
+_SPACES = "".join(re.findall(r"\s", _text(range(sys.maxunicode + 1))))
+_gap = st.text(alphabet=_SPACES, max_size=3)
+_coordinate = st.tuples(_gap, st.sampled_from(("", "-")), st.text("0123456789", min_size=1,
+                                                                   max_size=8), _gap)
+
+
+@settings(max_examples=300)
+@given(_gap, _gap, st.lists(_coordinate, min_size=8, max_size=8))
+def test_text_of_the_literal_shape_lexes_as_one_token(before, inside, coordinates):
+    # 'elem' '[' int, ... x8 ']' with any whitespace, signs and digits is one
+    # token, so the parser's elem rule only ever meets malformed literals
+    cells = [lead + sign + digits + trail for lead, sign, digits, trail in coordinates]
+    text = "elem" + before + "[" + inside + ",".join(cells) + "]"
+    assert words._TOKEN.findall(text) == [text]
+    assert parse(text) == Literal(tuple(int(sign + digits) for _, sign, digits, _ in coordinates))
 
 
 def test_lexer_character_classes_match_the_str_predicates():
