@@ -14,7 +14,7 @@ precomputed product table with numpy gathers.
 The full check scans the inner mappings L_{a,b} on representatives of the
 cosets of a central set that it verifies on the product table: on a loop,
 multiplying a or b by a central element does not change L_{a,b}
-(:meth:`QuotientLoop._distinct_inner_maps` has the proof), so at m = 2 the
+(:func:`_distinct_inner_maps` has the proof), so at m = 2 the
 16 central elements leave 16 representatives and 256 of the 65 536 pairs
 (a, b).  It keeps the distinct permutations among them (43 at m = 2), and
 checks L(c * d) = L(c) * L(d) against each distinct map in turn.  Whether
@@ -24,11 +24,10 @@ pairs of coset representatives and the pairs with a central factor
 (:func:`automorphic_law` has the proof): 4352 pairs at m = 2, not 65 536.
 So the check still decides every one of the 256^4 quadruples (a, b, c, d).
 The central set is itself found from generators: a product of central
-elements is central (:meth:`QuotientLoop._central_set` has the proof), so
-at m = 2 five of its 16 elements are tested on the table.  The center
-needs no scan: c is fixed by
-L_{a,b} exactly when (a * b) * c = b * (a * c), which is tested on the
-product table directly, a block of a at a time against the candidates c
+elements is central (:func:`_central_set` has the proof), so at m = 2 five
+of its 16 elements are tested on the table.  The center needs no scan: c is
+fixed by L_{a,b} exactly when (a * b) * c = b * (a * c), which is tested on
+the product table directly, a block of a at a time against the candidates c
 still standing, the block as large as keeps its arrays to the table's size.
 
 A CSV table file is read line by line under the same bounds whatever its
@@ -36,17 +35,17 @@ cells, and its cells are converted in one bulk call when they are only
 digits and commas; any other body, or one the bulk call refuses, is
 converted line by line, which names the line of the first fault.
 
-The element arithmetic (``mul``, ``left_divide``, ``inner_l``, and the
-index maps) is written once on coordinate tuples and runs unchanged on
-tuples of numpy integer arrays, since the kernel formulas use only + - *
-and an exact // 3; ``inner_l`` is the closed form
-:func:`caloop.calculus.inner_l_coords`, reduced mod m.  ``reduce`` and
-``element_index`` take residues by one rule, :func:`_residue`: when m is
-a power of two (m = 2, the table's modulus) a mask with m - 1, which two's
-complement makes exact for negative values too, and otherwise % (m = 5,
-say), so no integer division runs where a mask does.  Each array path
-runs at the narrowest of int8/int16/int32/int64 that holds every value its
-kernels form at the modulus (:meth:`QuotientLoop._width`, from
+The element arithmetic (``mul``, ``inner_l`` and the index maps) is written
+once on coordinate tuples and runs unchanged on tuples of numpy integer
+arrays, since the kernel formulas use only + - * and an exact // 3;
+``left_divide`` and ``power`` take ints only.  ``inner_l`` is the closed
+form :func:`caloop.calculus.inner_l_coords`, reduced mod m.  ``reduce``
+and ``element_index`` take residues by one rule, :func:`_residue`: when m
+is a power of two (m = 2, the table's modulus) a mask with m - 1, which
+two's complement makes exact for negative values too, and otherwise %
+(m = 5, say), so no integer division runs where a mask does.  Each array
+path runs at the narrowest of int8/int16/int32/int64 that holds every
+value its kernels form at the modulus (:meth:`QuotientLoop._width`, from
 :func:`_intermediate_bound`), and is refused past int64: the product table
 runs ``mul_coords`` (int8 at m = 2) on the m^4 x m^4 pairs of coset
 representatives only, and the sampled check ``mul_coords`` and
@@ -100,8 +99,8 @@ MAX_TABLE_ORDER = 256
 # the int64 guard admits (2-CPU host), so the largest run takes ~2 s
 MAX_SAMPLED_TRIALS = 10 ** 6
 # int64s per array of one call of the sampled check, which bounds their
-# memory at 16 KiB; a narrower width fits more trials in the same bytes
-# (_chunk).  The product table is built in one call, not in chunks.
+# memory at 16 KiB; a narrower width fits more trials in the same bytes.
+# The product table is built in one call, not in chunks.
 ARRAY_CHUNK = 2048
 
 
@@ -131,11 +130,6 @@ def _intermediate_bound(m: int, kernels: Sequence) -> int:
         params = inspect.signature(kernel).parameters.values()
         kernel(*(x for p in params if p.default is p.empty))
     return peak[0]
-
-
-def _chunk(width) -> int:
-    """Kernel evaluations per array call at ``width``: ARRAY_CHUNK int64s' bytes."""
-    return ARRAY_CHUNK * 8 // np.dtype(width).itemsize
 
 
 _INT64_MAX = 2 ** 63 - 1
@@ -181,8 +175,7 @@ class QuotientLoop:
     # Each method takes coordinate tuples of ints.  ``mul`` and ``inner_l``
     # also take broadcastable arrays of residues (one array per coordinate)
     # at the width _width gives for the kernels of the calling path;
-    # ``left_divide`` casts arrays to the width of its own, larger, kernel;
-    # ``power`` takes ints only, since no width bound covers pow_coords.
+    # ``left_divide`` and ``power`` take ints only: an array is a TypeError.
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         m = self.modulus
@@ -193,12 +186,7 @@ class QuotientLoop:
         return self.reduce(mul_coords(a, b))
 
     def left_divide(self, a: Sequence[int], c: Sequence[int]) -> tuple:
-        if any(isinstance(v, np.ndarray) for v in (*a, *c)):
-            # left_div_coords runs the product on its own, larger,
-            # intermediates, so it needs its own width
-            width = self._width("left division on arrays", (left_div_coords,))
-            a, c = ([np.asarray(v).astype(width) for v in e] for e in (a, c))
-        return self.reduce(left_div_coords(a, c))
+        return self.reduce(left_div_coords(*(tuple(map(operator.index, e)) for e in (a, c))))
 
     def power(self, a: Sequence[int], n: int) -> tuple:
         # reduction mod m is a homomorphism, so it maps the closed-form power
@@ -292,166 +280,12 @@ class QuotientLoop:
         return self._table
 
     def left_division_table(self) -> np.ndarray:
-        """ldiv[a, t[a, b]] = b, the row-inverse of the product table.
-
-        On a table whose rows are not all permutations, an entry that no b
-        reaches is 0, not whatever the allocation held, so every result
-        derived from the division table is the same in every process.
-        """
-        t = self.product_table()
-        ldiv = np.zeros_like(t)
-        ldiv[np.arange(self.order)[:, None], t] = np.arange(self.order, dtype=t.dtype)[None, :]
-        return ldiv
-
-    def _central_set(self, t: np.ndarray, ti: np.ndarray) -> np.ndarray:
-        """Indices of the candidates of ``center_indices`` that the product
-        table ``t`` shows to be central, given ``ti``, ``t`` copied to intp.
-
-        A candidate z is kept when, for every x and y, z * x = x * z, row z
-        is a permutation, and (x * z) * y = x * (z * y),
-        (z * x) * y = z * (x * y) and x * (y * z) = (x * y) * z.  Once z
-        commutes, row z is column z too, so one array of z * (x * y) decides
-        the three associative laws: (z * x) * y against it is the left one,
-        x * (z * y) the right one, and the two together the middle one.
-        Each gather is into the table's uint16 and indexes with ``ti`` or a
-        single row, so no candidate makes an order x order intp array.  On a
-        table that is not a loop the set shrinks, and it may be empty.
-
-        A candidate that is a product of kept elements is kept untested, by
-        this lemma, which holds in any magma.  Let z1 and z2 pass every test
-        above, and w = z1 * z2.  Then by the left nucleus (L), the middle
-        nucleus (M), the right nucleus (R) and commuting (C) of z1 and z2,
-          w * x = z1 * (z2 * x)                          (L),
-        so row w is row z2 followed by row z1, a permutation;
-          w * x = z1 * (x * z2) = (z1 * x) * z2 = (x * z1) * z2 = x * w
-                                                 (L, C, L, C, R);
-          (w * x) * y = (z1 * (z2 * x)) * y = z1 * ((z2 * x) * y)
-                      = z1 * (z2 * (x * y)) = w * (x * y)    (L, L, L, L);
-          (x * w) * y = ((x * z1) * z2) * y = (x * z1) * (z2 * y)
-                      = x * (z1 * (z2 * y)) = x * (w * y)    (R, M, M, L);
-          x * (y * w) = x * ((y * z1) * z2) = (x * (y * z1)) * z2
-                      = ((x * y) * z1) * z2 = (x * y) * w    (R, R, R, R).
-        So every element of the closure of the kept elements under the
-        product passes the tests too.  The candidates are taken in index
-        order, and a boolean closure of the kept elements under the table's
-        product is grown with each tested candidate that is kept; a
-        candidate inside it is kept with no gather, and the kept list is the
-        one that testing every candidate gives.  At m = 2 the identity and 4 generators are tested, and the
-        other 11 of the 16 candidates are products of them.
-        """
-        idx = np.arange(self.order)
-        closure = np.zeros(self.order, dtype=bool)  # products of the kept elements
-        kept = []
-        for z in self.center_indices():
-            if not closure[z]:
-                rz = t[z]  # [x] = z * x
-                if not ((rz == t[:, z]).all() and (np.sort(rz) == idx).all()):
-                    continue
-                zxy = rz.take(ti)  # [x, y] = z * (x * y)
-                if not (np.array_equal(t.take(rz, axis=0), zxy)  # (z * x) * y
-                        and np.array_equal(t.take(rz, axis=1), zxy)):  # x * (z * y)
-                    continue
-                closure[z] = True
-                _close(t, closure)
-            kept.append(z)
-        return np.array(kept, dtype=np.intp)
-
-    def _coset_representatives(self, t: np.ndarray, central: np.ndarray) -> np.ndarray:
-        """Sorted indices of the elements x of the product table ``t`` with
-        x <= x * z for every z in ``central``.
-
-        From any element, a right product by a central element that lowers
-        the index leads on, step by step, to one of these, since indices
-        cannot fall forever.  When ``central`` is a subgroup, as the center
-        of a loop is, one step reaches a whole coset, so these are the
-        least elements of its cosets.
-        """
-        return np.flatnonzero((t[:, central] >= np.arange(self.order)[:, None]).all(axis=1))
-
-    def _distinct_inner_maps(self, ti: np.ndarray, reps: np.ndarray) -> np.ndarray:
-        """k x order array of the distinct inner mappings L_{a,b} with a and
-        b in ``reps``, given ``ti``, the product table copied to intp.
-
-        L_{a,b}(c) is the y with (a * b) * y = b * (a * c).  The pairs of
-        coset representatives give every distinct L_{a,b} of the table, by
-        this lemma.  Let z commute with every element, lie in the three
-        nuclei and have an injective column; ``_central_set`` checks each of
-        these on every pair of the table.  Then, by the middle nucleus,
-        commuting and the right nucleus,
-          (a * z) * b = a * (z * b) = a * (b * z) = (a * b) * z,
-          b * ((a * z) * c) = b * ((a * c) * z) = (b * (a * c)) * z,
-          ((a * b) * z) * y = (a * b) * (z * y) = ((a * b) * y) * z.
-        So y = L_{a*z,b}(c) solves ((a * b) * y) * z = (b * (a * c)) * z,
-        and cancelling z on the right gives (a * b) * y = b * (a * c), that
-        is, L_{a*z,b} = L_{a,b}.  With b * z for b the same steps give
-        L_{a,b*z} = L_{a,b}.  Each element reaches a representative by such
-        products, so every L_{a,b} is the map of a pair of representatives.
-        The division table solves for y, so rows are assumed to be
-        permutations, as there.
-
-        The scan takes one b at a time: row b of the table takes
-        b * (a * c) for every representative a and every c in one gather
-        with no index arithmetic, and the division is a second gather, from
-        the raveled division table.  Row a divides by a * b, not b * a,
-        which keeps non-commutative tables right.
-
-        Rows are permutations of the element indices, in order of first
-        appearance scanning b, then a.  That is the order a scan of every
-        pair finds them in: a map's first pair is a pair of representatives,
-        or a product by a central element would give a lower pair.
-        Duplicates are found by comparing the rows' bytes exactly: each b's
-        block of maps is turned into one bytes buffer and sliced into rows.
-        """
-        ldiv = self.left_division_table().ravel()
-        order = self.order
-        ta = ti[reps]  # [i, c] = a_i * c
-        width = order * ldiv.itemsize
-        rows = {}  # insertion-ordered set of each row's bytes
-        for b in reps:
-            mid = ti[b].take(ta)  # [i, c] = b * (a_i * c)
-            mid += (ta[:, b] * order)[:, None]  # flat index of row a_i * b, column mid
-            buf = ldiv.take(mid).tobytes()  # [i, c] = L_{a_i,b}(c)
-            for i in range(0, len(buf), width):
-                rows[buf[i:i + width]] = None
-        return np.frombuffer(b"".join(rows), dtype=ldiv.dtype).reshape(-1, order)
+        """The product table's left division table (:func:`_left_division`)."""
+        return _left_division(self.product_table())
 
     def center_indices(self) -> list:
-        """Brute-force center: elements fixed by every inner mapping L_{a,b}.
-
-        L_{a,b}(c) is the z with (a * b) * z = b * (a * c), so c is fixed
-        exactly when (a * b) * c = b * (a * c).  This tests that equation for
-        every a, b and c on the product table itself, with no division table
-        and no inner-map scan.  On a table whose rows are permutations, as
-        the division table of the inner-map scan assumes, left division by
-        a * b is one-to-one, so the c that satisfy it are exactly the fixed
-        points of L_{a,b}; both divide by the row a * b, not b * a, which
-        keeps the two definitions equal on non-commutative tables too.
-
-        Every c starts as a candidate, and each block of a tests every b
-        against the candidates still standing only, so a c drops out in the
-        block of its first failing a and every c is still decided by the
-        same equation.  A block holds order // (candidates standing) rows of
-        a, at least one, so its arrays hold at most order x order entries,
-        the size of the table.  The blocks are taken in descending index
-        order of a: the first coordinate is the most significant lex digit,
-        and at m = 2 the first a, alone in its block, drops every
-        non-central candidate, and the other 255 run in blocks of 16.
-        """
-        t = self.product_table()
-        order = self.order
-        t_cols = np.ascontiguousarray(t.T)  # t_cols[y, x] = x * y
-        standing = np.arange(order)
-        rows = t_cols  # rows[j, x] = x * c for the j-th standing c
-        end = order  # the a below end are still to be tested
-        while end and len(standing):
-            start = max(0, end - max(1, order // len(standing)))
-            ta = t[start:end]  # ta[i, x] = a_i * x
-            # [j, i, b]: (a_i * b) * c against b * (a_i * c), for each standing c
-            held = (rows.take(ta, axis=1) == t_cols[ta[:, standing].T]).all(axis=(1, 2))
-            if not held.all():
-                standing, rows = standing[held], rows[held]
-            end = start
-        return [int(i) for i in standing]
+        """The product table's center, in index order (:func:`_center`)."""
+        return _center(self.product_table())
 
     # -- checks ---------------------------------------------------------------
 
@@ -498,11 +332,11 @@ class QuotientLoop:
         random.Random(seed).randbytes, the 8 coordinates of a, b, c, then d,
         and maps each word x to the residue (x * m) >> 32; the bias is at
         most m / 2^32.  The residues are cast to the width of ``mul_coords``
-        and ``inner_l_coords`` at m (int32 at m = 5), and a chunk of trials,
-        _chunk(width) of them, is drawn in one call and evaluated at once.
+        and ``inner_l_coords`` at m (int32 at m = 5); a chunk of trials, with
+        ARRAY_CHUNK int64s' bytes per array, is drawn in one call and run at once.
         """
         width = self._width("sampled automorphism check", (mul_coords, inner_l_coords))
-        chunk = _chunk(width)
+        chunk = ARRAY_CHUNK * 8 // np.dtype(width).itemsize
         rng = random.Random(seed)
         m = np.uint64(self.modulus)
         bad = 0
@@ -528,9 +362,9 @@ class QuotientLoop:
         :func:`automorphic_law` shows to decide every pair."""
         t = self.product_table()
         ti = t.astype(np.intp)  # one index copy for every gather by the table
-        central = self._central_set(t, ti)
-        reps = self._coset_representatives(t, central)
-        maps = self._distinct_inner_maps(ti, reps)
+        central = _central_set(t, ti, self.center_indices())
+        reps = _coset_representatives(t, central)
+        maps = _distinct_inner_maps(ti, self.left_division_table(), reps)
         holds, pairs = automorphic_law(t, ti, central, reps, maps)
         report.checks["automorphism-full"] = holds
         report.counts["quadruples-checked"] = self.order ** 4
@@ -563,6 +397,111 @@ class QuotientLoop:
                 fh.write(t.astype("<u4").tobytes())
 
 
+def _center(t: np.ndarray) -> list:
+    """Brute-force center of the product table ``t``, in index order.
+
+    L_{a,b}(c) is the z with (a * b) * z = b * (a * c), so c is fixed by
+    L_{a,b} exactly when (a * b) * c = b * (a * c).  This tests that equation
+    for every a, b and c on the product table itself, with no division
+    table and no inner-map scan.  On a table whose rows are permutations, as
+    the division table of the inner-map scan assumes, left division by
+    a * b is one-to-one, so the c that satisfy it are exactly the fixed
+    points of L_{a,b}; both divide by the row a * b, not b * a, which keeps
+    the two definitions equal on non-commutative tables too.
+
+    Every c starts as a candidate, and each block of a tests every b
+    against the candidates still standing only, so a c drops out in the
+    block of its first failing a and every c is still decided by the same
+    equation.  A block holds order // (candidates standing) rows of a, at
+    least one, so its arrays hold at most order x order entries, the size
+    of the table.  The blocks are taken in descending index order of a: the
+    first coordinate is the most significant lex digit, and at m = 2 the
+    first a, alone in its block, drops every non-central candidate, and the
+    other 255 run in blocks of 16.
+    """
+    order = len(t)
+    t_cols = np.ascontiguousarray(t.T)  # t_cols[y, x] = x * y
+    standing = np.arange(order)
+    rows = t_cols  # rows[j, x] = x * c for the j-th standing c
+    end = order  # the a below end are still to be tested
+    while end and len(standing):
+        start = max(0, end - max(1, order // len(standing)))
+        ta = t[start:end]  # ta[i, x] = a_i * x
+        # [j, i, b]: (a_i * b) * c against b * (a_i * c), for each standing c
+        held = (rows.take(ta, axis=1) == t_cols[ta[:, standing].T]).all(axis=(1, 2))
+        if not held.all():
+            standing, rows = standing[held], rows[held]
+        end = start
+    return [int(i) for i in standing]
+
+
+def _left_division(t: np.ndarray) -> np.ndarray:
+    """ldiv[a, t[a, b]] = b, the row-inverse of the product table ``t``.
+
+    On a table whose rows are not all permutations, an entry that no b
+    reaches is 0, not whatever the allocation held, so every result derived
+    from the division table is the same in every process.
+    """
+    idx = np.arange(len(t), dtype=t.dtype)
+    ldiv = np.zeros_like(t)
+    ldiv[idx[:, None], t] = idx
+    return ldiv
+
+
+def _central_set(t: np.ndarray, ti: np.ndarray, candidates) -> np.ndarray:
+    """Indices of the ``candidates`` that the product table ``t`` shows to be
+    central, given ``ti``, ``t`` copied to intp.
+
+    A candidate z is kept when, for every x and y, z * x = x * z, row z is
+    a permutation, and (x * z) * y = x * (z * y), (z * x) * y = z * (x * y)
+    and x * (y * z) = (x * y) * z.  Once z commutes, row z is column z too,
+    so one array of z * (x * y) decides the three associative laws:
+    (z * x) * y against it is the left one, x * (z * y) the right one, and
+    the two together the middle one.  Each gather is into the table's
+    uint16 and indexes with ``ti`` or a single row, so no candidate makes an
+    order x order intp array.  On a table that is not a loop the set
+    shrinks, and it may be empty.
+
+    A candidate that is a product of kept elements is kept untested, by
+    this lemma, which holds in any magma.  Let z1 and z2 pass every test
+    above, and w = z1 * z2.  Then by the left nucleus (L), the middle
+    nucleus (M), the right nucleus (R) and commuting (C) of z1 and z2,
+      w * x = z1 * (z2 * x)                          (L),
+    so row w is row z2 followed by row z1, a permutation;
+      w * x = z1 * (x * z2) = (z1 * x) * z2 = (x * z1) * z2 = x * w
+                                             (L, C, L, C, R);
+      (w * x) * y = (z1 * (z2 * x)) * y = z1 * ((z2 * x) * y)
+                  = z1 * (z2 * (x * y)) = w * (x * y)    (L, L, L, L);
+      (x * w) * y = ((x * z1) * z2) * y = (x * z1) * (z2 * y)
+                  = x * (z1 * (z2 * y)) = x * (w * y)    (R, M, M, L);
+      x * (y * w) = x * ((y * z1) * z2) = (x * (y * z1)) * z2
+                  = ((x * y) * z1) * z2 = (x * y) * w    (R, R, R, R).
+    So every element of the closure of the kept elements under the product
+    passes the tests too.  The candidates are taken in the order given, and
+    a boolean closure of the kept elements under the table's product is
+    grown with each tested candidate that is kept; a candidate inside it is
+    kept with no gather, and the kept list is the one that testing every
+    candidate gives.  At m = 2, given the center, the identity and 4
+    generators are tested, and the other 11 of the 16 are their products.
+    """
+    idx = np.arange(len(t))
+    closure = np.zeros(len(t), dtype=bool)  # products of the kept elements
+    kept = []
+    for z in candidates:
+        if not closure[z]:
+            rz = t[z]  # [x] = z * x
+            if not ((rz == t[:, z]).all() and (np.sort(rz) == idx).all()):
+                continue
+            zxy = rz.take(ti)  # [x, y] = z * (x * y)
+            if not (np.array_equal(t.take(rz, axis=0), zxy)  # (z * x) * y
+                    and np.array_equal(t.take(rz, axis=1), zxy)):  # x * (z * y)
+                continue
+            closure[z] = True
+            _close(t, closure)
+        kept.append(z)
+    return np.array(kept, dtype=np.intp)
+
+
 def _close(t: np.ndarray, members: np.ndarray) -> None:
     """Add to the boolean mask ``members`` every product of its elements in
     the table ``t``, until the set it marks is closed under the product."""
@@ -574,13 +513,74 @@ def _close(t: np.ndarray, members: np.ndarray) -> None:
         members[products] = True
 
 
+def _coset_representatives(t: np.ndarray, central: np.ndarray) -> np.ndarray:
+    """Sorted indices of the elements x of the product table ``t`` with
+    x <= x * z for every z in ``central``.
+
+    From any element, a right product by a central element that lowers the
+    index leads on, step by step, to one of these, since indices cannot
+    fall forever.  When ``central`` is a subgroup, as the center of a loop
+    is, one step reaches a whole coset, so these are the least elements of
+    its cosets.
+    """
+    return np.flatnonzero((t[:, central] >= np.arange(len(t))[:, None]).all(axis=1))
+
+
+def _distinct_inner_maps(ti: np.ndarray, ldiv: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """k x order array of the distinct inner mappings L_{a,b} with a and b
+    in ``reps``, given ``ti``, a product table copied to intp, and ``ldiv``,
+    its left division table.
+
+    L_{a,b}(c) is the y with (a * b) * y = b * (a * c).  The pairs of coset
+    representatives give every distinct L_{a,b} of the table, by this
+    lemma.  Let z commute with every element, lie in the three nuclei and
+    have an injective column; ``_central_set`` checks each of these on
+    every pair of the table.  Then, by the middle nucleus, commuting and
+    the right nucleus,
+      (a * z) * b = a * (z * b) = a * (b * z) = (a * b) * z,
+      b * ((a * z) * c) = b * ((a * c) * z) = (b * (a * c)) * z,
+      ((a * b) * z) * y = (a * b) * (z * y) = ((a * b) * y) * z.
+    So y = L_{a*z,b}(c) solves ((a * b) * y) * z = (b * (a * c)) * z, and
+    cancelling z on the right gives (a * b) * y = b * (a * c), that is,
+    L_{a*z,b} = L_{a,b}.  With b * z for b the same steps give
+    L_{a,b*z} = L_{a,b}.  Each element reaches a representative by such
+    products, so every L_{a,b} is the map of a pair of representatives.
+    The division table solves for y, so rows are assumed to be
+    permutations, as there.
+
+    The scan takes one b at a time: row b of the table takes b * (a * c)
+    for every representative a and every c in one gather with no index
+    arithmetic, and the division is a second gather, from the raveled
+    division table.  Row a divides by a * b, not b * a, which keeps
+    non-commutative tables right.
+
+    Rows are permutations of the element indices, in order of first
+    appearance scanning b, then a.  That is the order a scan of every pair
+    finds them in: a map's first pair is a pair of representatives, or a
+    product by a central element would give a lower pair.  Duplicates are
+    found by comparing the rows' bytes exactly: each b's block of maps is
+    turned into one bytes buffer and sliced into rows.
+    """
+    order = len(ti)
+    ta = ti[reps]  # [i, c] = a_i * c
+    width = order * ldiv.itemsize
+    rows = {}  # insertion-ordered set of each row's bytes
+    for b in reps:
+        mid = ti[b].take(ta)  # [i, c] = b * (a_i * c)
+        mid += (ta[:, b] * order)[:, None]  # flat index of row a_i * b, column mid
+        buf = ldiv.take(mid).tobytes()  # flat gather, [i, c] = L_{a_i,b}(c)
+        for i in range(0, len(buf), width):
+            rows[buf[i:i + width]] = None
+    return np.frombuffer(b"".join(rows), dtype=ldiv.dtype).reshape(-1, order)
+
+
 def automorphic_law(t: np.ndarray, ti: np.ndarray, central: np.ndarray,
                     reps: np.ndarray, maps: np.ndarray) -> tuple:
     """(holds, pairs): whether every row p of ``maps`` has
     p(x * y) = p(x) * p(y) for every x and y of the product table ``t``, and
     the pairs (x, y) compared, per map times the maps; ``ti`` is ``t``
-    copied to intp, ``central`` a set that ``QuotientLoop._central_set``
-    kept and ``reps`` the coset representatives of it.
+    copied to intp, ``central`` a set that ``_central_set`` kept and
+    ``reps`` the coset representatives of it.
 
     The pairs compared are u * z for every u and every z in C = ``central``,
     and r * s for every r and s in R = ``reps``, by this lemma.  Let every

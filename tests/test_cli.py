@@ -228,6 +228,32 @@ def test_check_quotient_full_m2(capsys):
     assert doc["counts"]["inner-maps-computed"] == 256
 
 
+# each whole check-quotient --json text, millis masked as _outcome masks it,
+# so that every check, every count and their order are pinned
+_CHECK_QUOTIENT_TEXTS = [
+    (["--mod", "2", "--level", "axioms"],
+     '{"checks":{"center-matches-coordinate-description":true,"commutative":true,'
+     '"identity-column":true,"identity-row":true,"latin-columns":true,"latin-rows":true},'
+     '"counts":{"center-size":16,"products-checked":65536},"level":"axioms",<ms>,'
+     '"modulus":2,"order":256,"pass":true}\n'),
+    (["--mod", "2", "--level", "automorphic-full"],
+     '{"checks":{"automorphism-full":true},"counts":{"central-elements":16,'
+     '"distinct-inner-maps":43,"inner-maps-computed":256,"law-pairs-checked":187136,'
+     '"quadruples-checked":4294967296},"level":"automorphic-full",<ms>,"modulus":2,'
+     '"order":256,"pass":true}\n'),
+    # 4097 trials cross the 4096-trial chunk of the int32 columns at m = 5
+    (["--mod", "5", "--level", "automorphic-sampled", "--trials", "4097", "--seed", "11"],
+     '{"checks":{"automorphism-sampled":true},"counts":{"quadruples-checked":4097},'
+     '"level":"automorphic-sampled",<ms>,"modulus":5,"order":390625,"pass":true}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, text", _CHECK_QUOTIENT_TEXTS,
+                         ids=["m2-axioms", "m2-automorphic-full", "m5-automorphic-sampled"])
+def test_check_quotient_json_texts_are_pinned(capsys, argv, text):
+    assert _outcome(capsys, ["check-quotient", *argv, "--json"]) == (0, text, "")
+
+
 @pytest.mark.parametrize(
     "expr",
     ["(" * 3000 + "x" + ")" * 3000, "*".join(["x"] * 5000)],

@@ -21,7 +21,12 @@ from caloop.quotient import (
     MAX_SAMPLED_TRIALS,
     BudgetExceeded,
     QuotientLoop,
+    _center,
+    _central_set,
+    _coset_representatives,
+    _distinct_inner_maps,
     _intermediate_bound,
+    _left_division,
     _read_table_bin,
     _read_table_csv,
     _residue,
@@ -160,11 +165,11 @@ def test_axioms_check_m2():
 
 
 def test_axioms_check_does_not_scan_inner_maps(monkeypatch):
-    def refuse(self):
+    def refuse(*_):
         raise AssertionError("the axioms level must not build this")
 
-    monkeypatch.setattr(QuotientLoop, "_distinct_inner_maps", refuse)
-    monkeypatch.setattr(QuotientLoop, "left_division_table", refuse)
+    monkeypatch.setattr(quotient, "_distinct_inner_maps", refuse)
+    monkeypatch.setattr(quotient, "_left_division", refuse)
     report = QuotientLoop(2).exhaustive_check("axioms")
     assert report.passed
     assert report.counts["center-size"] == 16
@@ -225,8 +230,11 @@ class _SkewedLoop(QuotientLoop):
 
     def inner_l(self, a, b, c):
         # the inner map from its defining equation, so the skew reaches it;
-        # QuotientLoop.inner_l is the closed form of the unskewed loop
-        return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
+        # QuotientLoop.inner_l is the closed form of the unskewed loop.  The
+        # division runs the kernel, since left_divide takes ints only: on
+        # the sampled check's int32 columns at m = 5 it forms values up to
+        # 112 648, which int32 holds
+        return self.reduce(left_div_coords(self.mul(b, a), self.mul(b, self.mul(a, c))))
 
 
 def _scalar_sampled_failures(q: QuotientLoop, trials: int, seed: int) -> int:
@@ -372,20 +380,34 @@ def test_sampled_columns_are_exact_at_each_width(m, width):
             assert method(exact, *ints) == tuple(int(v[i]) for v in out)
 
 
-def test_array_left_division_keeps_its_own_bound():
-    # at m = 2 the product runs on int8, but left division forms values up
-    # to 142: on int8 columns it is widened to int16 and stays exact
+def test_left_division_is_exact_in_the_division_table_and_on_ints():
+    # at m = 2 left division forms values up to 142, so its kernel on int16
+    # columns is exact, and it gives the division table
     q = QuotientLoop(2)
-    cols = [c.astype(np.int8) for c in q.element_coords(np.arange(q.order))]
-    quotients = q.left_divide([c[:, None] for c in cols], [c[None, :] for c in cols])
-    assert all(v.dtype == np.int16 for v in quotients)
+    assert q._width("left division", (left_div_coords,)) is np.int16
+    cols = [c.astype(np.int16) for c in q.element_coords(np.arange(q.order))]
+    quotients = q.reduce(left_div_coords([c[:, None] for c in cols], [c[None, :] for c in cols]))
     assert np.array_equal(q.element_index(quotients), q.left_division_table())
-    # at m = 2999 the sampled kernels fit int64 but left division does not
+    # at m = 2999 the sampled kernels fit int64 but left division does not;
+    # left_divide runs on ints, and takes a numpy integer exactly
     big = QuotientLoop(2999)
     a, c = (1,) * 8, (2,) * 8
     assert big.left_divide(a, c) == big.reduce(left_div_coords(a, c))
-    with pytest.raises(BudgetExceeded, match="int64"):
-        big.left_divide(tuple(np.ones(3, dtype=np.int64) for _ in range(8)), c)
+    assert big.left_divide(tuple(np.int64(v) for v in a), c) == big.left_divide(a, c)
+
+
+@pytest.mark.parametrize("m", [2, 2999])
+def test_left_divide_refuses_array_coordinates(m):
+    # an array is refused, not wrapped: left division's values pass int64
+    # from m = 2435
+    bound = lambda n: _intermediate_bound(n, (left_div_coords,))
+    assert bound(2434) <= quotient._INT64_MAX < bound(2435)
+    q = QuotientLoop(m)
+    ones = tuple(np.ones(3, dtype=np.int64) for _ in range(8))
+    with pytest.raises(TypeError):
+        q.left_divide(ones, (2,) * 8)
+    with pytest.raises(TypeError):
+        q.left_divide((2,) * 8, ones)
 
 
 @pytest.mark.parametrize("m", [2, 5, 7])
@@ -430,9 +452,18 @@ def test_sampled_check_admits_every_modulus_up_to_2999(monkeypatch):
 
 
 def _loop_with_table(table: np.ndarray) -> QuotientLoop:
+    """An m = 2 loop whose product table is ``table``, for the tests of
+    ``exhaustive_check`` itself; the table routines take a table."""
     q = QuotientLoop(2)
     q._table = table.astype(np.uint16)
     return q
+
+
+def _as_table(table) -> tuple:
+    """(t, ti): ``table`` as the uint16 product table a loop builds, and
+    ``t`` copied to intp."""
+    t = np.asarray(table).astype(np.uint16)
+    return t, t.astype(np.intp)
 
 
 _IDX = np.arange(256)
@@ -452,10 +483,10 @@ def _tampered() -> np.ndarray:
     return t
 
 
-def _reference_inner_maps(q: QuotientLoop) -> set:
+def _reference_inner_maps(t: np.ndarray) -> set:
     """Row bytes of all 65 536 maps L_{a,b}, scanned a-major with no central
     shortcut: for one a, L_{a,b}(c) for every b and c by two flat gathers."""
-    t, ldiv, order = q.product_table(), q.left_division_table(), q.order
+    ldiv, order = _left_division(t), len(t)
     reference = set()
     for a in range(order):
         ta = t[a].astype(np.intp)  # [b] = a * b, and [c] = a * c
@@ -465,10 +496,10 @@ def _reference_inner_maps(q: QuotientLoop) -> set:
     return reference
 
 
-def _fixed_by_every_inner_map(q: QuotientLoop) -> list:
+def _fixed_by_every_inner_map(t: np.ndarray) -> list:
     """Reference center: the c fixed by every one of the 65 536 maps L_{a,b}."""
-    maps = np.frombuffer(b"".join(_reference_inner_maps(q)), dtype=np.uint16)
-    fixed = (maps.reshape(-1, q.order) == np.arange(q.order)).all(axis=0)
+    maps = np.frombuffer(b"".join(_reference_inner_maps(t)), dtype=np.uint16)
+    fixed = (maps.reshape(-1, len(t)) == np.arange(len(t))).all(axis=0)
     return [int(i) for i in np.nonzero(fixed)[0]]
 
 
@@ -489,7 +520,7 @@ def test_full_check_fails_on_a_tampered_table():
     assert not report.passed
     assert not report.checks["automorphism-full"]
     assert report.counts["distinct-inner-maps"] == 132
-    assert q.center_indices() == _fixed_by_every_inner_map(q) == [0, 3]
+    assert q.center_indices() == _fixed_by_every_inner_map(q.product_table()) == [0, 3]
 
 
 @pytest.mark.parametrize(
@@ -506,14 +537,12 @@ def test_full_check_fails_on_a_tampered_table():
 def test_distinct_inner_maps_match_a_full_reference_scan(table, central, maps):
     # the scan over coset representatives of the central set finds exactly
     # the maps of all 65 536 pairs (a, b), on loops and on tables that are not
-    q = _loop_with_table(table)
-    t = q.product_table()
-    ti = t.astype(np.intp)
-    central_set = q._central_set(t, ti)
+    t, ti = _as_table(table)
+    central_set = _central_set(t, ti, _center(t))
     assert len(central_set) == central
-    scanned = q._distinct_inner_maps(ti, q._coset_representatives(t, central_set))
+    scanned = _distinct_inner_maps(ti, _left_division(t), _coset_representatives(t, central_set))
     assert len(scanned) == maps
-    assert {row.tobytes() for row in scanned} == _reference_inner_maps(q)
+    assert {row.tobytes() for row in scanned} == _reference_inner_maps(t)
 
 
 @pytest.mark.parametrize(
@@ -523,19 +552,17 @@ def test_distinct_inner_maps_match_a_full_reference_scan(table, central, maps):
         pytest.param(_tampered(), False, 132, [0, 3], id="tampered"),
     ],
 )
-def test_central_set_drops_every_candidate_that_is_not_central(
-        monkeypatch, table, passed, maps, central):
+def test_central_set_drops_every_candidate_that_is_not_central(table, passed, maps, central):
     # with every element handed in as a candidate, the commutation, row and
     # nucleus tests alone must cut the set back to the center; kept too
     # many, the scan would see too few representatives and too few maps
-    monkeypatch.setattr(QuotientLoop, "center_indices", lambda self: list(range(self.order)))
-    q = _loop_with_table(table)
-    t = q.product_table()
-    assert q._central_set(t, t.astype(np.intp)).tolist() == central
-    report = q.exhaustive_check("automorphic-full")
-    assert report.checks["automorphism-full"] is passed
-    assert report.counts["distinct-inner-maps"] == maps
-    assert report.counts["central-elements"] == len(central)
+    t, ti = _as_table(table)
+    kept = _central_set(t, ti, range(256))
+    assert kept.tolist() == central
+    reps = _coset_representatives(t, kept)
+    scanned = _distinct_inner_maps(ti, _left_division(t), reps)
+    assert len(scanned) == maps
+    assert quotient.automorphic_law(t, ti, kept, reps, scanned)[0] is passed
 
 
 def _times_xor(magma: np.ndarray) -> np.ndarray:
@@ -562,15 +589,14 @@ _LEFT_LAW_ONLY = np.array([[0, 3, 1, 3], [1, 2, 0, 2], [1, 0, 3, 2], [0, 1, 2, 3
         pytest.param(_LEFT_LAW_ONLY.T, 2, {"left", "middle"}, id="right-law-only"),
     ],
 )
-def test_central_set_refuses_a_candidate_that_fails_one_test(monkeypatch, magma, z, failing):
+def test_central_set_refuses_a_candidate_that_fails_one_test(magma, z, failing):
     # each z fails just one of the four tests _central_set makes: that z
     # commutes, that its row permutes, and its two comparisons, which are
     # the left and the right law once z commutes; on a commutative table
     # either law gives the other, so only tables like the last two tell
     # whether each comparison is made
-    q = _loop_with_table(_times_xor(magma))
+    t, ti = _as_table(_times_xor(magma))
     z *= 256 // len(magma)
-    t = q.product_table()
     rz, cz = t[z], t[:, z]  # z * x and x * z
     holds = {
         "commutes": np.array_equal(rz, cz),
@@ -580,8 +606,7 @@ def test_central_set_refuses_a_candidate_that_fails_one_test(monkeypatch, magma,
         "right": np.array_equal(t[:, cz], cz[t]),  # x * (y * z) = (x * y) * z
     }
     assert {name for name, ok in holds.items() if not ok} == failing
-    monkeypatch.setattr(QuotientLoop, "center_indices", lambda self: [z])
-    assert q._central_set(t, t.astype(np.intp)).tolist() == []
+    assert _central_set(t, ti, [z]).tolist() == []
 
 
 # a commutative loop of order 8 that is neither associative nor automorphic,
@@ -627,20 +652,16 @@ def _law_holds(t: np.ndarray, p: np.ndarray) -> bool:
         pytest.param(_times_xor(_LOOP8), 32, False, id="loop8-times-xor"),
     ],
 )
-def test_reduced_law_and_central_set_match_an_exhaustive_reference(
-        monkeypatch, table, central, holds):
-    q = _loop_with_table(table)
-    t = q.product_table()
-    ti = t.astype(np.intp)
-    kept = q._central_set(t, ti)
-    assert kept.tolist() == _reference_central_set(t, q.center_indices())
+def test_reduced_law_and_central_set_match_an_exhaustive_reference(table, central, holds):
+    t, ti = _as_table(table)
+    kept = _central_set(t, ti, _center(t))
+    assert kept.tolist() == _reference_central_set(t, _center(t))
     assert len(kept) == central
     # the closure keeps a candidate untested only when testing it would keep
     # it, whether the candidates are the center search's or every element
-    monkeypatch.setattr(q, "center_indices", lambda: list(range(256)))
-    assert q._central_set(t, ti).tolist() == _reference_central_set(t, range(256))
-    reps = q._coset_representatives(t, kept)
-    maps = q._distinct_inner_maps(ti, reps)
+    assert _central_set(t, ti, range(256)).tolist() == _reference_central_set(t, range(256))
+    reps = _coset_representatives(t, kept)
+    maps = _distinct_inner_maps(ti, _left_division(t), reps)
     assert quotient.automorphic_law(t, ti, kept, reps, maps)[0] is holds
     assert all(_law_holds(t, p) for p in maps) is holds
     # each map on its own, and each with two images outside the central set
@@ -675,7 +696,7 @@ def test_law_falls_back_to_every_pair_when_a_hypothesis_fails(central, p):
     t = _XOR.astype(np.uint16)
     ti = t.astype(np.intp)
     central = np.array(central, dtype=np.intp)
-    reps = _loop_with_table(_XOR)._coset_representatives(t, central)
+    reps = _coset_representatives(t, central)
     maps = p.astype(np.uint16)[None]
     assert quotient.automorphic_law(t, ti, central, reps, maps) == (True, 256 * 256)
     # on every pair a map that is no homomorphism is refused as well
@@ -705,12 +726,10 @@ def test_law_pairs_are_counted_in_the_full_report():
     ],
 )
 def test_law_never_compares_more_pairs_than_every_pair(table, central):
-    q = _loop_with_table(table)
-    t = q.product_table()
-    ti = t.astype(np.intp)
+    t, ti = _as_table(table)
     central = np.asarray(central, dtype=np.intp)
-    reps = q._coset_representatives(t, central)
-    maps = q._distinct_inner_maps(ti, reps)
+    reps = _coset_representatives(t, central)
+    maps = _distinct_inner_maps(ti, _left_division(t), reps)
     assert len(central) * 256 + len(reps) ** 2 > 256 * 256
     assert quotient.automorphic_law(t, ti, central, reps, maps) == (True, len(maps) * 256 * 256)
 
@@ -732,14 +751,12 @@ def test_division_table_does_not_depend_on_allocation_history():
     t[9, :4] = t[9, 4]
 
     def derived(byte):
-        q = _loop_with_table(t)
-        table = q.product_table()
-        ti = table.astype(np.intp)
-        reps = q._coset_representatives(table, q._central_set(table, ti))
+        table, ti = _as_table(t)
+        reps = _coset_representatives(table, _central_set(table, ti, _center(table)))
         _fill_freed_memory(byte)
-        ldiv = q.left_division_table()
+        ldiv = _left_division(table)
         _fill_freed_memory(byte)
-        return ldiv, q._distinct_inner_maps(ti, reps)
+        return ldiv, _distinct_inner_maps(ti, _left_division(table), reps)
 
     ldiv, maps = derived(0xA5)
     again_ldiv, again_maps = derived(0x5A)
@@ -758,9 +775,8 @@ def test_central_set_tests_the_identity_and_four_generators_at_m2(monkeypatch):
         sizes.append(int(members.sum()))
 
     monkeypatch.setattr(quotient, "_close", spy)
-    q = QuotientLoop(2)
-    t = q.product_table()
-    assert q._central_set(t, t.astype(np.intp)).tolist() == list(range(16))
+    t, ti = _as_table(_M2)
+    assert _central_set(t, ti, _center(t)).tolist() == list(range(16))
     assert sizes == [1, 2, 4, 8, 16]
 
 
@@ -797,28 +813,27 @@ def test_axioms_check_stays_within_its_memory_bound():
 
 
 @pytest.mark.parametrize(
-    "loop, expected",
+    "table, expected",
     [
-        pytest.param(lambda: QuotientLoop(2), list(range(16)), id="m2"),
-        pytest.param(lambda: _loop_with_table(_XOR), list(range(256)), id="xor-group"),
+        pytest.param(_M2, list(range(16)), id="m2"),
+        pytest.param(_XOR, list(range(256)), id="xor-group"),
         # a non-commutative Latin square: dividing by b * a instead of a * b
         # would find two fixed elements here
-        pytest.param(lambda: _loop_with_table((_IDX[:, None] - _IDX[None, :]) % 256),
-                     [], id="difference-square"),
+        pytest.param((_IDX[:, None] - _IDX[None, :]) % 256, [], id="difference-square"),
         # the m = 2 loop with its elements relabelled at random: the central
         # ones are no longer the lowest indices, so candidates fall at many a
-        pytest.param(lambda: _loop_with_table(_RELABEL[_M2[_UNLABEL][:, _UNLABEL]]),
+        pytest.param(_RELABEL[_M2[_UNLABEL][:, _UNLABEL]],
                      sorted(int(i) for i in _RELABEL[:16]), id="relabelled-m2"),
     ],
 )
-def test_center_is_the_fixed_set_of_every_inner_map(loop, expected):
-    q = loop()
-    assert q.center_indices() == _fixed_by_every_inner_map(q) == expected
+def test_center_is_the_fixed_set_of_every_inner_map(table, expected):
+    t, _ = _as_table(table)
+    assert _center(t) == _fixed_by_every_inner_map(t) == expected
 
 
 class _SliceSpy(np.ndarray):
     """A product table that records the rows of every slice taken of it,
-    the blocks of a that ``center_indices`` tests at once."""
+    the blocks of a that ``_center`` tests at once."""
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -830,11 +845,10 @@ def test_center_drops_a_candidate_inside_a_block_of_several_a():
     # on the tampered table the candidates fall one by one, so the blocks
     # grow from one a to several while non-central candidates still stand
     t = _tampered().astype(np.uint16)
-    q = QuotientLoop(2)
-    q._table = spy = t.view(_SliceSpy)
+    spy = t.view(_SliceSpy)
     spy.blocks = []
-    center = q.center_indices()
-    assert center == _fixed_by_every_inner_map(_loop_with_table(t)) == [0, 3]
+    center = _center(spy)
+    assert center == _fixed_by_every_inner_map(t) == [0, 3]
     # every a is tested once, and the first block that holds an a with
     # (a * b) * c != b * (a * c) for some b is the block that drops c
     assert sorted(a for block in spy.blocks for a in block) == list(range(256))
@@ -862,6 +876,27 @@ def test_quotient_has_nilpotency_class_three():
     t = q.left_divide(q.mul(e1, q.mul(e1, e3)), q.mul(q.mul(e1, e1), e3))
     assert t == (0, 0, 0, 0, 1, 0, 0, 0)
     assert q.element_index(e3) not in q.center_indices()
+
+
+def test_table_routines_run_on_the_quotient_by_the_center():
+    # Q_2/Z, a table that no QuotientLoop builds: each element is labelled
+    # by the least element of its coset of the center Z, and the 16 labels
+    # are numbered 0..15 in index order
+    t, _ = _as_table(_M2)
+    label = t[:, _center(t)].min(axis=1)
+    # the label of x * y depends on the labels of x and y alone
+    assert np.array_equal(label[t], label[t[label][:, label]])
+    reps = np.unique(label)
+    qt, qti = _as_table(np.searchsorted(reps, label[t[np.ix_(reps, reps)]]))
+    assert len(qt) == 16 and all(quotient._table_checks(qt).values())
+    center = _center(qt)
+    central = _central_set(qt, qti, center)
+    assert center == central.tolist() == [0, 1, 2, 3]
+    qreps = _coset_representatives(qt, central)
+    maps = _distinct_inner_maps(qti, _left_division(qt), qreps)
+    assert len(maps) == 10
+    # the law compares 16 * 4 + 4 * 4 pairs per map, not 16 * 16
+    assert quotient.automorphic_law(qt, qti, central, qreps, maps) == (True, 10 * 80)
 
 
 def test_sampled_automorphic_checks():
