@@ -125,9 +125,34 @@ def test_degree_and_str():
 
 
 def test_table_mismatch_raises():
-    other = VarTable(("Z",))
-    with pytest.raises(VariableTableMismatch):
-        _x() + Polynomial.var(other, 0)
+    x, z = _x(), Polynomial.var(VarTable(("Z",)), 0)
+    for op in (lambda: x + z, lambda: x - z, lambda: x * z, lambda: x.__rsub__(z),
+               lambda: z + x, lambda: z - x, lambda: z * x):
+        with pytest.raises(VariableTableMismatch):
+            op()
+
+
+def test_an_equal_table_object_combines_like_the_same_one():
+    # an equal but distinct table takes the checked route, not the identity
+    # short-cut, and still combines; the result is on the left operand's table
+    x, y = _x(), _y()
+    twin = VarTable(("X", "Y"))
+    y2 = Polynomial.var(twin, 1)
+    assert twin is not XY and twin == XY
+    for got, want in ((x + y2, x + y), (x - y2, x - y), ((x + 1) * y2, (x + 1) * y),
+                      (x.__rsub__(y2), y - x), (y2 - x, y - x)):
+        assert got == want and got._terms == want._terms and got.den == want.den
+    assert (x + y2).table is XY and (y2 * x).table is twin
+
+
+def test_other_operands_keep_their_meaning():
+    x = _x()
+    third = Fraction(1, 3)
+    assert x + third == Polynomial(XY, {((0, 1),): 1, (): third})
+    assert third - x == -(x - third) and x * third == x // 3
+    for op in (lambda: x + 1.5, lambda: x - "1", lambda: x * 1.5, lambda: 1.5 - x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_term_limit(monkeypatch):
@@ -455,14 +480,84 @@ def test_zero_and_scalar_short_cuts_leave_peak_stats_as_the_full_operation():
         _assert_reduced(scaled)
 
 
-_OPERAND_KINDS = ("poly", "zero", "const", "int")
+def _same(short, full):
+    """``short`` is reduced and has the representation and degree of ``full``."""
+    _assert_reduced(short)
+    assert short._terms == full._terms and short.den == full.den
+    assert short.degree() == full.degree() == _key_degree(short)
+
+
+def _peak_after(build):
+    reset_stats()
+    result = build()
+    return result, peak_stats()
+
+
+def test_int_addend_short_cut_matches_the_constant_route():
+    x, y = _x(), _y()
+    five = Polynomial.const(XY, 5)
+    operands = [
+        x * y - 2 * x + 5,  # k = -5 cancels the constant term
+        x * y // 3 + 2,  # den 3
+        (x - 6) // 3,  # x/3 - 2: k = 2 cancels the constant term over den 3
+        x,
+        five,  # a constant
+        Polynomial.zero(XY),
+    ]
+    for p in operands:
+        for k in (-5, -1, 2, 7):
+            for short_route, full_route in (
+                (lambda: p + k, lambda: p + Polynomial.const(XY, k)),
+                (lambda: k + p, lambda: Polynomial.const(XY, k) + p),
+                (lambda: p - k, lambda: p - Polynomial.const(XY, k)),
+            ):
+                short, short_peak = _peak_after(short_route)
+                full, full_peak = _peak_after(full_route)
+                _same(short, full)
+                if short._terms:
+                    assert short_peak == full_peak
+                else:
+                    # the constant route also built k's constant, degree 0 and one term
+                    assert short_peak == (0, 0) and full_peak == (0, 1)
+    # the documented example: c - 5 for the constant c = 5
+    assert _peak_after(lambda: five - 5)[1] == (0, 0)
+    assert _peak_after(lambda: five - Polynomial.const(XY, 5))[1] == (0, 1)
+    # an int 0 returns the polynomial itself
+    p = operands[1]
+    assert p + 0 is p and 0 + p is p and p - 0 is p
+
+
+def test_one_term_factor_matches_the_reference_product():
+    x, y = _x(), _y()
+    one_term = [Fraction(2, 3) * x * y, -7 * y * y, Polynomial.const(XY, Fraction(-5, 4)), x]
+    others = [x // 3 + 5 * y - 1, (x + y) ** 3 // 6, Fraction(3, 2) * x, x * y]
+    for m in one_term:
+        for p in others:
+            ref = Polynomial(XY, _ref_mul(dict(m.terms), dict(p.terms)))
+            for build in (lambda: m * p, lambda: p * m):
+                result, peak = _peak_after(build)
+                _same(result, ref)
+                assert peak == (result.degree(), len(result._terms))
+
+
+def test_cancelling_product_drops_its_zero_coefficients():
+    x, y = _x(), _y()
+    for a, b, ref in ((x + y, x - y, {((0, 2),): 1, ((1, 2),): -1}),
+                      (x // 3 + y, x // 3 - y, {((0, 2),): Fraction(1, 9), ((1, 2),): -1}),
+                      (x + 1, x * x - x + 1, {((0, 3),): 1, (): 1})):
+        result, peak = _peak_after(lambda: a * b)
+        _same(result, Polynomial(XY, ref))
+        assert peak == (result.degree(), len(result._terms))
+
+
+_OPERAND_KINDS = ("poly", "zero", "const", "int", "one-term")
 
 
 @st.composite
 def _rational_case(draw):
     # coefficients with denominators up to 12, so the two sides' common
     # denominators differ and their lcm is not their product; either side may
-    # be the zero polynomial, a constant or a plain int
+    # be the zero polynomial, a constant, one term or a plain int
     n = draw(st.integers(1, 6))
     coeffs = st.fractions(-20, 20, max_denominator=12).filter(lambda c: c != 0)
     sides = []
@@ -474,6 +569,8 @@ def _rational_case(draw):
             ref = {}
         elif kind == "const":
             ref = {(): draw(coeffs)}
+        elif kind == "one-term":
+            ref = {draw(_monomial(n, 6)): draw(coeffs)}
         else:
             ref = {(): draw(st.integers(-6, 6))}
         sides.append((kind, ref))
