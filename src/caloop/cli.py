@@ -46,7 +46,7 @@ from . import __version__
 from .calculus import NucleusKind, is_member, witness_noncentral
 from .core import Elem8
 from .quotient_options import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS
-from .symbolic import catalog_names, verify_all, verify_identity
+from .symbolic import verify_all, verify_identity
 from .words import (
     MAX_BITS,
     Assoc,
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("verify", parents=[common], help="run the symbolic identity catalog")
-    p.add_argument("--identity", choices=catalog_names(), metavar="NAME",
+    p.add_argument("--identity", metavar="NAME",
                    help="verify a single identity (default: whole catalog)")
     p.set_defaults(func=_cmd_verify)
 

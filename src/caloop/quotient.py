@@ -60,6 +60,7 @@ more trials per call.  A loop caches its product table and nothing else.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import operator
 import os
@@ -112,7 +113,8 @@ class BudgetExceeded(ValueError):
 _WIDTHS = (np.int8, np.int16, np.int32, np.int64)
 
 
-def _intermediate_bound(m: int, kernels: Sequence) -> int:
+@functools.cache
+def _intermediate_bound(m: int, kernels: tuple) -> int:
     """Largest |value| that the ``kernels`` can form on coordinates in (-m, m),
     including every intermediate and every constant.
 
@@ -120,7 +122,7 @@ def _intermediate_bound(m: int, kernels: Sequence) -> int:
     formulas: it grows like m^5, the degree of the product polynomial.  Each
     constant of a formula enters a + or * with a magnitude of at least 1,
     and the divisor 3 is below the product's constant 5, so the bound holds
-    the constants too.
+    the constants too.  Cached per m and tuple of kernel objects.
     """
     peak = [0]
     x = tuple(Magnitude(m - 1, peak) for _ in range(8))

@@ -37,13 +37,15 @@ add into the product's, the lemma that
 
 One :func:`verify_all` run builds one kernel per variable table: the
 entries of one layout run together, on one set of generic elements and one
-:class:`SymLoopOps`, which is dropped when they are done.  Its product is
-memoized on the identity of the operand tuples, for operands that are
-generic elements or earlier memoized products (hash-consing, after
-Filliâtre & Conchon, *Type-safe modular hash-consing*, ML Workshop 2006),
-so a product that several entries form is expanded once.  A memo hit
+:class:`SymLoopOps`, handed to each through one context variable and
+dropped when they are done.  Its product is memoized on the identity of
+the operand tuples, for operands that are generic elements or earlier
+memoized products (hash-consing, after Filliâtre & Conchon, *Type-safe
+modular hash-consing*, ML Workshop 2006), so a product that several
+entries form is expanded once.  A memo hit
 raises :func:`caloop.poly.peak_stats` by the peak of the first expansion,
-so every report equals that of :func:`verify_identity` on the entry alone.
+so every report but its ``millis`` equals that of :func:`verify_identity`
+on the entry alone.
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -435,33 +437,18 @@ def _lookup(name: str) -> _Entry:
         raise ValueError(f"unknown identity {name!r}; known identities: {known}") from None
 
 
-# The contexts that the running verify_all() shares among the entries of one
-# layout, by _context_key; None outside a run.
-_RUN_CONTEXTS: ContextVar = ContextVar("_RUN_CONTEXTS", default=None)
-
-
-def _context_key(entry: _Entry, product: Optional[ProductFn]) -> tuple:
-    return entry.layout, entry.integers, product
-
-
-def _context(entry: _Entry, product: Optional[ProductFn]) -> tuple:
-    """The kernel and generic elements `entry` expands on: those the running
-    verify_all() shares among the entries of its layout, else fresh ones."""
-    shared = _RUN_CONTEXTS.get()
-    if shared is None:
-        return _make_context(entry.layout, product, entry.integers)
-    key = _context_key(entry, product)
-    if key not in shared:
-        shared[key] = _make_context(entry.layout, product, entry.integers)
-    return shared[key]
+# The kernel and generic elements (ops, elems) that the running verify_all()
+# shares among the entries of one group; None outside a run.
+_RUN_CONTEXT: ContextVar = ContextVar("_RUN_CONTEXT", default=None)
 
 
 def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityReport:
-    """Expand one named identity over generic elements and report residuals."""
+    """Expand one named identity over generic elements and report residuals;
+    in a :func:`verify_all` run, over those of the running group."""
     entry = _lookup(name)
     poly.reset_stats()
     start = time.perf_counter()
-    ops, elems = _context(entry, product)
+    ops, elems = _RUN_CONTEXT.get() or _make_context(entry.layout, product, entry.integers)
     blocks = entry.build(ops, *elems)
     millis = int((time.perf_counter() - start) * 1000)
     max_degree, _ = poly.peak_stats()
@@ -483,21 +470,22 @@ def verify_identity(name: str, product: Optional[ProductFn] = None) -> IdentityR
 def verify_all(product: Optional[ProductFn] = None) -> list:
     """Run the whole catalog; the reports come in registration order.
 
-    The entries run grouped by layout, and each group shares one context:
-    a variable table, its generic elements and one :class:`SymLoopOps`,
-    whose product memo expands a product that several entries form once.
-    A group's context is dropped when the group ends, so at most one is
-    alive.  Each report equals that of :func:`verify_identity` run alone.
+    The entries run grouped by layout, and each group shares one context,
+    built before its first entry and set as ``_RUN_CONTEXT``: a variable
+    table, its generic elements and one :class:`SymLoopOps`, whose product
+    memo expands a product that several entries form once.  A group's
+    context is dropped when the group ends, so at most one is alive.  Each
+    report but its ``millis`` equals that of :func:`verify_identity` alone.
     """
     groups: dict = {}
     for name, entry in _CATALOG.items():
-        groups.setdefault(_context_key(entry, product), []).append(name)
+        groups.setdefault((entry.layout, entry.integers), []).append(name)
     reports = {}
-    for names in groups.values():
-        token = _RUN_CONTEXTS.set({})
+    for (layout, integers), names in groups.items():
+        token = _RUN_CONTEXT.set(_make_context(layout, product, integers))
         try:
             for name in names:
                 reports[name] = verify_identity(name, product)
         finally:
-            _RUN_CONTEXTS.reset(token)
+            _RUN_CONTEXT.reset(token)
     return [reports[name] for name in _CATALOG]

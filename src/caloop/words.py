@@ -215,15 +215,15 @@ def _is_literal(tok: str) -> bool:
     return tok[-1:] == "]" and tok != "]"
 
 
-def _shown(tok: str):
-    """The token as error messages show it: an int, 'elem' for a literal, None at the end."""
+def _shown(tok: str) -> str:
+    """The token as an error message shows it: a repr, 'elem' for a literal, or end of input."""
     if tok == _END:
-        return None
+        return "end of input"
     if _is_int(tok):
-        return _to_int(tok)
+        return repr(_to_int(tok))
     if _is_literal(tok):
-        return "elem"
-    return tok
+        return "'elem'"
+    return repr(tok)
 
 
 def _token_fault(tok: str):
@@ -333,12 +333,12 @@ class _Parser:
         expr, _ = self._product()
         tok = self.toks[self.i]
         if tok != _END:
-            raise _SyntaxError(f"unexpected {_shown(tok)!r} after expression", self.i)
+            raise _SyntaxError(f"unexpected {_shown(tok)} after expression", self.i)
         return expr
 
     def _expected(self, want: str) -> _SyntaxError:
         """The error for the current token, which is not ``want``."""
-        return _SyntaxError(f"expected {want!r}, found {_shown(self.toks[self.i])!r}", self.i)
+        return _SyntaxError(f"expected {want!r}, found {_shown(self.toks[self.i])}", self.i)
 
     def _product(self) -> tuple:
         toks = self.toks
@@ -391,7 +391,7 @@ class _Parser:
     def _int(self, what: str) -> int:
         tok = self.toks[self.i]
         if not _is_int(tok):
-            raise _SyntaxError(f"expected integer {what}, found {_shown(tok)!r}", self.i)
+            raise _SyntaxError(f"expected integer {what}, found {_shown(tok)}", self.i)
         self.i += 1
         return _to_int(tok)
 
@@ -439,7 +439,7 @@ class _Parser:
             self._list("[", ("coordinate",) * 8, "]")
         if tok[:1].isalpha():
             raise _SyntaxError(f"unknown identifier {tok!r}", index)
-        raise _SyntaxError(f"unexpected {_shown(tok)!r}", index)
+        raise _SyntaxError(f"unexpected {_shown(tok)}", index)
 
     def _list(self, open: str, kinds: tuple, close: str) -> tuple:
         """Parse open item, ... close, one item of each kind; returns (items, greatest depth)."""

@@ -137,9 +137,13 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_unknown_identity_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--identity", "nope"])
-    assert info.value.code == 2
+    # an input error like any other: one `error:` line naming the known
+    # identities, not argparse's usage text
+    assert main(["verify", "--identity", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: unknown identity 'nope'; known identities: identity-element, ")
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):

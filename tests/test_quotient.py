@@ -324,6 +324,13 @@ def test_intermediate_bound_runs_a_wrapped_kernel_like_the_kernel():
         assert _intermediate_bound(5, (wrapped,)) == _intermediate_bound(5, (kernel,))
 
 
+def test_intermediate_bound_is_computed_once_per_modulus_and_kernels():
+    _intermediate_bound.cache_clear()
+    for _ in range(2):
+        QuotientLoop(2).product_table()
+    assert _intermediate_bound.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("m, kernels, width", [
     (2, (mul_coords,), np.int8),
     (2, (left_div_coords,), np.int16),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -329,6 +330,50 @@ def test_shared_kernel_changes_no_report(product):
     shared = [_report_key(r) for r in verify_all(product)]
     alone = [_report_key(verify_identity(name, product)) for name in catalog_names()]
     assert shared == alone
+
+
+def _counting_contexts(monkeypatch) -> list:
+    """The (layout, integers) of every context built from now on."""
+    built = []
+    make = symbolic._make_context
+
+    def counting(layout, product, integers=()):
+        built.append((layout, integers))
+        return make(layout, product, integers)
+
+    monkeypatch.setattr(symbolic, "_make_context", counting)
+    return built
+
+
+@pytest.mark.parametrize("product", [None, mutated_product_polys], ids=["shipped", "mutated"])
+def test_run_builds_one_context_per_group(product, monkeypatch):
+    # the 32 entries fall into 10 (layout, integers) groups; each group's
+    # context is built once, and is no longer set when the run is done
+    built = _counting_contexts(monkeypatch)
+    verify_all(product)
+    assert len(built) == len(set(built)) == 10
+    assert set(built) == {(e.layout, e.integers) for e in symbolic._CATALOG.values()}
+    assert symbolic._RUN_CONTEXT.get() is None
+
+
+def test_run_context_is_reset_when_an_entry_raises(monkeypatch):
+    def broken(ops, *elems):
+        assert symbolic._RUN_CONTEXT.get()[0] is ops  # the running group's kernel
+        raise RuntimeError("broken builder")
+
+    entry = symbolic._CATALOG["reversal"]
+    monkeypatch.setitem(symbolic._CATALOG, "reversal", dataclasses.replace(entry, build=broken))
+    with pytest.raises(RuntimeError, match="broken builder"):
+        verify_all()
+    assert symbolic._RUN_CONTEXT.get() is None
+
+
+def test_identity_alone_builds_its_own_context(monkeypatch):
+    built = _counting_contexts(monkeypatch)
+    assert verify_identity("reversal").passed
+    entry = symbolic._CATALOG["reversal"]
+    assert built == [(entry.layout, entry.integers)]
+    assert symbolic._RUN_CONTEXT.get() is None
 
 
 def test_memo_hit_reads_the_peak_of_the_first_expansion():

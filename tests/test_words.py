@@ -136,10 +136,11 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
         pytest.param("x^-\u0663", "position 3: dangling '-'", id="minus-non-ascii-digit"),
         pytest.param("elemx[1,2,3,4,5,6,7,8]", "position 1: unknown identifier 'elemx'",
                      id="elemx"),
-        pytest.param("elem", "position 5: expected '[', found None", id="bare-elem"),
+        pytest.param("elem", "position 5: expected '[', found end of input", id="bare-elem"),
         pytest.param("elem [1,2,3,4,5,6,7]", "position 20: expected ',', found ']'",
                      id="seven-coordinates"),
-        pytest.param(_LIT7 + "8", "position 21: expected ']', found None", id="unclosed-literal"),
+        pytest.param(_LIT7 + "8", "position 21: expected ']', found end of input",
+                     id="unclosed-literal"),
         pytest.param(_LIT7 + "8]" + _LIT7 + "x]",
                      "position 41: expected integer coordinate, found 'x'",
                      id="literal-after-literal"),
@@ -151,10 +152,10 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
         pytest.param("x \u00b2", "position 3: unexpected character '\u00b2'", id="superscript"),
         pytest.param("\u00b2x", "position 1: unexpected character '\u00b2'",
                      id="superscript-name-start"),
-        pytest.param("x*", "position 3: unexpected None", id="dangling-star"),
-        pytest.param("", "position 1: unexpected None", id="empty"),
-        pytest.param("   ", "position 4: unexpected None", id="blank"),
-        pytest.param("(x", "position 3: expected ')', found None", id="unclosed-paren"),
+        pytest.param("x*", "position 3: unexpected end of input", id="dangling-star"),
+        pytest.param("", "position 1: unexpected end of input", id="empty"),
+        pytest.param("   ", "position 4: unexpected end of input", id="blank"),
+        pytest.param("(x", "position 3: expected ')', found end of input", id="unclosed-paren"),
         pytest.param("x)", "position 2: unexpected ')' after expression", id="stray-paren"),
         pytest.param("x^2^3", "position 4: unexpected '^' after expression", id="power-chain"),
         pytest.param("x . . y", "position 5: unexpected '.'", id="double-dot"),
@@ -170,8 +171,8 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
         pytest.param("pow(x)", "position 6: expected ',', found ')'", id="pow-one-arg"),
         pytest.param("pow(x, 2, 3)", "position 9: expected ')', found ','", id="pow-three-args"),
         pytest.param("inv()", "position 5: unexpected ')'", id="empty-call"),
-        pytest.param("ldiv", "position 5: expected '(', found None", id="bare-ldiv"),
-        pytest.param("ldiv(", "position 6: unexpected None", id="ldiv-open"),
+        pytest.param("ldiv", "position 5: expected '(', found end of input", id="bare-ldiv"),
+        pytest.param("ldiv(", "position 6: unexpected end of input", id="ldiv-open"),
         pytest.param("ldiv(x)", "position 7: expected ',', found ')'", id="ldiv-one-arg"),
         pytest.param("ldiv(x, y, x)", "position 10: expected ')', found ','",
                      id="ldiv-three-args"),
