@@ -12,23 +12,25 @@ the full automorphism law over all 256^4 quadruples; that check runs on a
 precomputed product table with numpy gathers.
 
 The full check scans the inner mappings L_{a,b} on representatives of the
-cosets of a central set that it verifies on the product table: on a loop,
-multiplying a or b by a central element does not change L_{a,b}
-(:func:`_distinct_inner_maps` has the proof), so at m = 2 the
-16 central elements leave 16 representatives and 256 of the 65 536 pairs
-(a, b).  It keeps the distinct permutations among them (43 at m = 2), and
-checks L(c * d) = L(c) * L(d) against each distinct map in turn.  Whether
-that law holds depends only on the permutation L, not on the pair (a, b)
-that produced it, and it holds for every pair (c, d) once it holds for the
-pairs of coset representatives and the pairs with a central factor
-(:func:`automorphic_law` has the proof): 4352 pairs at m = 2, not 65 536.
-So the check still decides every one of the 256^4 quadruples (a, b, c, d).
-The central set is itself found from generators: a product of central
-elements is central (:func:`_central_set` has the proof), so at m = 2 five
-of its 16 elements are tested on the table.  The center needs no scan: c is
-fixed by L_{a,b} exactly when (a * b) * c = b * (a * c), which is tested on
-the product table directly, a block of a at a time against the candidates c
-still standing, the block as large as keeps its arrays to the table's size.
+cosets of the center: on a loop, multiplying a or b by a central element
+does not change L_{a,b} (:func:`_distinct_inner_maps` has the proof), so at
+m = 2 the 16 central elements leave 16 representatives and 256 of the
+65 536 pairs (a, b).  It keeps the distinct permutations among them (43 at
+m = 2), and checks L(c * d) = L(c) * L(d) against each distinct map in
+turn.  Whether that law holds depends only on the permutation L, not on the
+pair (a, b) that produced it, and it holds for every pair (c, d) once it
+holds for the pairs of coset representatives and the pairs with a central
+factor (:func:`automorphic_law` has the proof): 4352 pairs at m = 2, not
+65 536.  So the check still decides every one of the 256^4 quadruples
+(a, b, c, d).  The center needs no scan: c is fixed by L_{a,b} exactly
+when (a * b) * c = b * (a * c), which is tested on the product table
+directly, a block of a at a time against the candidates c still standing,
+the block as large as keeps its arrays to the table's size.  On a
+commutative table whose rows are permutations, as the table checks
+confirm, every such c commutes and lies in the three nuclei
+(:func:`_central_set` has the proof), so the full check takes the center
+as it is; on any other table it takes no central element and scans every
+pair.
 
 A CSV table file is read line by line under the same bounds whatever its
 cells, and its cells are converted in one bulk call when they are only
@@ -298,6 +300,7 @@ class QuotientLoop:
         table budget by ``product_table``, the table levels' first call)."""
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
+        trials = operator.index(trials)  # TypeError for 2.5, as for the modulus
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {_size(trials)}")
         if level == "automorphic-sampled" and trials > MAX_SAMPLED_TRIALS:
@@ -364,7 +367,7 @@ class QuotientLoop:
         :func:`automorphic_law` shows to decide every pair."""
         t = self.product_table()
         ti = t.astype(np.intp)  # one index copy for every gather by the table
-        central = _central_set(t, ti, self.center_indices())
+        central = _central_set(t, self.center_indices())
         reps = _coset_representatives(t, central)
         maps = _distinct_inner_maps(ti, self.left_division_table(), reps)
         holds, pairs = automorphic_law(t, ti, central, reps, maps)
@@ -450,69 +453,31 @@ def _left_division(t: np.ndarray) -> np.ndarray:
     return ldiv
 
 
-def _central_set(t: np.ndarray, ti: np.ndarray, candidates) -> np.ndarray:
-    """Indices of the ``candidates`` that the product table ``t`` shows to be
-    central, given ``ti``, ``t`` copied to intp.
+def _central_set(t: np.ndarray, center) -> np.ndarray:
+    """The indices of ``center``, as found by :func:`_center` on the product
+    table ``t``, as intp, when ``t`` is commutative and its rows are
+    permutations; otherwise none.
 
-    A candidate z is kept when, for every x and y, z * x = x * z, row z is
-    a permutation, and (x * z) * y = x * (z * y), (z * x) * y = z * (x * y)
-    and x * (y * z) = (x * y) * z.  Once z commutes, row z is column z too,
-    so one array of z * (x * y) decides the three associative laws:
-    (z * x) * y against it is the left one, x * (z * y) the right one, and
-    the two together the middle one.  Each gather is into the table's
-    uint16 and indexes with ``ti`` or a single row, so no candidate makes an
-    order x order intp array.  On a table that is not a loop the set
-    shrinks, and it may be empty.
-
-    A candidate that is a product of kept elements is kept untested, by
-    this lemma, which holds in any magma.  Let z1 and z2 pass every test
-    above, and w = z1 * z2.  Then by the left nucleus (L), the middle
-    nucleus (M), the right nucleus (R) and commuting (C) of z1 and z2,
-      w * x = z1 * (z2 * x)                          (L),
-    so row w is row z2 followed by row z1, a permutation;
-      w * x = z1 * (x * z2) = (z1 * x) * z2 = (x * z1) * z2 = x * w
-                                             (L, C, L, C, R);
-      (w * x) * y = (z1 * (z2 * x)) * y = z1 * ((z2 * x) * y)
-                  = z1 * (z2 * (x * y)) = w * (x * y)    (L, L, L, L);
-      (x * w) * y = ((x * z1) * z2) * y = (x * z1) * (z2 * y)
-                  = x * (z1 * (z2 * y)) = x * (w * y)    (R, M, M, L);
-      x * (y * w) = x * ((y * z1) * z2) = (x * (y * z1)) * z2
-                  = ((x * y) * z1) * z2 = (x * y) * w    (R, R, R, R).
-    So every element of the closure of the kept elements under the product
-    passes the tests too.  The candidates are taken in the order given, and
-    a boolean closure of the kept elements under the table's product is
-    grown with each tested candidate that is kept; a candidate inside it is
-    kept with no gather, and the kept list is the one that testing every
-    candidate gives.  At m = 2, given the center, the identity and 4
-    generators are tested, and the other 11 of the 16 are their products.
+    Every element c of that set is then central: it commutes with every
+    element, lies in the three nuclei and has a permutation for its row and
+    its column, by this lemma, which holds in any magma.  Write (C) for
+    commutativity and (F) for (a * b) * c = b * (a * c) for every a and b,
+    the equation ``_center`` tests.  Then, for every x and y,
+      right:  (x * y) * c = (y * x) * c = x * (y * c)                (C, F);
+      left:   (c * x) * y = y * (x * c) = (x * y) * c = c * (x * y)  (C, F, C);
+      middle: (x * c) * y = (x * y) * c = x * (y * c) = x * (c * y)
+                                                        (C and F, right, C).
+    Row c is a permutation since every row is, and column c is row c by (C).
+    Conversely, a central c satisfies (F): (a * b) * c = (b * a) * c =
+    b * (a * c) by (C) and the right nucleus.  So on such a table the set is
+    exactly the set of central elements, and nothing central is lost.  On
+    any other table the set is empty, so the scan and the law run on every
+    element and every pair.
     """
-    idx = np.arange(len(t))
-    closure = np.zeros(len(t), dtype=bool)  # products of the kept elements
-    kept = []
-    for z in candidates:
-        if not closure[z]:
-            rz = t[z]  # [x] = z * x
-            if not ((rz == t[:, z]).all() and (np.sort(rz) == idx).all()):
-                continue
-            zxy = rz.take(ti)  # [x, y] = z * (x * y)
-            if not (np.array_equal(t.take(rz, axis=0), zxy)  # (z * x) * y
-                    and np.array_equal(t.take(rz, axis=1), zxy)):  # x * (z * y)
-                continue
-            closure[z] = True
-            _close(t, closure)
-        kept.append(z)
-    return np.array(kept, dtype=np.intp)
-
-
-def _close(t: np.ndarray, members: np.ndarray) -> None:
-    """Add to the boolean mask ``members`` every product of its elements in
-    the table ``t``, until the set it marks is closed under the product."""
-    while True:
-        m = np.flatnonzero(members)
-        products = t[np.ix_(m, m)]
-        if members[products].all():
-            return
-        members[products] = True
+    checks = _table_checks(t)
+    if not (checks["commutative"] and checks["latin-rows"]):
+        center = []
+    return np.array(center, dtype=np.intp)
 
 
 def _coset_representatives(t: np.ndarray, central: np.ndarray) -> np.ndarray:
@@ -536,9 +501,9 @@ def _distinct_inner_maps(ti: np.ndarray, ldiv: np.ndarray, reps: np.ndarray) -> 
     L_{a,b}(c) is the y with (a * b) * y = b * (a * c).  The pairs of coset
     representatives give every distinct L_{a,b} of the table, by this
     lemma.  Let z commute with every element, lie in the three nuclei and
-    have an injective column; ``_central_set`` checks each of these on
-    every pair of the table.  Then, by the middle nucleus, commuting and
-    the right nucleus,
+    have an injective column, as every element that ``_central_set``
+    returns does (its docstring has the proof).  Then, by the middle
+    nucleus, commuting and the right nucleus,
       (a * z) * b = a * (z * b) = a * (b * z) = (a * b) * z,
       b * ((a * z) * c) = b * ((a * c) * z) = (b * (a * c)) * z,
       ((a * b) * z) * y = (a * b) * (z * y) = ((a * b) * y) * z.
@@ -581,14 +546,15 @@ def automorphic_law(t: np.ndarray, ti: np.ndarray, central: np.ndarray,
     """(holds, pairs): whether every row p of ``maps`` has
     p(x * y) = p(x) * p(y) for every x and y of the product table ``t``, and
     the pairs (x, y) compared, per map times the maps; ``ti`` is ``t``
-    copied to intp, ``central`` a set that ``_central_set`` kept and
+    copied to intp, ``central`` a set that ``_central_set`` returned and
     ``reps`` the coset representatives of it.
 
     The pairs compared are u * z for every u and every z in C = ``central``,
     and r * s for every r and s in R = ``reps``, by this lemma.  Let every
     z in C commute with every element and lie in the three nuclei, as
-    ``_central_set`` checks, and suppose that (i) every element is r * z for
-    some r in R and z in C, and (ii) every map p sends C into C.  Then
+    every element that ``_central_set`` returns does, and suppose that
+    (i) every element is r * z for some r in R and z in C, and (ii) every
+    map p sends C into C.  Then
     p(x * y) = p(x) * p(y) for all x and y exactly when
       (b) p(u * z) = p(u) * p(z) for every u and every z in C, and
       (c) p(r * s) = p(r) * p(s) for every r and s in R.

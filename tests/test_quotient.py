@@ -271,6 +271,20 @@ def test_sampled_check_rejects_nonpositive_trials():
             QuotientLoop(5).exhaustive_check("automorphic-sampled", trials=trials)
 
 
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("trials", [0.5, 10 ** 6 + 0.5, 2.5])
+def test_a_non_integral_trials_is_a_type_error_before_any_work(monkeypatch, level, trials):
+    q = QuotientLoop(2)
+
+    def no_work(*args):
+        raise AssertionError("work started before trials was checked")
+
+    monkeypatch.setattr(q, "product_table", no_work)
+    monkeypatch.setattr(q, "_sampled_failures", no_work)
+    with pytest.raises(TypeError):
+        q.exhaustive_check(level, trials=trials)
+
+
 def _peak_formed(fn, *tuples) -> int:
     """Largest |value| that fn forms from its integer arguments."""
     peak = [0]
@@ -545,31 +559,11 @@ def test_distinct_inner_maps_match_a_full_reference_scan(table, central, maps):
     # the scan over coset representatives of the central set finds exactly
     # the maps of all 65 536 pairs (a, b), on loops and on tables that are not
     t, ti = _as_table(table)
-    central_set = _central_set(t, ti, _center(t))
+    central_set = _central_set(t, _center(t))
     assert len(central_set) == central
     scanned = _distinct_inner_maps(ti, _left_division(t), _coset_representatives(t, central_set))
     assert len(scanned) == maps
     assert {row.tobytes() for row in scanned} == _reference_inner_maps(t)
-
-
-@pytest.mark.parametrize(
-    "table, passed, maps, central",
-    [
-        pytest.param(_M2, True, 43, list(range(16)), id="m2"),
-        pytest.param(_tampered(), False, 132, [0, 3], id="tampered"),
-    ],
-)
-def test_central_set_drops_every_candidate_that_is_not_central(table, passed, maps, central):
-    # with every element handed in as a candidate, the commutation, row and
-    # nucleus tests alone must cut the set back to the center; kept too
-    # many, the scan would see too few representatives and too few maps
-    t, ti = _as_table(table)
-    kept = _central_set(t, ti, range(256))
-    assert kept.tolist() == central
-    reps = _coset_representatives(t, kept)
-    scanned = _distinct_inner_maps(ti, _left_division(t), reps)
-    assert len(scanned) == maps
-    assert quotient.automorphic_law(t, ti, kept, reps, scanned)[0] is passed
 
 
 def _times_xor(magma: np.ndarray) -> np.ndarray:
@@ -585,37 +579,6 @@ def _times_xor(magma: np.ndarray) -> np.ndarray:
 _LEFT_LAW_ONLY = np.array([[0, 3, 1, 3], [1, 2, 0, 2], [1, 0, 3, 2], [0, 1, 2, 3]])
 
 
-@pytest.mark.parametrize(
-    "magma, z, failing",
-    [
-        # a left identity of the magma x * y = y: its row is the identity
-        pytest.param(np.array([[0, 1], [0, 1]]), 1, {"commutes"}, id="right-projection"),
-        # an absorbing element of a commutative monoid
-        pytest.param(np.array([[0, 1], [1, 1]]), 1, {"row-permutes"}, id="absorbing"),
-        pytest.param(_LEFT_LAW_ONLY, 2, {"middle", "right"}, id="left-law-only"),
-        pytest.param(_LEFT_LAW_ONLY.T, 2, {"left", "middle"}, id="right-law-only"),
-    ],
-)
-def test_central_set_refuses_a_candidate_that_fails_one_test(magma, z, failing):
-    # each z fails just one of the four tests _central_set makes: that z
-    # commutes, that its row permutes, and its two comparisons, which are
-    # the left and the right law once z commutes; on a commutative table
-    # either law gives the other, so only tables like the last two tell
-    # whether each comparison is made
-    t, ti = _as_table(_times_xor(magma))
-    z *= 256 // len(magma)
-    rz, cz = t[z], t[:, z]  # z * x and x * z
-    holds = {
-        "commutes": np.array_equal(rz, cz),
-        "row-permutes": np.array_equal(np.sort(rz), _IDX),
-        "left": np.array_equal(t[rz], rz[t]),  # (z * x) * y = z * (x * y)
-        "middle": np.array_equal(t[cz], t[:, rz]),  # (x * z) * y = x * (z * y)
-        "right": np.array_equal(t[:, cz], cz[t]),  # x * (y * z) = (x * y) * z
-    }
-    assert {name for name, ok in holds.items() if not ok} == failing
-    assert _central_set(t, ti, [z]).tolist() == []
-
-
 # a commutative loop of order 8 that is neither associative nor automorphic,
 # and whose center is its identity alone, found by a seeded search
 _LOOP8 = np.array([
@@ -626,8 +589,8 @@ _LOOP8 = np.array([
 
 
 def _reference_central_set(t: np.ndarray, candidates) -> list:
-    """The candidates z that pass every test of ``_central_set``, each made
-    on every pair (x, y): commuting, a permuting row and the three nuclei."""
+    """The candidates z that are central by definition, each test made on
+    every pair (x, y): commuting, a permuting row and the three nuclei."""
     kept = []
     for z in candidates:
         rz, cz = t[z], t[:, z]  # z * x and x * z
@@ -653,7 +616,9 @@ def _law_holds(t: np.ndarray, p: np.ndarray) -> bool:
         pytest.param((_IDX[:, None] - _IDX[None, :]) % 256, 0, False, id="difference-square"),
         pytest.param(_RELABEL[_M2[_UNLABEL][:, _UNLABEL]], 16, True, id="relabelled-m2"),
         pytest.param(_times_xor(np.array([[0, 1], [0, 1]])), 0, True, id="right-projection"),
-        pytest.param(_times_xor(np.array([[0, 1], [1, 1]])), 128, True, id="absorbing"),
+        # commutative, but its rows do not all permute, so nothing is taken
+        # as central, although 128 elements pass every test
+        pytest.param(_times_xor(np.array([[0, 1], [1, 1]])), 0, True, id="absorbing"),
         pytest.param(_times_xor(_LEFT_LAW_ONLY), 0, False, id="left-law-only"),
         pytest.param(_times_xor(_LEFT_LAW_ONLY.T), 0, False, id="right-law-only"),
         pytest.param(_times_xor(_LOOP8), 32, False, id="loop8-times-xor"),
@@ -661,12 +626,15 @@ def _law_holds(t: np.ndarray, p: np.ndarray) -> bool:
 )
 def test_reduced_law_and_central_set_match_an_exhaustive_reference(table, central, holds):
     t, ti = _as_table(table)
-    kept = _central_set(t, ti, _center(t))
-    assert kept.tolist() == _reference_central_set(t, _center(t))
+    kept = _central_set(t, _center(t))
+    # on a commutative table whose rows permute, the center search finds
+    # exactly the elements that pass every test of centrality; on any other
+    # table nothing is taken as central
+    if np.array_equal(t, t.T) and (np.sort(t, axis=1) == _IDX).all():
+        assert kept.tolist() == _reference_central_set(t, range(256))
+    else:
+        assert kept.tolist() == []
     assert len(kept) == central
-    # the closure keeps a candidate untested only when testing it would keep
-    # it, whether the candidates are the center search's or every element
-    assert _central_set(t, ti, range(256)).tolist() == _reference_central_set(t, range(256))
     reps = _coset_representatives(t, kept)
     maps = _distinct_inner_maps(ti, _left_division(t), reps)
     assert quotient.automorphic_law(t, ti, kept, reps, maps)[0] is holds
@@ -685,6 +653,29 @@ def test_reduced_law_and_central_set_match_an_exhaustive_reference(table, centra
             swapped[i] = swapped[i[::-1]]
             assert (quotient.automorphic_law(t, ti, kept, reps, swapped[None])[0]
                     is _law_holds(t, swapped))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        pytest.param(_M2, id="m2"),
+        pytest.param(_tampered(), id="tampered"),
+        pytest.param(_times_xor(_LOOP8), id="loop8-times-xor"),
+    ],
+)
+def test_center_search_finds_the_central_elements_under_any_labelling(table):
+    # the lemma of _central_set on commutative tables whose rows permute:
+    # (a * b) * c = b * (a * c) for every a and b exactly when c is central,
+    # whichever index each element has, and the full check decides the same
+    expected = _loop_with_table(table).exhaustive_check("automorphic-full")
+    for seed in (1, 2, 3):
+        relabel = np.random.default_rng(seed).permutation(256)  # old -> new index
+        unlabel = np.argsort(relabel)
+        t = relabel[table[unlabel][:, unlabel]].astype(np.uint16)
+        assert _center(t) == _reference_central_set(t, range(256))
+        report = _loop_with_table(t).exhaustive_check("automorphic-full")
+        assert report.passed == expected.passed
+        assert report.counts["distinct-inner-maps"] == expected.counts["distinct-inner-maps"]
 
 
 @pytest.mark.parametrize(
@@ -759,7 +750,7 @@ def test_division_table_does_not_depend_on_allocation_history():
 
     def derived(byte):
         table, ti = _as_table(t)
-        reps = _coset_representatives(table, _central_set(table, ti, _center(table)))
+        reps = _coset_representatives(table, _central_set(table, _center(table)))
         _fill_freed_memory(byte)
         ldiv = _left_division(table)
         _fill_freed_memory(byte)
@@ -771,28 +762,12 @@ def test_division_table_does_not_depend_on_allocation_history():
     assert maps.shape == again_maps.shape and np.array_equal(maps, again_maps)
 
 
-def test_central_set_tests_the_identity_and_four_generators_at_m2(monkeypatch):
-    # every candidate at m = 2 is central; each tested one doubles the
-    # closure, and the other 11 are found inside it with no gather
-    sizes = []
-    close = quotient._close
-
-    def spy(t, members):
-        close(t, members)
-        sizes.append(int(members.sum()))
-
-    monkeypatch.setattr(quotient, "_close", spy)
-    t, ti = _as_table(_M2)
-    assert _central_set(t, ti, _center(t)).tolist() == list(range(16))
-    assert sizes == [1, 2, 4, 8, 16]
-
-
 def test_full_check_stays_within_its_memory_bound():
     # a fresh check builds both uint16 tables, one intp copy of the table
-    # (512 KiB) and uint16 gathers of 128 KiB for the central set, while the
-    # law's arrays are order x 16 at most, which traces about 1.07 MiB; the
-    # bound leaves room for numpy's own allocations but not for a second
-    # intp copy of the table
+    # (512 KiB) and a sorted uint16 copy of 128 KiB for the table checks that
+    # the central set rests on, while the law's arrays are order x 16 at
+    # most, which traces about 1.07 MiB; the bound leaves room for numpy's
+    # own allocations but not for a second intp copy of the table
     q = QuotientLoop(2)
     tracemalloc.start()
     try:
@@ -897,7 +872,7 @@ def test_table_routines_run_on_the_quotient_by_the_center():
     qt, qti = _as_table(np.searchsorted(reps, label[t[np.ix_(reps, reps)]]))
     assert len(qt) == 16 and all(quotient._table_checks(qt).values())
     center = _center(qt)
-    central = _central_set(qt, qti, center)
+    central = _central_set(qt, center)
     assert center == central.tolist() == [0, 1, 2, 3]
     qreps = _coset_representatives(qt, central)
     maps = _distinct_inner_maps(qti, _left_division(qt), qreps)
