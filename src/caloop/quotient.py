@@ -600,14 +600,18 @@ def automorphic_law(t: np.ndarray, ti: np.ndarray, central: np.ndarray,
 
 def _table_checks(t: np.ndarray) -> dict:
     """Identity, commutativity and Latin-square checks of a product table,
-    keyed by the names the axioms report uses."""
+    keyed by the names the axioms report uses.  The columns of a symmetric
+    table are its rows, so only a non-symmetric table's are sorted."""
     idx = np.arange(len(t))
+    commutative = bool((t == t.T).all())
+    latin_rows = bool((np.sort(t, axis=1) == idx[None, :]).all())
     return {
         "identity-row": bool((t[0] == idx).all()),
         "identity-column": bool((t[:, 0] == idx).all()),
-        "commutative": bool((t == t.T).all()),
-        "latin-rows": bool((np.sort(t, axis=1) == idx[None, :]).all()),
-        "latin-columns": bool((np.sort(t, axis=0) == idx[:, None]).all()),
+        "commutative": commutative,
+        "latin-rows": latin_rows,
+        "latin-columns": latin_rows if commutative
+        else bool((np.sort(t, axis=0) == idx[:, None]).all()),
     }
 
 

@@ -20,17 +20,24 @@ grammar of :mod:`caloop.words` over the law's variables, such as
 entry's summary and what is expanded.  A law text may also name the
 generators ``x``, ``y``, ``u1`` ... ``v4``, which expand as constants.
 Laws and loop words share one walker, ``caloop.words._value``: words run
-on the integer kernel, and laws on :class:`SymLoopOps`, whose products,
-``ldiv``, ``assoc`` and ``innL`` the mutation run reaches.  The entries
+on the integer kernel, and laws on :class:`SymLoopOps`, bound to one
+product.  For the shipped product, ``assoc`` and ``innL`` are the closed
+forms :func:`caloop.calculus.assoc_coords` and
+:func:`caloop.calculus.inner_l_coords`, so each law is proved about the
+code that ships; for any other product, such as the mutation run's, they
+solve their defining equations by left division through it, so that run
+reaches products, ``ldiv``, ``assoc`` and ``innL`` alike.  The entries
 that compare selected coordinates or need exponent arithmetic keep a
 builder under ``@_law``.  The ``power-*`` entries take the exponent n as
 one more variable; together they prove that the closed-form power equals
 the iterated product for every integer n.  ``associator-formula`` and
-``inner-map-formula`` prove :func:`caloop.calculus.assoc_coords` and
-:func:`caloop.calculus.inner_l_coords` equal to their defining equations,
-which :class:`SymLoopOps` solves by left division through its bound
-product.  ``inverse-negation`` states a * inv(a) = 1 with products only;
-with ``division-round-trip`` it shows that inv(a) = ldiv(a, 1).
+``inner-map-formula`` state with products only that the closed forms
+solve their defining equations, (a * (b * c)) * t = (a * b) * c and
+(b * a) * z = b * (a * c); ``division-round-trip`` makes each solution
+unique, and so the three entries license the closed forms as the shipped
+product's ``assoc`` and ``innL``.  ``inverse-negation`` states
+a * inv(a) = 1 with products only; with ``division-round-trip`` it shows
+that inv(a) = ldiv(a, 1).
 ``central-coordinates`` proves that coordinates 5-8 of the factors only
 add into the product's, the lemma that
 :meth:`caloop.quotient.QuotientLoop.product_table` is built on.
@@ -93,14 +100,26 @@ def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> t
 class SymLoopOps:
     """Loop operations on 8-tuples of polynomials, bound to one product formula.
 
-    The kernel that laws are walked on: the operations that run the product,
-    so that the mutation run reaches them, and the walker's constants and
-    bound.  Inverses and powers are the closed forms of :mod:`caloop.core`.
+    The kernel that laws are walked on: the product, left division, the
+    associator and the inner map, and the walker's constants and bound.
+    Built with ``product=None``, it binds the shipped
+    :func:`caloop.core.mul_coords`, and its associator and inner map are
+    the closed forms of :mod:`caloop.calculus`, which form no product.
+    Bound to a caller's product, such as the mutation run's, it solves
+    their defining equations by left division through that product, the
+    only path that holds for a product with no proved closed form.
+    Inverses and powers are the closed forms of :mod:`caloop.core`.
     """
 
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
         self.table = table
         self.product = product or mul_coords
+        if product is None:
+            # the shipped product's associator and inner map in closed form;
+            # associator-formula and inner-map-formula prove that they solve
+            # the equations that the division path solves for any other product
+            self.associator = self._closed_associator
+            self.inner_l = self._closed_inner_l
         # The tuples the product memo may key on, by id: the generic elements
         # (see _make_context) and the memo's own results.  Each stays alive
         # here, so no id in a key is reused.
@@ -146,12 +165,28 @@ class SymLoopOps:
         return left_div_coords(a, c, self.product)
 
     def associator(self, a: tuple, b: tuple, c: tuple) -> tuple:
+        """The t with (a * (b * c)) * t = (a * b) * c, by left division."""
         return self.left_divide(
             self.mul(a, self.mul(b, c)), self.mul(self.mul(a, b), c)
         )
 
     def inner_l(self, a: tuple, b: tuple, c: tuple) -> tuple:
+        """The z with (b * a) * z = b * (a * c), by left division."""
         return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
+
+    def _closed_associator(self, a: tuple, b: tuple, c: tuple) -> tuple:
+        return self._lift(assoc_coords(a, b, c))
+
+    def _closed_inner_l(self, a: tuple, b: tuple, c: tuple) -> tuple:
+        return self._lift(inner_l_coords(a, b, c))
+
+    def _lift(self, coords: tuple) -> tuple:
+        """coords with each plain int, such as the closed-form associator's
+        literal 0s in coordinates 1-2, as a constant polynomial."""
+        table = self.table
+        return tuple(
+            p if isinstance(p, Polynomial) else Polynomial.const(table, p) for p in coords
+        )
 
     def difference(self, lhs: tuple, rhs: tuple) -> tuple:
         """Coordinate-wise residuals; all zero iff lhs = rhs as elements."""
@@ -395,13 +430,15 @@ def _build_power_negation(ops, a, n):
 @_law("associator-formula",
       "the closed-form associator (a, b, c) solves (a * (b * c)) * t = (a * b) * c", "a b c")
 def _build_associator_formula(ops, a, b, c):
-    return [ops.difference(assoc_coords(a, b, c), ops.associator(a, b, c))]
+    t = assoc_coords(a, b, c)
+    return [ops.difference(ops.mul(ops.mul(a, ops.mul(b, c)), t), ops.mul(ops.mul(a, b), c))]
 
 
 @_law("inner-map-formula", "the closed-form L_{a,b}(c) solves (b * a) * z = b * (a * c)",
       "a b c")
 def _build_inner_map_formula(ops, a, b, c):
-    return [ops.difference(inner_l_coords(a, b, c), ops.inner_l(a, b, c))]
+    z = inner_l_coords(a, b, c)
+    return [ops.difference(ops.mul(ops.mul(b, a), z), ops.mul(b, ops.mul(a, c)))]
 
 
 _equation("inverse-negation", "a * inv(a) = 1", "a")

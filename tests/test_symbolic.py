@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from caloop import poly, symbolic
+from caloop.calculus import assoc_coords, inner_l_coords
 from caloop.core import left_div_coords, mul_coords
 from caloop.poly import Polynomial, VarTable
 from caloop.symbolic import (
@@ -142,17 +143,22 @@ def test_full_catalog_passes():
         assert r.residual_term_counts == (0,) * 8
 
 
-# (max_degree, variables) of every entry: the largest total degree seen while
-# expanding it, and the size of its variable table.  The closed-form power
-# has total degree 10 in (n, a): alpha(n) n^2 is degree 5 in n and
-# multiplies a1^4 a2 in the v1 coordinate.  inverse-negation multiplies a by
-# its negation, on which the product forms nothing past degree 2.
+# (max_degree, variables) of every entry in the shipped run: the largest
+# total degree seen while expanding it, and the size of its variable table.
+# The closed-form power has total degree 10 in (n, a): alpha(n) n^2 is
+# degree 5 in n and multiplies a1^4 a2 in the v1 coordinate.
+# inverse-negation multiplies a by its negation, on which the product forms
+# nothing past degree 2.  The associator and inner map are the closed
+# forms, which form no product: with a repeated argument (flexibility), a
+# constant one (the *-pins entries) or one pinned to the middle nucleus or
+# the center, they stay below the degree of the products that their
+# defining equations multiply out.
 EXPECTED_SIZES = {
     "identity-element": (3, 8),
     "commutativity": (5, 16),
     "division-round-trip": (5, 16),
     "aip": (5, 16),
-    "flexibility": (5, 16),
+    "flexibility": (4, 16),
     "reversal": (5, 24),
     "swap-expansion": (5, 24),
     "compounded-reversal": (5, 40),
@@ -164,13 +170,13 @@ EXPECTED_SIZES = {
     "product-expansion-left": (5, 32),
     "product-expansion-right": (5, 32),
     "product-expansion-middle": (5, 32),
-    "middle-nucleus-contains": (5, 22),
-    "middle-nucleus-pins": (4, 8),
+    "middle-nucleus-contains": (4, 22),
+    "middle-nucleus-pins": (3, 8),
     "compounded-central-left": (5, 40),
     "compounded-central-middle": (5, 40),
     "compounded-central-right": (5, 40),
-    "center-contains": (5, 20),
-    "center-pins": (4, 8),
+    "center-contains": (3, 20),
+    "center-pins": (3, 8),
     "projection-homomorphism": (5, 16),
     "L-automorphism": (5, 32),
     "power-zero": (3, 8),
@@ -201,7 +207,7 @@ def test_automorphism_report_shape():
 # residual terms left in that coordinate; power-negation and
 # inverse-negation hold because the mutated term vanishes on a * a^-1, and
 # the closed-form associator and inner map, which do not run the product,
-# now differ from their defining equations
+# no longer solve their defining equations in the mutated product
 MUTATION_RESIDUALS = {
     "product-expansion-left": 11,
     "product-expansion-right": 11,
@@ -213,6 +219,17 @@ MUTATION_RESIDUALS = {
     "inner-map-formula": 10,
 }
 MUTATION_FLIPS = set(MUTATION_RESIDUALS)
+# (max_degree, variables) of every entry in the mutated run, whose associator
+# and inner map solve their defining equations by left division through the
+# product, and so reach the degree of those products in every entry
+MUTATION_SIZES = {
+    **EXPECTED_SIZES,
+    "flexibility": (5, 16),
+    "middle-nucleus-contains": (5, 22),
+    "middle-nucleus-pins": (4, 8),
+    "center-contains": (5, 20),
+    "center-pins": (4, 8),
+}
 # str() of each nonzero residual of the flipped entries, all in the v1 coordinate
 MUTATION_RESIDUAL_TEXTS = {
     "product-expansion-left": [
@@ -257,7 +274,7 @@ def test_mutation_flips_at_least_one_identity():
         assert r.residual_term_counts == (0, 0, 0, 0, MUTATION_RESIDUALS[r.name], 0, 0, 0)
         nonzero = [p for block in r.residual_blocks for p in block if not p.is_zero()]
         assert [str(p) for p in nonzero] == MUTATION_RESIDUAL_TEXTS[r.name]
-    assert {r.name: (r.max_degree, r.variables) for r in reports} == EXPECTED_SIZES
+    assert {r.name: (r.max_degree, r.variables) for r in reports} == MUTATION_SIZES
 
 
 def test_central_coordinates_has_teeth():
@@ -404,17 +421,19 @@ def test_memo_hit_reads_the_peak_of_the_first_expansion():
 
 def test_catalog_run_stays_within_its_memory_bound():
     # one layout's context, with its product memo, is alive at a time: the
-    # run traces about 1.0 MiB, where the 32-variable products that the
-    # product-expansion-* entries and L-automorphism share dominate; a memo
-    # kept for the whole run traces about 1.9 MiB
-    tracemalloc.start()
-    try:
-        reports = verify_all()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(r.passed for r in reports)
-    assert peak < 3 << 19
+    # mutated run traces about 1.0 MiB, where the 32-variable products that
+    # the product-expansion-* entries and L-automorphism share dominate, and
+    # a memo kept for the whole run traces about 1.9 MiB; the shipped run,
+    # whose associators and inner maps form no product, traces about 0.25 MiB
+    for product in (None, mutated_product_polys):
+        tracemalloc.start()
+        try:
+            reports = verify_all(product)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(not r.passed for r in reports) == (len(MUTATION_FLIPS) if product else 0)
+        assert peak < 3 << 19, product
 
 
 def test_reports_are_deterministic():
@@ -480,3 +499,58 @@ def test_division_inverts_the_bound_product():
     q = ops.left_divide(a, b)
     assert ops.mul(a, q) == b
     assert q != reference.left_divide(a, b)
+
+
+def _generic_triple():
+    table = VarTable(tuple(f"{p}{i}" for p in "abc" for i in range(1, 9)))
+    a, b, c = (tuple(Polynomial.var(table, 8 * k + i) for i in range(8)) for k in range(3))
+    return table, a, b, c
+
+
+def test_shipped_kernel_returns_the_lifted_closed_forms():
+    # built with product=None, the kernel's associator and inner map are the
+    # closed forms, with their literal 0s as constant polynomials, and form
+    # no product
+    table, a, b, c = _generic_triple()
+    ops = SymLoopOps(table)
+
+    def no_product(x, y):
+        raise AssertionError("formed a product")
+
+    ops.product = no_product
+    t, z = ops.associator(a, b, c), ops.inner_l(a, b, c)
+    assert all(type(p) is Polynomial for p in t + z)
+    assert t == assoc_coords(a, b, c) and z == inner_l_coords(a, b, c)
+    assert t[:2] == (Polynomial.zero(table),) * 2
+
+
+def test_a_callers_product_is_reached_by_the_associator_and_inner_map():
+    table, a, b, c = _generic_triple()
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return mul_coords(x, y)
+
+    ops = SymLoopOps(table, counting)
+    for name in ("associator", "inner_l"):
+        calls.clear()
+        getattr(ops, name)(a, b, c)
+        assert calls, name
+
+
+def test_division_through_the_shipped_product_equals_the_closed_forms(monkeypatch):
+    # the shipped product passed explicitly takes the division path, which
+    # solves the defining equations to the closed forms
+    divisions = []
+
+    def counting_division(a, c, mul):
+        divisions.append(mul)
+        return left_div_coords(a, c, mul)
+
+    monkeypatch.setattr(symbolic, "left_div_coords", counting_division)
+    table, a, b, c = _generic_triple()
+    solved, closed = SymLoopOps(table, mul_coords), SymLoopOps(table)
+    assert solved.associator(a, b, c) == closed.associator(a, b, c)
+    assert solved.inner_l(a, b, c) == closed.inner_l(a, b, c)
+    assert divisions == [mul_coords, mul_coords]
