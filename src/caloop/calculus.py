@@ -58,12 +58,14 @@ def assoc_coords(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tuple:
     a1, a2, a3, a4, _, _, _, _ = a
     b1, b2, _, _, _, _, _, _ = b
     c1, c2, c3, c4, _, _, _, _ = c
-    d = a1 * c2 - a2 * c1
+    x = a1 * c2
+    y = a2 * c1
+    d = x - y
     e3 = a1 * c3 - a3 * c1
     f4 = a2 * c4 - a4 * c2
     m = a1 * c4 - a4 * c1 + a2 * c3 - a3 * c2
-    g1 = a1 * a1 * a1 * c2 - a2 * c1 * c1 * c1
-    g2 = a1 * c2 * c2 * c2 - a2 * a2 * a2 * c1
+    g1 = a1 * a1 * x - c1 * c1 * y  # a1^3 c2 - a2 c1^3
+    g2 = c2 * c2 * x - a2 * a2 * y  # a1 c2^3 - a2^3 c1
     s1 = a1 + c1
     s2 = a2 + c2
     p11 = 3 * a1 * c1
@@ -97,12 +99,14 @@ def inner_l_coords(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tupl
     a1, a2, _, _, _, _, _, _ = a
     b1, b2, b3, b4, _, _, _, _ = b
     c1, c2, c3, c4, c5, c6, c7, c8 = c
-    w = b1 * c2 - b2 * c1
+    u = b1 * c2
+    v = b2 * c1
+    w = u - v
     x3 = b1 * c3 - b3 * c1
     y4 = b2 * c4 - b4 * c2
     m = b1 * c4 - b4 * c1 + b2 * c3 - b3 * c2
-    h1 = b1 * b1 * b1 * c2 - b2 * c1 * c1 * c1
-    h2 = b1 * c2 * c2 * c2 - b2 * b2 * b2 * c1
+    h1 = b1 * b1 * u - c1 * c1 * v  # b1^3 c2 - b2 c1^3
+    h2 = c2 * c2 * u - b2 * b2 * v  # b1 c2^3 - b2^3 c1
     q = b1 * b2 + c1 * c2 - 2
     return (
         c1,

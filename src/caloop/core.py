@@ -83,12 +83,13 @@ def mul_coords(a: Sequence[int], b: Sequence[int]) -> Coords8:
 
     The corrections are written in the symmetric functions of the factors:
     s_i = a_i + b_i, p11 = a1 b1, p22 = a2 b2, q1 = s1^2, q2 = s2^2,
-    t1 = p11 s2, t2 = p22 s1 and cross = a1 b2 + a2 b1, which takes 24
+    t1 = p11 s2, t2 = p22 s1 and cross = a1 b2 + a2 b1, which takes 22
     multiplications.
 
-    Each ``// 3`` is exact on integers.  Two dividends are p22 (s1^3 - s1)
-    and p11 (s2^3 - s2), and 3 divides n^3 - n for every n.  The other two
-    are t1 (q1 + p11 - 5) and its mirror image t2 (q2 + p22 - 5).  Either
+    Each ``// 3`` is exact on integers.  Two dividends are t2 (q1 - 1) =
+    p22 (s1^3 - s1) and t1 (q2 - 1) = p11 (s2^3 - s2), and 3 divides
+    n^3 - n for every n.  The other two are t1 (q1 + p11 - 5) and its
+    mirror image t2 (q2 + p22 - 5).  Either
     3 divides p11 = a1 b1, or a1 and b1 are both nonzero mod 3, so
     a1 = b1 or a1 = -b1 mod 3; then q1 + p11 - 5 is 1 + 1 - 5 or
     0 - 1 - 5 mod 3, which is 0 either way (likewise for a2, b2).
@@ -114,8 +115,8 @@ def mul_coords(a: Sequence[int], b: Sequence[int]) -> Coords8:
         s3 - t1,
         s4 + t2,
         a5 + b5 + t1 * (q1 + p11 - 5) // 3 - p11 * s3,
-        a6 + b6 + p11 * (s1 * q2 - 2 * s2 - s4) - p22 * (q1 * s1 - s1) // 3 - s3 * cross,
-        a7 + b7 - p22 * (q1 * s2 - 2 * s1 + s3) + p11 * (q2 * s2 - s2) // 3 - s4 * cross,
+        a6 + b6 + p11 * (s1 * q2 - 2 * s2 - s4) - t2 * (q1 - 1) // 3 - s3 * cross,
+        a7 + b7 - p22 * (q1 * s2 - 2 * s1 + s3) + t1 * (q2 - 1) // 3 - s4 * cross,
         a8 + b8 - t2 * (q2 + p22 - 5) // 3 - p22 * s4,
     )
 

@@ -58,20 +58,20 @@ denominators.  In the prover the denominators come only from the kernel's
   *numerators)`` reduces it.
 
 Short-cuts skip work the prover does often.  One catalog run and one
-mutated-product run (the ``prove`` benchmark's pass) make 47 228 calls of
+mutated-product run (the ``prove`` benchmark's pass) make 31 762 calls of
 ``+``, ``-``, ``*`` and ``//``; each call does little work on terms, so
 its fixed cost counts:
 
 * a Polynomial operand on the very table object of the other skips the
-  table check (all 39 601 Polynomial operands of the pass);
+  table check (all 25 782 Polynomial operands of the pass);
 * a product with a zero operand returns that operand, and a sum or
   difference with a zero operand returns the other one (negated for
-  ``0 - p``), so no copy is built (17 724 calls);
-* an ``int`` factor scales the numerators (1 624 products), and a nonzero
+  ``0 - p``), so no copy is built (11 446 calls);
+* an ``int`` factor scales the numerators (1 529 products), and a nonzero
   ``int`` addend or subtrahend joins the constant term of a copy of the
-  terms (1 524 calls), so neither builds a constant polynomial;
-* a product drops zero coefficients only when one is there (40 of the
-  8 945 products of two nonzero polynomials).
+  terms (1 879 calls), so neither builds a constant polynomial;
+* a product drops zero coefficients only when one is there (64 of the
+  6 308 products of two nonzero polynomials).
 
 A short-cut builds only polynomials that the full operation builds too;
 what it skips is a copy of an operand, or the constant

@@ -45,14 +45,19 @@ add into the product's, the lemma that
 One :func:`verify_all` run builds one kernel per variable table: the
 entries of one layout run together, on one set of generic elements and one
 :class:`SymLoopOps`, handed to each through one context variable and
-dropped when they are done.  Its product is memoized on the identity of
-the operand tuples, for operands that are generic elements or earlier
+dropped when they are done.  Its product, associator, inner map and left
+division share one memo, keyed on the operation and the identity of the
+operand tuples, for operands that are generic elements or earlier
 memoized products (hash-consing, after Filliâtre & Conchon, *Type-safe
-modular hash-consing*, ML Workshop 2006), so a product that several
-entries form is expanded once.  A memo hit
-raises :func:`caloop.poly.peak_stats` by the peak of the first expansion,
-so every report but its ``millis`` equals that of :func:`verify_identity`
-on the entry alone.
+modular hash-consing*, ML Workshop 2006), so a value that several
+entries form is expanded once.  Only products join the kept operands: a
+product formed on an associator, inner map or quotient is expanded each
+time, which holds the mutation run's traced peak near 1.2 MiB.  A memo
+hit raises :func:`caloop.poly.peak_stats` by the peak of the first
+expansion, so every report but its ``millis`` equals that of
+:func:`verify_identity` on the entry alone.  The kernel is in no
+reference cycle, so each group's kernel and memo are freed when the group
+is done, without the cyclic garbage collector.
 
 ``verify_all(product=mutated_product_polys)`` reruns the catalog with a
 deliberately mis-coefficiented formula; at least one entry must then fail,
@@ -97,6 +102,32 @@ def mutated_product_polys(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> t
     return tuple(c)
 
 
+def _product(ops: "SymLoopOps", a: tuple, b: tuple) -> tuple:
+    return ops.product(a, b)
+
+
+def _left_divide(ops: "SymLoopOps", a: tuple, c: tuple) -> tuple:
+    return left_div_coords(a, c, ops.product)
+
+
+def _closed_associator(ops: "SymLoopOps", a: tuple, b: tuple, c: tuple) -> tuple:
+    return ops._lift(assoc_coords(a, b, c))
+
+
+def _closed_inner_l(ops: "SymLoopOps", a: tuple, b: tuple, c: tuple) -> tuple:
+    return ops._lift(inner_l_coords(a, b, c))
+
+
+def _divided_associator(ops: "SymLoopOps", a: tuple, b: tuple, c: tuple) -> tuple:
+    """The t with (a * (b * c)) * t = (a * b) * c, by left division."""
+    return ops.left_divide(ops.mul(a, ops.mul(b, c)), ops.mul(ops.mul(a, b), c))
+
+
+def _divided_inner_l(ops: "SymLoopOps", a: tuple, b: tuple, c: tuple) -> tuple:
+    """The z with (b * a) * z = b * (a * c), by left division."""
+    return ops.left_divide(ops.mul(b, a), ops.mul(b, ops.mul(a, c)))
+
+
 class SymLoopOps:
     """Loop operations on 8-tuples of polynomials, bound to one product formula.
 
@@ -114,18 +145,19 @@ class SymLoopOps:
     def __init__(self, table: VarTable, product: Optional[ProductFn] = None):
         self.table = table
         self.product = product or mul_coords
-        if product is None:
-            # the shipped product's associator and inner map in closed form;
-            # associator-formula and inner-map-formula prove that they solve
-            # the equations that the division path solves for any other product
-            self.associator = self._closed_associator
-            self.inner_l = self._closed_inner_l
-        # The tuples the product memo may key on, by id: the generic elements
-        # (see _make_context) and the memo's own results.  Each stays alive
-        # here, so no id in a key is reused.
+        # module functions, not bound methods, so that the kernel is in no
+        # reference cycle; associator-formula and inner-map-formula prove
+        # that the shipped product's closed forms solve the equations that
+        # the division path solves for any other product
+        closed = product is None
+        self._associator = _closed_associator if closed else _divided_associator
+        self._inner_l = _closed_inner_l if closed else _divided_inner_l
+        # The tuples the memo may key on, by id: the generic elements (see
+        # _make_context) and the products of them.  Each stays alive here,
+        # so no id in a key is reused.
         self._kept: dict = {}
-        # (id(a), id(b)) -> (a * b, poly peak stats of its expansion)
-        self._products: dict = {}
+        # (operation, id of each operand) -> (result, poly peak stats of its expansion)
+        self._results: dict = {}
 
     def constant(self, coords: Sequence[int]) -> tuple:
         return tuple(Polynomial.const(self.table, c) for c in coords)
@@ -136,49 +168,48 @@ class SymLoopOps:
     def bound(self, value: tuple) -> tuple:  # none: poly.TERM_LIMIT bounds the work
         return value
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """The bound product.
+    def _memo(self, op: Callable, *args: tuple) -> tuple:
+        """op(self, *args), expanded once per tuple of kept operands.
 
-        A product of two kept tuples, generic elements or products of them,
-        is expanded once: a repeated call returns the first result and
-        raises :func:`caloop.poly.peak_stats` by the peak its expansion
-        reached, so the stats read as if it were expanded again.  Any other
-        operand, such as a quotient, is multiplied afresh each time.
+        A repeated call returns the first result and raises
+        :func:`caloop.poly.peak_stats` by the peak its expansion reached,
+        so the stats read as if it were expanded again.  A product joins
+        the kept tuples; a quotient, associator or inner map does not, so
+        its own products are formed afresh each time.  A call with any
+        other operand is expanded each time.
         """
         kept = self._kept
-        if id(a) not in kept or id(b) not in kept:
-            return self.product(a, b)
-        key = (id(a), id(b))
-        hit = self._products.get(key)
+        for x in args:
+            if id(x) not in kept:
+                return op(self, *args)
+        key = (op, *map(id, args))
+        hit = self._results.get(key)
         if hit is None:
             outer = poly.peak_stats()
             poly.reset_stats()
-            c = self.product(a, b)
-            hit = self._products[key] = (c, poly.peak_stats())
-            kept[id(c)] = c
+            value = op(self, *args)
+            hit = self._results[key] = (value, poly.peak_stats())
+            if op is _product:
+                kept[id(value)] = value
             poly._raise_peaks(*outer)
         poly._raise_peaks(*hit[1])
         return hit[0]
 
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """The bound product."""
+        return self._memo(_product, a, b)
+
     def left_divide(self, a: tuple, c: tuple) -> tuple:
         """The unique b with a * b = c, by triangular back-substitution."""
-        return left_div_coords(a, c, self.product)
+        return self._memo(_left_divide, a, c)
 
     def associator(self, a: tuple, b: tuple, c: tuple) -> tuple:
-        """The t with (a * (b * c)) * t = (a * b) * c, by left division."""
-        return self.left_divide(
-            self.mul(a, self.mul(b, c)), self.mul(self.mul(a, b), c)
-        )
+        """The t with (a * (b * c)) * t = (a * b) * c."""
+        return self._memo(self._associator, a, b, c)
 
     def inner_l(self, a: tuple, b: tuple, c: tuple) -> tuple:
-        """The z with (b * a) * z = b * (a * c), by left division."""
-        return self.left_divide(self.mul(b, a), self.mul(b, self.mul(a, c)))
-
-    def _closed_associator(self, a: tuple, b: tuple, c: tuple) -> tuple:
-        return self._lift(assoc_coords(a, b, c))
-
-    def _closed_inner_l(self, a: tuple, b: tuple, c: tuple) -> tuple:
-        return self._lift(inner_l_coords(a, b, c))
+        """The z with (b * a) * z = b * (a * c)."""
+        return self._memo(self._inner_l, a, b, c)
 
     def _lift(self, coords: tuple) -> tuple:
         """coords with each plain int, such as the closed-form associator's
@@ -509,8 +540,8 @@ def verify_all(product: Optional[ProductFn] = None) -> list:
 
     The entries run grouped by layout, and each group shares one context,
     built before its first entry and set as ``_RUN_CONTEXT``: a variable
-    table, its generic elements and one :class:`SymLoopOps`, whose product
-    memo expands a product that several entries form once.  A group's
+    table, its generic elements and one :class:`SymLoopOps`, whose memo
+    expands a value that several entries form once.  A group's
     context is dropped when the group ends, so at most one is alive.  Each
     report but its ``millis`` equals that of :func:`verify_identity` alone.
     """

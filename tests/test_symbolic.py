@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import re
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -342,7 +344,7 @@ def _report_key(r):
 
 @pytest.mark.parametrize("product", [None, mutated_product_polys], ids=["shipped", "mutated"])
 def test_shared_kernel_changes_no_report(product):
-    # verify_all() shares one kernel and its product memo among the entries
+    # verify_all() shares one kernel and its memo among the entries
     # of a layout; each report still equals the entry's run on its own
     shared = [_report_key(r) for r in verify_all(product)]
     alone = [_report_key(verify_identity(name, product)) for name in catalog_names()]
@@ -393,38 +395,74 @@ def test_identity_alone_builds_its_own_context(monkeypatch):
     assert symbolic._RUN_CONTEXT.get() is None
 
 
-def test_memo_hit_reads_the_peak_of_the_first_expansion():
-    calls = []
+def test_memo_hit_reads_the_peak_of_the_first_expansion(monkeypatch):
+    # on kept operands, generic elements or products of them, the product,
+    # the associator, the inner map and left division are each expanded
+    # once: a repeat returns the first result and reads the peak of the
+    # first expansion, which equals that of a kernel that keeps nothing.
+    # Only a product is kept, so a product formed on an associator, inner
+    # map or quotient is expanded each time.
+    expanded = []
+    for name in ("mul_coords", "assoc_coords", "inner_l_coords", "left_div_coords"):
+        def counting(*args, _name=name, _fn=getattr(symbolic, name)):
+            expanded.append(_name)
+            return _fn(*args)
 
-    def counting(a, b):
-        calls.append(1)
-        return mul_coords(a, b)
+        monkeypatch.setattr(symbolic, name, counting)
+    for product in (None, mutated_product_polys):
+        ops, (a, b, c) = symbolic._make_context((("a", 0), ("b", 0), ("c", 0)), product)
+        unkept = SymLoopOps(ops.table, product)
+        for name, args in (("mul", (a, b)), ("associator", (a, b, c)),
+                           ("inner_l", (a, b, c)), ("left_divide", (a, b))):
+            poly.reset_stats()
+            alone = getattr(unkept, name)(*args)
+            peak = poly.peak_stats()
+            poly.reset_stats()
+            before = len(expanded)
+            first = getattr(ops, name)(*args)
+            assert len(expanded) > before, name
+            assert first == alone and poly.peak_stats() == peak, name
+            poly.reset_stats()
+            before = len(expanded)
+            assert getattr(ops, name)(*args) is first
+            assert len(expanded) == before and poly.peak_stats() == peak, name
+            ops.mul(a, first)
+            ops.mul(a, first)
+            assert expanded[before:] == ["mul_coords"] * (1 if name == "mul" else 2), name
 
-    ops, (a, b) = symbolic._make_context((("a", 0), ("b", 0)), counting)
-    poly.reset_stats()
-    mul_coords(a, b)
-    expanded = poly.peak_stats()
-    poly.reset_stats()
-    first = ops.mul(a, b)
-    assert poly.peak_stats() == expanded
-    poly.reset_stats()
-    assert ops.mul(a, b) is first
-    assert len(calls) == 1
-    assert poly.peak_stats() == expanded
-    # a quotient is no kept tuple, so its products are expanded each time
-    q = ops.left_divide(a, b)
-    before = len(calls)
-    ops.mul(a, q)
-    ops.mul(a, q)
-    assert len(calls) == before + 2
+
+@pytest.mark.parametrize("product", [None, mutated_product_polys], ids=["shipped", "mutated"])
+def test_no_kernel_outlives_its_group(product, monkeypatch):
+    # a kernel is in no reference cycle, so each group's context is freed
+    # when the group ends, with the cyclic garbage collector off
+    kernels = []
+    make = symbolic._make_context
+
+    def tracking(layout, product, integers=()):
+        ops, elems = make(layout, product, integers)
+        kernels.append(weakref.ref(ops))
+        return ops, elems
+
+    monkeypatch.setattr(symbolic, "_make_context", tracking)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verify_all(product)
+        alive = sum(kernel() is not None for kernel in kernels)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(kernels) == 10 and alive == 0
 
 
 def test_catalog_run_stays_within_its_memory_bound():
-    # one layout's context, with its product memo, is alive at a time: the
-    # mutated run traces about 1.0 MiB, where the 32-variable products that
-    # the product-expansion-* entries and L-automorphism share dominate, and
-    # a memo kept for the whole run traces about 1.9 MiB; the shipped run,
-    # whose associators and inner maps form no product, traces about 0.25 MiB
+    # one layout's context, with its memo, is alive at a time: the mutated
+    # run traces about 1.2 MiB, where the 32-variable products that the
+    # product-expansion-* entries and L-automorphism share dominate; a memo
+    # kept for the whole run traced about 1.9 MiB, and one that also keeps
+    # its quotients, associators and inner maps as operands about 1.8 MiB;
+    # the shipped run, whose associators and inner maps form no product,
+    # traces about 0.3 MiB
     for product in (None, mutated_product_polys):
         tracemalloc.start()
         try:
