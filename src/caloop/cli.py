@@ -26,8 +26,10 @@ it prints, which no word computes, with :func:`caloop.words.check_bits`.
 outside the signed 64-bit range are emitted as decimal strings so nothing is
 ever rounded.
 
-Only ``table`` and ``check-quotient`` import :mod:`caloop.quotient`, and
-with it numpy; the other commands run without loading numpy.
+Only ``verify`` imports the prover, :mod:`caloop.symbolic` with its
+:mod:`caloop.poly`, and only ``table`` and ``check-quotient`` import
+:mod:`caloop.quotient`, and with it numpy; the other commands load
+neither.
 
 :func:`main` builds its parser once per process, on its first call, and
 parses every later argv with the same one; :func:`build_parser` returns a
@@ -46,7 +48,6 @@ from . import __version__
 from .calculus import NucleusKind, is_member, witness_noncentral
 from .core import Elem8
 from .quotient_options import DEFAULT_SEED, DEFAULT_TRIALS, LEVELS
-from .symbolic import verify_all, verify_identity
 from .words import (
     MAX_BITS,
     Assoc,
@@ -167,6 +168,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .symbolic import verify_all, verify_identity
+
     if args.identity is not None:
         reports = [verify_identity(args.identity)]
     else:

@@ -19,10 +19,11 @@ grammar of :mod:`caloop.words` over the law's variables, such as
 ``innL(a, b, c * d) = innL(a, b, c) * innL(a, b, d)``; it is both the
 entry's summary and what is expanded.  A law text may also name the
 generators ``x``, ``y``, ``u1`` ... ``v4``, which expand as constants.
-Laws and loop words share one walker, ``caloop.words._value``: words run
-on the integer kernel, and laws on :class:`SymLoopOps`, bound to one
-product.  For the shipped product, ``assoc`` and ``innL`` are the closed
-forms :func:`caloop.calculus.assoc_coords` and
+Laws and loop words share one walker, ``caloop.words._value``, which keeps
+no values: words run on the integer kernel, and laws on
+:class:`SymLoopOps`, bound to one product, whose leaves are the law's
+generic elements, looked up by name.  For the shipped product, ``assoc``
+and ``innL`` are the closed forms :func:`caloop.calculus.assoc_coords` and
 :func:`caloop.calculus.inner_l_coords`, so each law is proved about the
 code that ships; for any other product, such as the mutation run's, they
 solve their defining equations by left division through it, so that run
@@ -50,7 +51,8 @@ division share one memo, keyed on the operation and the identity of the
 operand tuples, for operands that are generic elements or earlier
 memoized products (hash-consing, after Filliâtre & Conchon, *Type-safe
 modular hash-consing*, ML Workshop 2006), so a value that several
-entries form is expanded once.  Only products join the kept operands: a
+entries, or one law's two sides, form is expanded once.  It is the
+catalog's only memo.  Only products join the kept operands: a
 product formed on an associator, inner map or quotient is expanded each
 time, which holds the mutation run's traced peak near 1.2 MiB.  A memo
 hit raises :func:`caloop.poly.peak_stats` by the peak of the first
@@ -75,7 +77,7 @@ from . import poly
 from .calculus import _SLOT_NAMES, _place, assoc_coords, inner_l_coords
 from .core import inv_coords, left_div_coords, mul4_coords, mul_coords, pow_closed_form
 from .poly import Polynomial, VarTable
-from .words import Generator, _IntKernel, _value, parse_with_warnings
+from .words import _IntKernel, _value, parse_with_warnings
 
 __all__ = [
     "SymLoopOps",
@@ -152,9 +154,11 @@ class SymLoopOps:
         closed = product is None
         self._associator = _closed_associator if closed else _divided_associator
         self._inner_l = _closed_inner_l if closed else _divided_inner_l
-        # The tuples the memo may key on, by id: the generic elements (see
-        # _make_context) and the products of them.  Each stays alive here,
-        # so no id in a key is reused.
+        # the generic elements by name, the leaves that laws name (see
+        # _make_context)
+        self._leaves: dict = {}
+        # The tuples the memo may key on, by id: the generic elements and the
+        # products of them.  Each stays alive here, so no id in a key is reused.
         self._kept: dict = {}
         # (operation, id of each operand) -> (result, poly peak stats of its expansion)
         self._results: dict = {}
@@ -163,7 +167,9 @@ class SymLoopOps:
         return tuple(Polynomial.const(self.table, c) for c in coords)
 
     def generator(self, name: str) -> tuple:
-        return self.constant(_IntKernel.generator(name))
+        """The generic element `name`, or else the constant generator `name`."""
+        leaf = self._leaves.get(name)
+        return leaf if leaf is not None else self.constant(_IntKernel.generator(name))
 
     def bound(self, value: tuple) -> tuple:  # none: poly.TERM_LIMIT bounds the work
         return value
@@ -229,9 +235,9 @@ def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequ
 
     `layout` is a sequence of (prefix, pinned) pairs; `pinned` leading
     coordinates are the constant 0 and the rest are fresh variables named
-    prefix1..prefix8.  Each element is an 8-tuple of polynomials.  Each name
-    in `integers` adds one more variable, an integer such as an exponent,
-    returned after the elements.
+    prefix1..prefix8.  Each element is an 8-tuple of polynomials, and the
+    kernel's leaf `prefix`.  Each name in `integers` adds one more variable,
+    an integer such as an exponent, returned after the elements.
     """
     names = []
     for prefix, pinned in layout:
@@ -246,6 +252,7 @@ def _make_context(layout: Sequence, product: Optional[ProductFn], integers: Sequ
             coords.append(Polynomial.var(table, k))
             k += 1
         elems.append(tuple(coords))
+    ops._leaves.update(zip((prefix for prefix, _ in layout), elems))
     ops._kept.update((id(e), e) for e in elems)
     elems.extend(Polynomial.var(table, k + i) for i in range(len(integers)))
     return ops, elems
@@ -331,12 +338,8 @@ def _equation(name: str, law: str, elements: str, pins: Optional[dict] = None) -
         lhs, rhs = equation.split("=")
         equations.append([parse_with_warnings(side, variables)[0] for side in (lhs, rhs)])
 
-    def build(ops, *elems):
-        memo = dict(zip(map(Generator, variables), elems))
-        return [
-            ops.difference(_value(lhs, ops, memo), _value(rhs, ops, memo))
-            for lhs, rhs in equations
-        ]
+    def build(ops, *elems):  # the elements are ops's leaves
+        return [ops.difference(_value(lhs, ops), _value(rhs, ops)) for lhs, rhs in equations]
 
     _law(name, law, elements, pins)(build)
 

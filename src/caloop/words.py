@@ -512,49 +512,40 @@ def evaluate(expr: Expr) -> Elem8:
     return _elem8(_value(expr, _IntKernel))
 
 
-def _value(expr: Expr, kernel, memo: Optional[dict] = None):
+def _value(expr: Expr, kernel):
     """The value of an expression on ``kernel``, bounded at every node.
 
     The one walk over the node types, for loop words and the laws of
     :mod:`caloop.symbolic`.  ``kernel`` (:class:`_IntKernel` or a
     :class:`caloop.symbolic.SymLoopOps`) supplies the leaves (``generator``
     raises ``KeyError`` for an unknown name), the operations that differ
-    between the two and the per-node ``bound``.  ``memo``, if given, maps
-    each subterm walked (and any seeded variable) to its value.
+    between the two and the per-node ``bound``.
     """
-    if memo is not None:
-        value = memo.get(expr)
-        if value is not None:
-            return value
     kind = type(expr)
     if kind is Product:
-        value = kernel.mul(_value(expr.left, kernel, memo), _value(expr.right, kernel, memo))
+        value = kernel.mul(_value(expr.left, kernel), _value(expr.right, kernel))
     elif kind is Generator:
         try:
-            return kernel.generator(expr.name)  # in bounds, and as cheap as a memo lookup
+            return kernel.generator(expr.name)  # in bounds
         except KeyError:
             raise ValueError(f"unknown generator {expr.name!r}") from None
     elif kind is Power:
-        value = pow_coords(_value(expr.base, kernel, memo), expr.exponent)
+        value = pow_coords(_value(expr.base, kernel), expr.exponent)
     elif kind is Literal:
         value = kernel.constant(expr.coords)
     elif kind is Inverse:
-        value = inv_coords(_value(expr.arg, kernel, memo))
+        value = inv_coords(_value(expr.arg, kernel))
     elif kind is Assoc:
-        value = kernel.associator(_value(expr.a, kernel, memo), _value(expr.b, kernel, memo),
-                                  _value(expr.c, kernel, memo))
+        value = kernel.associator(_value(expr.a, kernel), _value(expr.b, kernel),
+                                  _value(expr.c, kernel))
     elif kind is InnerL:
-        value = kernel.inner_l(_value(expr.a, kernel, memo), _value(expr.b, kernel, memo),
-                               _value(expr.arg, kernel, memo))
+        value = kernel.inner_l(_value(expr.a, kernel), _value(expr.b, kernel),
+                               _value(expr.arg, kernel))
     elif kind is LeftDiv:
-        value = kernel.left_divide(_value(expr.left, kernel, memo),
-                                   _value(expr.right, kernel, memo))
+        value = kernel.left_divide(_value(expr.left, kernel), _value(expr.right, kernel))
     else:
         raise TypeError(f"not an expression node: {expr!r}")
-    value = kernel.bound(value)
-    if memo is not None:
-        memo[expr] = value
-    return value
+    return kernel.bound(value)
 
 
 def check_bits(value: tuple) -> tuple:

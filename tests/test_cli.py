@@ -148,7 +148,7 @@ def test_verify_unknown_identity_exit_2(capsys):
 
 def test_verify_failure_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(
-        "caloop.cli.verify_all",
+        "caloop.symbolic.verify_all",
         lambda: [
             symbolic.IdentityReport(
                 name="broken",
@@ -215,6 +215,30 @@ def test_only_the_quotient_commands_load_numpy(capsys):
     fresh, here = json.loads(probe["out"]), json.loads(out)
     assert fresh.pop("millis") >= 0 and here.pop("millis") >= 0
     assert fresh == here
+
+
+# Runs in a fresh interpreter: importing the CLI and running the word
+# commands loads neither the prover nor numpy.
+_PROVER_PROBE = """
+import contextlib, io, json, sys
+import caloop.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [caloop.cli.main(["eval", "x*y"]),
+             caloop.cli.main(["mul", "[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]"])]
+loaded = [m for m in ("caloop.symbolic", "caloop.poly", "numpy") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_word_commands_load_neither_the_prover_nor_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(caloop.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run([sys.executable, "-c", _PROVER_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [0, 0], "loaded": []}
 
 
 def test_check_quotient_full_m2(capsys):

@@ -309,31 +309,55 @@ def test_law_texts_may_name_generators(monkeypatch):
     assert not report.passed
     assert report.residual_term_counts == (0, 0, 1, 1, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="unknown generator 'q'"):
-        _value(Generator("q"), SymLoopOps(VarTable(())), {})
+        _value(Generator("q"), SymLoopOps(VarTable(())))
     with pytest.raises(ValueError, match="unknown identifier 'q'"):
         symbolic._equation("probe-unknown", "q * a = a", "a")
 
 
 def test_memo_expands_a_repeated_subterm_once():
-    # the laws' walk keeps every subterm it has expanded, so (a * b) is
-    # expanded once and the outer product makes the second call
-    table = VarTable(tuple(f"{p}{i}" for p in "ab" for i in range(1, 9)))
+    # the walk keeps nothing; the kernel's memo serves the repeated (a * b),
+    # a product of its leaves, so the outer product makes the second call
     calls = []
 
     def counting(a, b):
         calls.append(1)
         return mul_coords(a, b)
 
-    ops = SymLoopOps(table, counting)
-    a = tuple(Polynomial.var(table, i) for i in range(8))
-    b = tuple(Polynomial.var(table, i) for i in range(8, 16))
-    memo = {Generator("a"): a, Generator("b"): b}
+    ops, (a, b) = symbolic._make_context((("a", 0), ("b", 0)), counting)
     expr, _ = parse_with_warnings("(a * b) * (a * b)", ("a", "b"))
-    square = _value(expr, ops, memo)
+    square = _value(expr, ops)
     assert len(calls) == 2
     ab = mul_coords(a, b)
     assert square == mul_coords(ab, ab)
-    assert memo[expr.left] == ab
+
+
+def test_law_variables_are_the_kernels_leaves():
+    # a law's variable is the generic element of its name, the very tuple
+    # the kernel's memo keys on; a generator name stays a constant
+    ops, elems = symbolic._make_context((("a", 0), ("n", 2)), None)
+    for name, elem in zip("an", elems):
+        assert _value(parse_with_warnings(name, ("a", "n"))[0], ops) is elem
+    assert _value(parse("x"), ops) == ops.constant(evaluate(parse("x")))
+
+
+def test_catalog_run_makes_a_pinned_number_of_products(monkeypatch):
+    # the work of one shipped and one mutated run, in product calls: a
+    # value that the kernel's memo no longer serves shows as more calls
+    calls = []
+
+    def counting(fn):
+        def product(a, b):
+            calls.append(1)
+            return fn(a, b)
+        return product
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symbolic, "mul_coords", counting(mul_coords))  # bound by each kernel
+        verify_all()
+    assert len(calls) == 51
+    calls.clear()
+    verify_all(counting(mutated_product_polys))
+    assert len(calls) == 343
 
 
 def _report_key(r):

@@ -524,19 +524,6 @@ def test_golden_words():
             assert format_canonical(value) == canonical, text
 
 
-def test_walker_values_do_not_depend_on_the_memo():
-    # evaluate walks without a memo; with one, a repeated subterm is walked
-    # once, and every value is the same
-    for text in [text for text, _, _ in GOLDEN_WORDS] + ["(x*y) * (x*y)", "assoc(x, x*y, x*y)"]:
-        expr = parse(text)
-        memo = {}
-        assert words._value(expr, words._IntKernel) == words._value(
-            expr, words._IntKernel, memo
-        ) == evaluate(expr), text
-        if type(expr) is not Generator:  # a generator is looked up, never kept
-            assert memo[expr] == evaluate(expr)
-
-
 def test_golden_left_divisions_solve_their_equation():
     # ldiv(p, q) is the b with p * b = q
     divisions = [parse(text) for text, _, _ in GOLDEN_WORDS if text.startswith("ldiv(")]
