@@ -34,10 +34,10 @@ The nodes are frozen dataclasses with slots.  Their public constructors
 run a frozen ``__init__``, which sets each field by a call of
 ``object.__setattr__``; the parser instead allocates a node with
 ``object.__new__`` and sets its slots through the slot descriptors'
-``__set__``, as :mod:`caloop.poly` builds a ``Polynomial``.  Either way the
-node is the same: equal, with the same hash and repr, and frozen.  A
-generator and '1' are shared leaves, looked up in the product loop, and a
-literal's eight coordinates are converted in one ``map(int, ...)``.
+``__set__``, which the frozen ``__setattr__`` does not intercept.  Either
+way the node is the same: equal, with the same hash and repr, and frozen.
+A generator and '1' are shared leaves, looked up in the product loop, and
+a literal's eight coordinates are converted in one ``map(int, ...)``.
 
 Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
 of a left-grouped chain, are refused with a :class:`ParseError`.  Powers

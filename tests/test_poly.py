@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -153,6 +154,29 @@ def test_other_operands_keep_their_meaning():
     for op in (lambda: x + 1.5, lambda: x - "1", lambda: x * 1.5, lambda: 1.5 - x):
         with pytest.raises(TypeError):
             op()
+
+
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused():
+    # the constructor and const refuse a float as the operators do, and name it
+    for build in (lambda c: Polynomial(XY, {((0, 1),): c}), lambda c: Polynomial.const(XY, c)):
+        for c in (1.5, "1", None):
+            with pytest.raises(TypeError, match=re.escape(f"coefficient {c!r}")):
+                build(c)
+
+
+def test_a_polynomial_takes_no_assignment():
+    # table and den are read-only properties, terms a read-only view, and
+    # the slots admit no other attribute
+    p = _x() // 3
+    for name, value in (("table", XY), ("den", 1), ("terms", {}), ("coeffs", {})):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    for name in ("table", "den", "terms"):
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(TypeError):
+        p.terms[((0, 1),)] = 1
+    assert p.table is XY and p.den == 3 and p == Polynomial(XY, {((0, 1),): Fraction(1, 3)})
 
 
 def test_term_limit(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -341,9 +342,11 @@ def test_law_variables_are_the_kernels_leaves():
 
 
 def test_catalog_run_makes_a_pinned_number_of_products(monkeypatch):
-    # the work of one shipped and one mutated run, in product calls: a
-    # value that the kernel's memo no longer serves shows as more calls
+    # the work of one shipped and one mutated run, in product calls and in
+    # Polynomial operations: a value that the kernel's memo no longer serves
+    # shows as more calls, and a faster operation as no fewer operations
     calls = []
+    operations = collections.Counter()
 
     def counting(fn):
         def product(a, b):
@@ -351,13 +354,26 @@ def test_catalog_run_makes_a_pinned_number_of_products(monkeypatch):
             return fn(a, b)
         return product
 
+    def counting_operator(symbol, fn):
+        def counted(*args):
+            operations[symbol] += 1
+            return fn(*args)
+        return counted
+
+    # a reflected operator counts under its symbol too, and __rsub__ also runs __sub__
+    for name, symbol in (("__mul__", "*"), ("__rmul__", "*"), ("__add__", "+"), ("__radd__", "+"),
+                         ("__sub__", "-"), ("__rsub__", "-"), ("__floordiv__", "//")):
+        monkeypatch.setattr(Polynomial, name, counting_operator(symbol, getattr(Polynomial, name)))
     with monkeypatch.context() as patch:
         patch.setattr(symbolic, "mul_coords", counting(mul_coords))  # bound by each kernel
         verify_all()
     assert len(calls) == 51
+    assert operations == {"*": 4727, "+": 2127, "-": 2142, "//": 472}
     calls.clear()
+    operations.clear()
     verify_all(counting(mutated_product_polys))
     assert len(calls) == 343
+    assert operations == {"*": 8619, "+": 5939, "-": 6328, "//": 1408}
 
 
 def _report_key(r):
