@@ -49,17 +49,18 @@ Coefficients are ints over one common denominator, the layout of FLINT's
 one int ``den > 0``, and its value is ``sum(c * mon) / den``.  The
 denominator is kept reduced, ``gcd(den, *numerators) == 1``, so the zero
 polynomial has ``den == 1`` and equal polynomials have equal numerators and
-denominators.  In the prover the denominators come only from the kernel's
-``// 3`` and ``// 15``, and the ring operations run on ints:
+denominators.  :func:`_new` is the one place that reduces: whenever a
+result's ``den != 1``, one C-level ``math.gcd(den, *numerators)`` divides
+it out, so no operation has to know whether its result is reduced.  In the
+prover the denominators come only from the kernel's ``// 3`` and ``// 15``,
+and the ring operations run on ints:
 
 * ``+`` and ``-`` of two nonzero polynomials add the numerators as they are
   when the denominators are equal (6 090 of 8 028 in the pass below), and
   else scale them by the lcm;
 * ``*`` multiplies numerators and denominators;
 * ``// n`` multiplies ``den`` by ``|n|`` and moves the sign of n onto the
-  numerators;
-* whenever the result's ``den != 1``, one C-level ``math.gcd(den,
-  *numerators)`` reduces it.
+  numerators.
 
 Short-cuts skip work the prover does often.  One catalog run and one
 mutated-product run (the ``prove`` benchmark's pass) make 31 762 calls of
@@ -203,13 +204,21 @@ def _top_degree(table: VarTable, terms: dict) -> int:
 
 
 def _new(table: VarTable, terms: dict, den: int, degree: int) -> "Polynomial":
-    """A polynomial on packed terms with nonzero int numerators over a
-    reduced denominator ``den > 0``, whose degree the caller knows.
+    """The polynomial on packed terms with nonzero int numerators over a
+    denominator ``den > 0``, whose degree the caller knows.
 
-    Checks the term budget and records the peak term count and degree.  No
-    terms dict is changed once it is wrapped, so polynomials may share one.
+    Divides the numerators and ``den`` by their gcd, so that every result is
+    reduced here; an empty ``terms`` gets ``den == 1``, since ``gcd(den) ==
+    den``.  Checks the term budget and records the peak term count and
+    degree.  No terms dict is changed once it is wrapped, so polynomials may
+    share one.
     """
     global _peak_degree, _peak_terms
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
     n = len(terms)
     if n > TERM_LIMIT:
         raise TermLimitExceeded(
@@ -225,17 +234,6 @@ def _new(table: VarTable, terms: dict, den: int, degree: int) -> "Polynomial":
     p._den = den
     p._degree = degree
     return p
-
-
-def _reduced(table: VarTable, terms: dict, den: int, degree: int) -> "Polynomial":
-    """:func:`_new` after dividing numerators and ``den > 0`` by their gcd;
-    an empty ``terms`` gets ``den == 1``, since ``gcd(den) == den``."""
-    if den != 1:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            den //= g
-            terms = {k: c // g for k, c in terms.items()}
-    return _new(table, terms, den, degree)
 
 
 def _decode(c: int, den: int) -> Scalar:
@@ -292,7 +290,6 @@ class Polynomial:
                 raise TypeError(f"coefficient {c!r} of {mon!r} is not an int or a Fraction")
             key = _pack(table, mon)
             packed[key] = packed.get(key, 0) + c
-        # the lcm of reduced denominators is already coprime to the numerators
         den = lcm(*(c.denominator for c in packed.values()))
         packed = {k: c.numerator * (den // c.denominator) for k, c in packed.items() if c}
         return _new(table, packed, den, _top_degree(table, packed))
@@ -314,8 +311,8 @@ class Polynomial:
     def const(cls, table: VarTable, value: Scalar) -> "Polynomial":
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
-        num, den = value.numerator, value.denominator
-        return _new(table, {0: num} if num else {}, den if num else 1, 0)
+        num = value.numerator
+        return _new(table, {0: num} if num else {}, value.denominator, 0)
 
     @classmethod
     def var(cls, table: VarTable, index: int) -> "Polynomial":
@@ -394,15 +391,11 @@ class Polynomial:
             degree = _top_degree(self._table, terms)
         else:
             degree = e1 if e1 > e2 else e2
-        return _reduced(self._table, terms, den, degree)
+        return _new(self._table, terms, den, degree)
 
     def _add_int(self, k: int) -> "Polynomial":
         """``self + k`` for a nonzero int k: k joins the constant term (key 0)
-        of a copy of the terms, so the degree is unchanged.
-
-        The result is already reduced: ``gcd(den, c + k * den) == gcd(den,
-        c)``, and a constant term that cancels is a multiple of ``den``.
-        """
+        of a copy of the terms, so the degree is unchanged."""
         terms = dict(self._terms)
         c = terms.get(0, 0) + k * self._den
         if c:
@@ -460,10 +453,7 @@ class Polynomial:
             return self
         if not k:
             return Polynomial.zero(self._table)
-        # gcd(k/g, den/g) == 1, so the result is already reduced
-        g = gcd(k, self._den)
-        k //= g
-        return _new(self._table, {m: c * k for m, c in self._terms.items()}, self._den // g,
+        return _new(self._table, {m: c * k for m, c in self._terms.items()}, self._den,
                     self._degree)
 
     def __mul__(self, other) -> "Polynomial":
@@ -498,7 +488,7 @@ class Polynomial:
                 terms[m] = get(m, 0) + c1 * c2
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        return _reduced(self._table, terms, self._den * other._den, degree)
+        return _new(self._table, terms, self._den * other._den, degree)
 
     __rmul__ = __mul__
 
@@ -516,7 +506,7 @@ class Polynomial:
         if not self._terms:
             return self
         terms = self._terms if n > 0 else {m: -c for m, c in self._terms.items()}
-        return _reduced(self._table, terms, self._den * abs(n), self._degree)
+        return _new(self._table, terms, self._den * abs(n), self._degree)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

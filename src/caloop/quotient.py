@@ -390,11 +390,10 @@ class QuotientLoop:
                 fh.write(
                     f"caloop-table m={self.modulus} order={self.order} ordering=lex\n"
                 )
-                # each index's text, made once; a row's cells are one gather
+                # each index's text, made once; the body's cells are one gather
                 names = np.array([str(i) for i in range(self.order)], dtype=object)
-                for row in t:
-                    fh.write(",".join(names[row].tolist()))
-                    fh.write("\n")
+                fh.write("\n".join(map(",".join, names[t].tolist())))
+                fh.write("\n")
         else:
             with open(path, "wb") as fh:
                 fh.write(b"CLT1")

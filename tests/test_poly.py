@@ -179,6 +179,40 @@ def test_a_polynomial_takes_no_assignment():
     assert p.table is XY and p.den == 3 and p == Polynomial(XY, {((0, 1),): Fraction(1, 3)})
 
 
+@pytest.mark.parametrize(
+    "action, expected",
+    [
+        pytest.param(lambda: Polynomial(XY, {((2, 1),): 1}),
+                     IndexError("variable index 2 out of range"), id="variable-2"),
+        pytest.param(lambda: Polynomial(XY, {((-1, 1),): 1}),
+                     IndexError("variable index -1 out of range"), id="variable-minus-1"),
+        pytest.param(lambda: Polynomial(XY, {((0, 0),): 1}),
+                     ValueError("exponent 0 of variable 0 is not a positive int"), id="exponent-0"),
+        pytest.param(lambda: Polynomial(XY, {((0, 1.0),): 1}),
+                     ValueError("exponent 1.0 of variable 0 is not a positive int"),
+                     id="exponent-float"),
+        pytest.param(lambda: Polynomial.var(XY, 2),
+                     IndexError("variable index 2 out of range"), id="var-2"),
+        pytest.param(lambda: (_x() + 1).evaluate([1]),
+                     ValueError("need 2 values, got 1"), id="evaluate-short-point"),
+        # ((0, 1), (0, 1)) packs like ((0, 2),), but only the canonical form is a key
+        pytest.param(lambda: (_x() * _x()).terms[((0, 1), (0, 1))],
+                     KeyError(((0, 1), (0, 1))), id="terms-non-canonical"),
+        pytest.param(lambda: _x().terms[((5, 1),)], KeyError(((5, 1),)),
+                     id="terms-unknown-variable"),
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        pytest.param(lambda: _x() == "x", False, id="eq-str"),
+        pytest.param(lambda: _x() != "x", True, id="ne-str"),
+    ],
+)
+def test_bad_input_and_missing_terms(action, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            action()
+    else:
+        assert action() is expected
+
+
 def test_term_limit(monkeypatch):
     x, y = _x(), _y()
     big = (x + y) ** 6

@@ -170,6 +170,7 @@ _LIT7 = "elem[1,2,3,4,5,6,7,"  # a literal's first seven coordinates, 19 charact
         pytest.param("inv(x, y)", "position 6: expected ')', found ','", id="inv-two-args"),
         pytest.param("pow(x)", "position 6: expected ',', found ')'", id="pow-one-arg"),
         pytest.param("pow(x, 2, 3)", "position 9: expected ')', found ','", id="pow-three-args"),
+        pytest.param("pow(x, 2 3)", "position 10: expected ')', found 3", id="pow-two-integers"),
         pytest.param("inv()", "position 5: unexpected ')'", id="empty-call"),
         pytest.param("ldiv", "position 5: expected '(', found end of input", id="bare-ldiv"),
         pytest.param("ldiv(", "position 6: unexpected end of input", id="ldiv-open"),
