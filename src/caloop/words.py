@@ -30,14 +30,12 @@ the grammar, a '-' with no digits, an integer with more significant digits
 than ``int()`` converts) wins over the depth check, which wins over any
 syntax error.  Positions are worked out only for the error raised.
 
-The nodes are frozen dataclasses with slots.  Their public constructors
-run a frozen ``__init__``, which sets each field by a call of
-``object.__setattr__``; the parser instead allocates a node with
-``object.__new__`` and sets its slots through the slot descriptors'
-``__set__``, which the frozen ``__setattr__`` does not intercept.  Either
-way the node is the same: equal, with the same hash and repr, and frozen.
-A generator and '1' are shared leaves, looked up in the product loop, and
-a literal's eight coordinates are converted in one ``map(int, ...)``.
+The nodes are immutable named tuples, built one way: the parser calls
+``tuple.__new__(node, fields)``, the whole body of their constructors.  A
+node equals only a node of its own class with equal fields, never a plain
+tuple, and hashes as the tuple of its fields.  A generator and '1' are
+shared leaves, looked up in the product loop, and a literal's eight
+coordinates are converted in one ``map(int, ...)``.
 
 Expressions deeper than ``MAX_DEPTH`` levels, in nesting or in the length
 of a left-grouped chain, are refused with a :class:`ParseError`.  Powers
@@ -59,9 +57,8 @@ so parentheses stay unambiguous grouping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union, get_args
 
 from .calculus import assoc_coords, inner_l_coords
 from .calculus import associator, inner_l  # noqa: F401  (perfbench's tracer rebinds them here)
@@ -100,54 +97,60 @@ _GENERATORS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     coords: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
+class Product(NamedTuple):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class Power:
+class Power(NamedTuple):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True, slots=True)
-class Inverse:
+class Inverse(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class Assoc:
+class Assoc(NamedTuple):
     a: "Expr"
     b: "Expr"
     c: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class InnerL:
+class InnerL(NamedTuple):
     a: "Expr"
     b: "Expr"
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class LeftDiv:
+class LeftDiv(NamedTuple):
     left: "Expr"
     right: "Expr"
 
 
 Expr = Union[Generator, Literal, Product, Power, Inverse, Assoc, InnerL, LeftDiv]
+
+
+def _eq(self, other) -> bool:
+    """A node equals only a node of its own class with equal fields, never a plain tuple."""
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return not _eq(self, other)
+
+
+# set after the classes are made, so each keeps tuple's hash of its fields
+for _node in get_args(Expr):
+    _node.__eq__, _node.__ne__ = _eq, _ne
 
 
 class ParseError(ValueError):
@@ -263,19 +266,9 @@ class _SyntaxError(Exception):
     """A syntax error at a token index; parse_with_warnings finds its position."""
 
 
-# The parser's node construction (see the module docstring): a bare instance
-# from object.__new__, whose slots are set through their descriptors.
-_new = object.__new__
-
-
-def _setters(node: type) -> tuple:
-    """The slot setters of a node class, in the order of its fields."""
-    return tuple(getattr(node, f.name).__set__ for f in fields(node))
-
-
-(_set_coords,) = _setters(Literal)
-_set_left, _set_right = _setters(Product)
-_set_base, _set_exponent = _setters(Power)
+# The parser builds a node as its constructor does, with the whole body of a
+# named tuple's __new__: _new(Product, (left, right)).
+_new = tuple.__new__
 
 
 # A generator or '1' parses to a shared leaf of depth 0; nodes are immutable.
@@ -283,19 +276,15 @@ _ONE = (Literal((0,) * 8), 0)
 _LEAVES = {**{name: (Generator(name), 0) for name in _GENERATORS}, "1": _ONE}
 
 
-# Each call form: its node, the kinds of its arguments and the node's slot
-# setters.  An expression parses as a product; any other kind is an integer,
-# named as errors name it.
+# Each call form: its node and the kinds of its arguments.  An expression
+# parses as a product; any other kind is an integer, named as errors name it.
 _EXPRESSION = "expression"
 _CALLS = {
-    name: (node, kinds, _setters(node))
-    for name, node, kinds in (
-        ("assoc", Assoc, (_EXPRESSION,) * 3),
-        ("innL", InnerL, (_EXPRESSION,) * 3),
-        ("ldiv", LeftDiv, (_EXPRESSION,) * 2),
-        ("inv", Inverse, (_EXPRESSION,)),
-        ("pow", Power, (_EXPRESSION, "exponent")),
-    )
+    "assoc": (Assoc, (_EXPRESSION,) * 3),
+    "innL": (InnerL, (_EXPRESSION,) * 3),
+    "ldiv": (LeftDiv, (_EXPRESSION,) * 2),
+    "inv": (Inverse, (_EXPRESSION,)),
+    "pow": (Power, (_EXPRESSION, "exponent")),
 }
 
 
@@ -359,15 +348,9 @@ class _Parser:
                 n = self._int("exponent")
                 if unit_depth >= MAX_DEPTH:
                     raise _too_deep(caret)
-                power = _new(Power)
-                _set_base(power, unit)
-                _set_exponent(power, n)
-                unit, unit_depth = power, unit_depth + 1
+                unit, unit_depth = _new(Power, (unit, n)), unit_depth + 1
             if factors:
-                product = _new(Product)
-                _set_left(product, expr)
-                _set_right(product, unit)
-                expr = product
+                expr = _new(Product, (expr, unit))
                 # a left-grouped chain of n factors is n - 1 levels deep
                 depth = (depth if depth > unit_depth else unit_depth) + 1
                 if depth > MAX_DEPTH:
@@ -415,9 +398,7 @@ class _Parser:
                 # str.strip() skips, and refuses more digits than its limit,
                 # which _to_int counts only where significant
                 coords = tuple(map(_to_int, map(str.strip, parts)))
-            literal = _new(Literal)
-            _set_coords(literal, coords)
-            return literal, 0
+            return _new(Literal, (coords,)), 0
         if _is_int(tok):
             value = _to_int(tok)
             if value == 1:
@@ -425,14 +406,11 @@ class _Parser:
             raise _SyntaxError(f"unexpected integer literal {value}", index)
         call = _CALLS.get(tok)
         if call is not None:
-            node, kinds, setters = call
+            node, kinds = call
             args, depth = self._list("(", kinds, ")")
             if depth >= MAX_DEPTH:
                 raise _too_deep(index)
-            expr = _new(node)
-            for set_field, arg in zip(setters, args):
-                set_field(expr, arg)
-            return expr, depth + 1
+            return _new(node, args), depth + 1
         if tok == "elem":
             # a malformed literal: any text this rule accepts lexes as one
             # literal token, so _list raises, naming the literal's first fault

@@ -218,14 +218,16 @@ def test_only_the_quotient_commands_load_numpy(capsys):
 
 
 # Runs in a fresh interpreter: importing the CLI and running the word
-# commands loads neither the prover nor numpy.
+# commands loads neither the prover nor numpy, nor dataclasses and inspect,
+# which the word nodes, named tuples, do not need.
 _PROVER_PROBE = """
 import contextlib, io, json, sys
 import caloop.cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [caloop.cli.main(["eval", "x*y"]),
              caloop.cli.main(["mul", "[1,0,0,0,0,0,0,0]", "[0,1,0,0,0,0,0,0]"])]
-loaded = [m for m in ("caloop.symbolic", "caloop.poly", "numpy") if m in sys.modules]
+loaded = [m for m in ("caloop.symbolic", "caloop.poly", "numpy", "dataclasses", "inspect")
+          if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 

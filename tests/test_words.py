@@ -4,7 +4,6 @@ import re
 import sys
 import time
 from array import array
-from dataclasses import FrozenInstanceError, fields
 from itertools import compress
 from operator import not_
 
@@ -423,12 +422,35 @@ def test_parsed_nodes_are_the_constructors_nodes(text, built):
     assert type(parsed) is type(built)
     assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
     for node in (parsed, built):
-        for field in fields(node):
-            with pytest.raises(FrozenInstanceError):
-                setattr(node, field.name, getattr(node, field.name))
+        for name in node._fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, getattr(node, name))
+        with pytest.raises(AttributeError):
+            node.extra = None
         for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert type(twin) is type(built)
             assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
+
+
+# Nodes of different kinds with the same fields, and the plain tuple of
+# those fields: no two of them are equal.
+@pytest.mark.parametrize(
+    "one, other, fields",
+    [
+        pytest.param(Product(_X, _Y), LeftDiv(_X, _Y), (_X, _Y), id="Product-LeftDiv"),
+        pytest.param(Assoc(_X, _Y, _U1), InnerL(_X, _Y, _U1), (_X, _Y, _U1), id="Assoc-InnerL"),
+        pytest.param(Inverse(_X), Literal(_X), (_X,), id="Inverse-Literal"),
+        pytest.param(Inverse(_X), Generator(_X), (_X,), id="Inverse-Generator"),
+        pytest.param(Literal(_X), Generator(_X), (_X,), id="Literal-Generator"),
+    ],
+)
+def test_nodes_of_different_kinds_are_unequal(one, other, fields):
+    assert not one == other and not other == one
+    assert one != other and other != one
+    for node in (one, other):
+        assert not node == fields and not fields == node
+        assert node != fields and fields != node
+        assert hash(node) == hash(fields)  # a node hashes as its fields' tuple
 
 
 _SMALL = st.integers(min_value=-3, max_value=3)
