@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Optional, Sequence
 
-from .core import IDENTITY, X, Y, Elem8, _elem8
+from .core import IDENTITY, X, Y, Elem8, _new
 from .core import mul_coords  # noqa: F401  (perfbench's tracer rebinds calculus.mul_coords)
 
 __all__ = [
@@ -125,14 +125,14 @@ def inner_l_coords(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> tupl
 def associator(a: Elem8, b: Elem8, c: Elem8) -> Elem8:
     """The associator (a, b, c); unchecked when a, b, c are exactly Elem8 (see Elem8)."""
     if type(a) is Elem8 and type(b) is Elem8 and type(c) is Elem8:
-        return _elem8(assoc_coords(a, b, c))
+        return _new(Elem8, assoc_coords(a, b, c))
     return Elem8(assoc_coords(a, b, c))
 
 
 def inner_l(a: Elem8, b: Elem8, c: Elem8) -> Elem8:
     """Image of c under L_{a,b}; unchecked when a, b, c are exactly Elem8 (see Elem8)."""
     if type(a) is Elem8 and type(b) is Elem8 and type(c) is Elem8:
-        return _elem8(inner_l_coords(a, b, c))
+        return _new(Elem8, inner_l_coords(a, b, c))
     return Elem8(inner_l_coords(a, b, c))
 
 

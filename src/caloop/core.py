@@ -40,7 +40,6 @@ that holds every value the formula forms at the modulus.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Callable, Iterable, Sequence
 
@@ -176,34 +175,31 @@ def pow_closed_form(a: Sequence, n) -> tuple:
     P(0; a) = 1, P(n+1; a) = P(n; a) * a and P(-n; a) = P(n; a^-1), so P is
     the iterated power a * a * ... * a for every integer n.
 
+    Subterms shared between coordinates (a1^2 a2, a1 a2^2, their alpha
+    multiples, 6n^2 + 1, 9n^2 + 4) are formed once: 38 multiplications.
     Each ``// 15`` is exact on integers: its dividend is alpha(n) times an
-    integer polynomial, so its residue mod 15 depends only on n mod 45 and
-    a1, a2 mod 15, and every such class is divisible (checked by the tests).
-    The code uses only + - * and exact //, so it also runs on polynomials.
+    integer polynomial whose a3, a4 terms are multiples of 15, so its
+    residue mod 15 depends only on n mod 45 and a1, a2 mod 15, and every
+    such class is divisible (checked by the tests).  The code uses only
+    + - * and exact //, so it also runs on polynomials.
     """
     a1, a2, a3, a4, a5, a6, a7, a8 = a
     nn = n * n
     al = (nn * n - n) // 3  # alpha(n)
-    p11 = a1 * a1
-    p22 = a2 * a2
-    p12 = a1 * a2
+    p11, p22, p12 = a1 * a1, a2 * a2, a1 * a2
+    p112, p122 = p12 * a1, p12 * a2  # a1^2 a2, a1 a2^2
+    al11, al22, al12 = al * p11, al * p22, al * p12
+    al112, al122 = al * p112, al * p122
+    k6, k9 = 6 * nn + 1, 9 * nn + 4
     return (
         n * a1,
         n * a2,
-        n * a3 - al * p11 * a2,
-        n * a4 + al * p12 * a2,
-        n * a5
-        - al * p11 * a3
-        + al * p11 * a2 * (p11 * (6 * nn + 1) - 25) // 15,
-        n * a6
-        - al * (p11 * a4 + 2 * p12 * a3)
-        + al * p12 * (p11 * a2 * (9 * nn + 4) - 30 * a1 + 5 * a2) // 15,
-        n * a7
-        - al * (p22 * a3 + 2 * p12 * a4)
-        - al * p12 * (p22 * a1 * (9 * nn + 4) + 5 * a1 - 30 * a2) // 15,
-        n * a8
-        - al * p22 * a4
-        - al * p12 * a2 * (p22 * (6 * nn + 1) - 25) // 15,
+        n * a3 - al112,
+        n * a4 + al122,
+        n * a5 - al11 * a3 + al112 * (p11 * k6 - 25) // 15,
+        n * a6 - al11 * a4 + al12 * (p112 * k9 - 30 * (a1 + a3) + 5 * a2) // 15,
+        n * a7 - al22 * a3 - al12 * (p122 * k9 + 5 * a1 + 30 * (a4 - a2)) // 15,
+        n * a8 - al22 * a4 - al122 * (p22 * k6 - 25) // 15,
     )
 
 
@@ -229,6 +225,10 @@ def project_coords(a: Sequence[int]) -> Coords4:
 # coordinate.  ``_INT.issuperset(map(type, coords))`` is also the cheapest form
 # of the check, which runs on every product.
 _INT = frozenset((int,))
+
+# _new(cls, coords) stores coords unchecked: the operators build a result so
+# when the check cannot fail (see Elem8), and caloop.words builds its nodes so.
+_new = tuple.__new__
 
 
 class _Element(tuple):
@@ -260,8 +260,9 @@ class Elem8(_Element):
 
     ``Elem8(coords)`` checks its input: exactly 8 coordinates, each of type
     exactly ``int``.  The operators, :func:`caloop.calculus.associator` and
-    :func:`caloop.calculus.inner_l` skip that check when every operand,
-    ``self`` included, has type exactly ``Elem8``, because it cannot fail:
+    :func:`caloop.calculus.inner_l` skip that check, with one
+    ``tuple.__new__(Elem8, coords)`` call, when every operand, ``self``
+    included, has type exactly ``Elem8``, because it cannot fail:
     such an operand holds 8 exact ints (put there by the check or by this
     same argument), each kernel function returns an 8-tuple, and it applies
     only + - * and // to those ints and to int constants (and, for a power,
@@ -278,17 +279,17 @@ class Elem8(_Element):
 
     def __mul__(self, other: "Elem8") -> "Elem8":
         if type(self) is Elem8 and type(other) is Elem8:
-            return _elem8(mul_coords(self, other))
+            return _new(Elem8, mul_coords(self, other))
         return Elem8(mul_coords(self, other))
 
     def __pow__(self, n: int) -> "Elem8":
         if type(self) is Elem8:
-            return _elem8(pow_coords(self, n))
+            return _new(Elem8, pow_coords(self, n))
         return Elem8(pow_coords(self, n))
 
     def __invert__(self) -> "Elem8":
         if type(self) is Elem8:
-            return _elem8(inv_coords(self))
+            return _new(Elem8, inv_coords(self))
         return Elem8(inv_coords(self))
 
     inverse = __invert__
@@ -296,15 +297,11 @@ class Elem8(_Element):
     def left_divide(self, target: "Elem8") -> "Elem8":
         """Return the unique b with self * b == target."""
         if type(self) is Elem8 and type(target) is Elem8:
-            return _elem8(left_div_coords(self, target))
+            return _new(Elem8, left_div_coords(self, target))
         return Elem8(left_div_coords(self, target))
 
     def project(self) -> "Elem4":
         return Elem4(project_coords(self))
-
-
-# The unchecked constructor of results that cannot fail the check (see Elem8).
-_elem8 = functools.partial(tuple.__new__, Elem8)
 
 
 class Elem4(_Element):

@@ -390,9 +390,10 @@ class QuotientLoop:
                 fh.write(
                     f"caloop-table m={self.modulus} order={self.order} ordering=lex\n"
                 )
-                # each index's text, made once; the body's cells are one gather
+                # each index's text, made once; each row is one gather, so the body
+                # is held only as its row strings until its one write
                 names = np.array([str(i) for i in range(self.order)], dtype=object)
-                fh.write("\n".join(map(",".join, names[t].tolist())))
+                fh.write("\n".join([",".join(names[row].tolist()) for row in t]))
                 fh.write("\n")
         else:
             with open(path, "wb") as fh:

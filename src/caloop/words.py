@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional, Union, get_args
 
 from .calculus import assoc_coords, inner_l_coords
 from .calculus import associator, inner_l  # noqa: F401  (perfbench's tracer rebinds them here)
-from .core import _INT, Elem8, _elem8, basis
+from .core import _INT, Elem8, _new, basis
 from .core import inv_coords, left_div_coords, mul_coords, pow_coords
 
 __all__ = [
@@ -267,8 +267,7 @@ class _SyntaxError(Exception):
 
 
 # The parser builds a node as its constructor does, with the whole body of a
-# named tuple's __new__: _new(Product, (left, right)).
-_new = tuple.__new__
+# named tuple's __new__ (core's _new is tuple.__new__): _new(Product, (left, right)).
 
 
 # A generator or '1' parses to a shared leaf of depth 0; nodes are immutable.
@@ -480,14 +479,15 @@ def evaluate(expr: Expr) -> Elem8:
     Raises ``ValueError`` as soon as a subexpression's value has a
     coordinate longer than ``MAX_BITS`` bits.
 
-    The root is wrapped with the unchecked ``_elem8``, because the check of
-    ``Elem8(...)`` cannot fail on it, by the argument of the :class:`Elem8`
-    docstring: every leaf the walker returns holds 8 exact ints (a generator
-    is a basis element, and a literal passes :func:`_constant`), and every
-    node applies a kernel function to such values, which returns 8 exact
-    ints again.  A node that is not an expression raises ``TypeError``.
+    The root is wrapped unchecked, by ``_new(Elem8, coords)``, because the
+    check of ``Elem8(...)`` cannot fail on it, by the argument of the
+    :class:`Elem8` docstring: every leaf the walker returns holds 8 exact
+    ints (a generator is a basis element, and a literal passes
+    :func:`_constant`), and every node applies a kernel function to such
+    values, which returns 8 exact ints again.  A node that is not an
+    expression raises ``TypeError``.
     """
-    return _elem8(_value(expr, _IntKernel))
+    return _new(Elem8, _value(expr, _IntKernel))
 
 
 def _value(expr: Expr, kernel):

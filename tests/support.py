@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: samplers, power caches, parser goldens."""
 
+import collections
+import operator
 import random
 
+from caloop import core
 from caloop.core import Elem8, inv_coords, mul_coords
 
 SEED = 20260808  # fixed seed for every randomized suite
@@ -58,6 +61,59 @@ class Unchecked(Elem8):
 def is_exact_elem8(e) -> bool:
     """e is an Elem8, not a subclass, of 8 coordinates of type exactly int."""
     return type(e) is Elem8 and len(e) == 8 and all(type(c) is int for c in e)
+
+
+class Counted:
+    """An integer that tallies each + - * // it takes part in, in a shared Counter.
+
+    The kernels use no other operator, so running one on Counted values
+    counts its arithmetic at run time, the same on every Python version;
+    any other operator raises ``TypeError``.
+    """
+
+    __slots__ = ("value", "tally")
+
+    def __init__(self, value: int, tally: collections.Counter):
+        self.value, self.tally = value, tally
+
+
+def _counting(symbol, fn):
+    def op(self, other):
+        self.tally[symbol] += 1
+        return Counted(fn(self.value, getattr(other, "value", other)), self.tally)
+    return op
+
+
+for _symbol, _fn, _names in (("+", operator.add, ("__add__", "__radd__")),
+                             ("-", operator.sub, ("__sub__", "__rsub__")),
+                             ("*", operator.mul, ("__mul__", "__rmul__")),
+                             ("//", operator.floordiv, ("__floordiv__", "__rfloordiv__"))):
+    setattr(Counted, _names[0], _counting(_symbol, _fn))
+    setattr(Counted, _names[1], _counting(_symbol, lambda x, y, fn=_fn: fn(y, x)))
+
+
+def count_operations(kernel, *args) -> dict:
+    """The + - * // that ``kernel(*args)`` performs, each argument a tuple of
+    ints or an int; the values it returns are checked against the int run."""
+    tally = collections.Counter()
+    wrapped = [Counted(x, tally) if isinstance(x, int) else tuple(Counted(c, tally) for c in x)
+               for x in args]
+    result = kernel(*wrapped)
+    assert tuple(getattr(c, "value", c) for c in result) == kernel(*args)
+    return dict(tally)
+
+
+def count_checks(monkeypatch) -> list:
+    """Patch the checking constructor of Elem8 and Elem4 to log each call."""
+    calls = []
+    check = core._Element.__new__
+
+    def counted(cls, coords):
+        calls.append(cls)
+        return check(cls, coords)
+
+    monkeypatch.setattr(core._Element, "__new__", staticmethod(counted))
+    return calls
 
 
 E = {i: tuple(1 if k == i - 1 else 0 for k in range(8)) for i in range(1, 9)}

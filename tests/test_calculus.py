@@ -22,7 +22,9 @@ from caloop.core import (
 )
 from caloop.arith import alpha, beta
 
-from support import E, ZERO8, Unchecked, is_exact_elem8, make_rng, mulmany, random_coords
+from support import (
+    E, ZERO8, Unchecked, count_checks, is_exact_elem8, make_rng, mulmany, random_coords,
+)
 
 e = {i: basis(i) for i in range(1, 9)}
 
@@ -352,6 +354,23 @@ def test_associator_and_inner_l_return_exact_elements(span):
         t, z = associator(a, b, c), inner_l(a, b, c)
         assert is_exact_elem8(t) and t == assoc_coords(a, b, c)
         assert is_exact_elem8(z) and z == inner_l_coords(a, b, c)
+
+
+def test_associator_and_inner_l_on_exact_elements_skip_the_check(monkeypatch):
+    rng = make_rng(35)
+    a, b, c = (Elem8(random_coords(rng)) for _ in range(3))
+    checks = count_checks(monkeypatch)
+    assert is_exact_elem8(associator(a, b, c)) and is_exact_elem8(inner_l(a, b, c))
+    assert checks == []
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_associator_and_inner_l_check_once_for_a_plain_tuple(slot, monkeypatch):
+    args = [e[1], e[2], e[3]]
+    args[slot] = random_coords(make_rng(36))
+    checks = count_checks(monkeypatch)
+    assert is_exact_elem8(associator(*args)) and checks == [Elem8]
+    assert is_exact_elem8(inner_l(*args)) and checks == [Elem8, Elem8]
 
 
 @pytest.mark.parametrize("slot", range(3))

@@ -20,11 +20,16 @@ from caloop.core import (
     left_div_coords,
     mul4_coords,
     mul_coords,
+    pow_closed_form,
     pow_coords,
     project_coords,
 )
+from caloop.calculus import assoc_coords, inner_l_coords
 
-from support import ZERO8, PowCache, Unchecked, is_exact_elem8, make_rng, random_coords
+from support import (
+    ZERO8, PowCache, Unchecked, count_checks, count_operations, is_exact_elem8, make_rng,
+    random_coords,
+)
 
 coords8 = st.tuples(*[st.integers(min_value=-10 ** 9, max_value=10 ** 9)] * 8)
 
@@ -133,9 +138,10 @@ def test_closed_form_power_matches_iterated_products(span):
 
 def test_closed_form_divisions_are_exact_on_every_residue_class():
     # Each // 15 in pow_closed_form divides alpha(n) times an integer polynomial
-    # in n, a1, a2, whose residue mod 15 depends only on n mod 45 and a1, a2
-    # mod 15.  Matching the iterated power on one full period of residues
-    # shows every division is exact, for all integer inputs.
+    # whose a3, a4 terms are multiples of 15, so its residue mod 15 depends
+    # only on n mod 45 and a1, a2 mod 15.  Matching the iterated power on one
+    # full period of residues shows every division is exact, for all integer
+    # inputs.
     for a1 in range(15):
         for a2 in range(15):
             a = (a1, a2, 0, 0, 0, 0, 0, 0)
@@ -270,6 +276,42 @@ def test_operators_return_exact_elements(span):
             left_div_coords(a, b),
         )
     assert is_exact_elem8(a ** True)
+
+
+# The arithmetic of one call of each kernel, pinned: a change that makes a
+# kernel do more work must re-pin its row here and say why.
+_A, _B, _C = (1, -2, 3, -4, 5, -6, 7, -8), (2, 3, -1, 4, -2, 5, 1, -3), (-3, 1, 2, -2, 4, 1, -1, 2)
+
+
+@pytest.mark.parametrize("kernel, args, counts", [
+    (mul_coords, (_A, _B), {"*": 22, "+": 16, "-": 15, "//": 4}),
+    (left_div_coords, (_A, _B), {"*": 44, "+": 32, "-": 38, "//": 8}),
+    (assoc_coords, (_A, _B, _C), {"*": 56, "+": 21, "-": 17, "//": 4}),
+    (inner_l_coords, (_A, _B, _C), {"*": 50, "+": 18, "-": 20, "//": 4}),
+    (pow_closed_form, (_A, 7), {"*": 38, "+": 9, "-": 12, "//": 5}),
+    (pow_closed_form, (_B, -10 ** 40), {"*": 38, "+": 9, "-": 12, "//": 5}),
+], ids=["mul", "left_div", "assoc", "inner_l", "pow", "pow_huge_negative"])
+def test_kernels_make_a_pinned_number_of_operations(kernel, args, counts):
+    assert count_operations(kernel, *args) == counts
+
+
+def test_operators_on_exact_elements_skip_the_check(monkeypatch):
+    rng = make_rng(17)
+    a, b = Elem8(random_coords(rng)), Elem8(random_coords(rng))
+    checks = count_checks(monkeypatch)
+    results = (a * b, a ** 5, a ** -3, ~a, a.inverse(), a.left_divide(b))
+    assert checks == [] and all(map(is_exact_elem8, results))
+
+
+def test_operators_check_once_for_an_operand_that_is_not_elem8(monkeypatch):
+    rng = make_rng(18)
+    a, plain = Elem8(random_coords(rng)), random_coords(rng)
+    loose = Unchecked(plain)  # `**` and `~` have no operand but self
+    checks = count_checks(monkeypatch)
+    for call in (lambda: a * plain, lambda: a.left_divide(plain), lambda: loose * a,
+                 lambda: loose ** 5, lambda: ~loose, loose.inverse, lambda: loose.left_divide(a)):
+        checks.clear()
+        assert is_exact_elem8(call()) and checks == [Elem8]
 
 
 def test_operators_still_check_operands_that_are_not_elem8():

@@ -977,7 +977,7 @@ def test_table_export_bytes_are_pinned(tmp_path, fmt, size, sha256):
 
 
 def test_csv_export_matches_a_per_cell_writer(tmp_path):
-    # the rows are joined from one gather of index texts each; a writer that
+    # each row is joined from one gather of index texts; a writer that
     # formats every cell on its own must give the same bytes
     q = QuotientLoop(2)
     path = tmp_path / "table.csv"
@@ -985,6 +985,21 @@ def test_csv_export_matches_a_per_cell_writer(tmp_path):
     lines = ["caloop-table m=2 order=256 ordering=lex"]
     lines += [",".join(str(v) for v in row) for row in q.product_table().tolist()]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_csv_export_stays_within_its_memory_bound(tmp_path):
+    # the body is written at once (234 KiB at m = 2) from its row strings,
+    # which traces about 490 KiB; one gather of all 65 536 cells into an
+    # object array and a nested list traced 1 056 KiB
+    q = QuotientLoop(2)
+    q.product_table()
+    tracemalloc.start()
+    try:
+        q.export_table(str(tmp_path / "table.csv"), "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 17
 
 
 def test_formats_agree(tmp_path):

@@ -368,12 +368,12 @@ def test_catalog_run_makes_a_pinned_number_of_products(monkeypatch):
         patch.setattr(symbolic, "mul_coords", counting(mul_coords))  # bound by each kernel
         verify_all()
     assert len(calls) == 51
-    assert operations == {"*": 4727, "+": 2127, "-": 2142, "//": 472}
+    assert operations == {"*": 4654, "+": 2119, "-": 2142, "//": 472}
     calls.clear()
     operations.clear()
     verify_all(counting(mutated_product_polys))
     assert len(calls) == 343
-    assert operations == {"*": 8619, "+": 5939, "-": 6328, "//": 1408}
+    assert operations == {"*": 8546, "+": 5931, "-": 6328, "//": 1408}
 
 
 def _report_key(r):

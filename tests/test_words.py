@@ -31,7 +31,7 @@ from caloop.words import (
     parse_with_warnings,
 )
 
-from support import GOLDEN_WORDS, make_rng, random_coords
+from support import GOLDEN_WORDS, count_checks, make_rng, random_coords
 
 coords8 = st.tuples(*[st.integers(min_value=-50, max_value=50)] * 8)
 
@@ -391,9 +391,10 @@ def test_nested_calls_count_toward_the_depth():
     ],
     ids=lambda expr: type(expr).__name__,
 )
-def test_evaluate_returns_an_elem8_for_every_node_kind(expr):
+def test_evaluate_returns_an_elem8_for_every_node_kind(expr, monkeypatch):
+    checks = count_checks(monkeypatch)
     value = evaluate(expr)
-    assert type(value) is Elem8
+    assert type(value) is Elem8 and checks == []  # built unchecked (see Elem8)
     assert value == evaluate(parse(format_canonical(value)))
 
 
