@@ -32,10 +32,11 @@ confirm, every such c commutes and lies in the three nuclei
 as it is; on any other table it takes no central element and scans every
 pair.
 
-A CSV table file is read line by line under the same bounds whatever its
-cells, and its cells are converted in one bulk call when they are only
-digits and commas; any other body, or one the bulk call refuses, is
-converted line by line, which names the line of the first fault.
+Every integer of a CSV table file, header field or int64 cell, is plain
+ASCII digits (a deliberate tightening); ASCII whitespace at either end of a
+line is ignored.  The file is read line by line under bounds, its cells
+converted in one ``np.loadtxt`` call after one byte-class check, and only
+a body that either refuses is scanned to name its first bad line.
 
 The element arithmetic (``mul``, ``inner_l`` and the index maps) is written
 once on coordinate tuples and runs unchanged on tuples of numpy integer
@@ -69,7 +70,6 @@ import os
 import random
 import reprlib
 import struct
-import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -663,14 +663,17 @@ class TableFileReport:
         return self.latin and self.symmetric and self.identity_row
 
 
-# characters a CSV header int or table cell may have: any 64-bit int, so that
-# m ** 8 stays small and int() never meets Python's 4300-digit limit
+# characters a CSV header int may have: any 64-bit int, so that m ** 8 stays
+# small; a body line may have as many per cell with its comma, though a cell
+# is bounded only by that line limit and by int64
 _HEADER_INT_CHARS = 20
 # bytes the CSV header line may have, its newline included, so that a huge
 # line is refused before it is read in full; a written header is under 100
 # bytes, and a few-thousand-digit int field still reaches _header_int, which
 # names its length
 _HEADER_LINE_BYTES = 8192
+# int64's maximum as (digits, text), to compare with (len(c), c), c unpadded
+_INT64_TEXT = (len(str(_INT64_MAX)), str(_INT64_MAX))
 
 
 def _header_int(path: str, fields: dict, key: str) -> int:
@@ -682,10 +685,9 @@ def _header_int(path: str, fields: dict, key: str) -> int:
             f"{path}: header field {key}= has {len(text)} characters, past "
             f"the {_HEADER_INT_CHARS} of a 64-bit int"
         )
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{path}: header field {key}={text!r} is not an integer") from None
+    if not text.isdigit():  # the header is ASCII, so this is 0-9 alone
+        raise ValueError(f"{path}: header field {key}={text!r} is not an integer")
+    return int(text)
 
 
 def _csv_line(path: str, lineno: int, raw: bytes) -> str:
@@ -744,11 +746,11 @@ def _read_table_csv(path: str):
                         f"{path}: line {lineno} is longer than the limit of {limit} bytes"
                     )
                 cells = raw.count(b",") + 1
-                if cells > order:  # a wide row is refused before it is decoded or converted
+                if cells > order:  # a wide row is refused before it is converted
                     raise ValueError(
                         f"{path}: line {lineno} has {cells} cells, past the header's order={order}"
                     )
-                line = _csv_line(path, lineno, raw).strip()
+                line = raw.strip()
                 if not line:
                     continue
                 if len(lines) == order:  # refuse a long file at its first extra row
@@ -768,34 +770,30 @@ def _read_table_csv(path: str):
 def _csv_cells(path: str, linenos: list, lines: list) -> np.ndarray:
     """int64 table of the stripped CSV body ``lines``, numbered ``linenos``.
 
-    A body of ASCII digits and commas alone, with no line longer than the
-    digits int() may read, is converted in one ``np.loadtxt`` call, which
-    reads such cells as int() does.  Any other body, or one that call
-    refuses (a ragged row, an empty cell, a cell past int64), is converted
-    line by line, which raises at the first bad line; so line numbers are
-    worked out only for the error raised.
+    A body of digits and commas alone is converted in one ``np.loadtxt``
+    call, which reads signs and spaces too, so no other body reaches it.
+    Any other body, or one that call refuses, is scanned line by line,
+    which raises at the first line that is not a row of digit cells within
+    int64, as many as the first row's.  An empty body never reaches
+    ``np.loadtxt``, which warns on it.
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if (lines and not "".join(lines).encode("ascii").translate(None, b"0123456789,")
-            and not 0 < digits < max(map(len, lines))):
+    if lines and not b"".join(lines).translate(None, b"0123456789,"):
         try:
             return np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
         except ValueError:
             pass
-    rows = []
-    for lineno, line in zip(linenos, lines):
-        try:
-            row = np.array(list(map(int, line.split(","))), dtype=np.int64)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
-        except OverflowError:
-            raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range") from None
-        if rows and len(row) != len(rows[0]):
+    width = lines[0].count(b",") + 1 if lines else 0
+    for lineno, raw in zip(linenos, lines):
+        cells = _csv_line(path, lineno, raw).split(",")
+        if not all(map(str.isdigit, cells)):  # ASCII text, so 0-9 alone
+            raise ValueError(f"{path}: line {lineno} has a cell that is not an integer")
+        if any((len(c), c) > _INT64_TEXT for c in (c.lstrip("0") for c in cells)):
+            raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range")
+        if len(cells) != width:
             raise ValueError(
-                f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"
+                f"{path}: line {lineno} has {len(cells)} cells where the first row has {width}"
             )
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    return np.empty(0, dtype=np.int64)  # an empty body: any other returned or raised
 
 
 def _read_table_bin(path: str):

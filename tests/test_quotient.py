@@ -4,6 +4,7 @@ import random
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1040,6 +1041,13 @@ def test_validator_rejects_garbage(tmp_path):
         ("caloop-table m=2 size=256 ordering=lex", "no order= field"),
         ("caloop-table m=2 order=256 lex", "'lex' is not key=value"),
         ("caloop-table m=two order=256 ordering=lex", "m='two' is not an integer"),
+        # int() reads these three, but a header int is ASCII digits alone
+        pytest.param("caloop-table m=+2 order=256 ordering=lex", "m='\\+2' is not an integer",
+                     id="m-plus-sign"),
+        pytest.param("caloop-table m=0_2 order=256 ordering=lex", "m='0_2' is not an integer",
+                     id="m-underscore"),
+        pytest.param("caloop-table m=2 order=2_56 ordering=lex", "order='2_56' is not an integer",
+                     id="order-underscore"),
         ("caloop-table m=5 order=2 ordering=lex", "order=2 is not m\\^8 = 390625"),
         # refused unread: int() would raise Python's own 4300-digit error at
         # 5000 digits, and m ** 8 of a 1000-digit m has 8000 digits
@@ -1072,13 +1080,21 @@ def test_validator_names_bad_header_field(tmp_path, header, message):
     "body, message",
     [
         ("0,1\n1,x\n", "line 3 has a cell that is not an integer"),
+        # np.loadtxt and int() read these four, but a cell is ASCII digits alone
+        ("0,1\n+1,0\n", "line 3 has a cell that is not an integer"),
+        ("0,1\n0_1,0\n", "line 3 has a cell that is not an integer"),
+        ("0,1\n1, 0\n", "line 3 has a cell that is not an integer"),
+        ("0,1\n-1,0\n", "line 3 has a cell that is not an integer"),
         ("0,1\n1,0,1\n", "line 3 has 3 cells where the first row has 2"),
         ("0,1\n1,\u00e90\n", "line 3 has the non-ASCII byte b'\\xc3'"),
         ("0,1\n1,1000000000000000000000000000000\n", "line 3 has a cell outside the int64 range"),
+        # 2^63, as many digits as the int64 maximum 9223372036854775807
+        ("0,1\n1,09223372036854775808\n", "line 3 has a cell outside the int64 range"),
         # under the line limit, a row of more cells than the order is refused unconverted
         ("0," * 300 + "0\n", "line 2 has 301 cells, past the header's order=256"),
     ],
-    ids=["non-integer-cell", "ragged-rows", "non-ascii-byte", "cell-past-int64", "wide-row"],
+    ids=["non-integer-cell", "plus-sign", "underscore", "inner-space", "minus-sign",
+         "ragged-rows", "non-ascii-byte", "cell-past-int64", "cell-at-2-to-the-63", "wide-row"],
 )
 def test_validator_names_bad_csv_row(tmp_path, body, message):
     path = tmp_path / "bad.csv"
@@ -1089,8 +1105,11 @@ def test_validator_names_bad_csv_row(tmp_path, body, message):
 
 
 def _per_line_reader(path: str):
-    """The CSV reader before the bulk conversion, for a body under an m = 2
-    header: each line is converted by int() as it is read."""
+    """A per-line reference of the CSV grammar, for a body under an m = 2
+    header: each line is checked and converted as it is read.  A cell is
+    one or more ASCII digits with a value within int64, a row has as many
+    cells as the first, and ASCII space, tab, CR, LF, VT and FF at either
+    end of a line are ignored."""
     order = 256
     limit = order * 21 + 1
     with open(path, "rb") as fh:
@@ -1104,24 +1123,30 @@ def _per_line_reader(path: str):
                 raise ValueError(
                     f"{path}: line {lineno} has {cells} cells, past the header's order={order}"
                 )
-            line = quotient._csv_line(path, lineno, raw).strip()
+            for i, byte in enumerate(raw):
+                if byte > 127:
+                    raise ValueError(
+                        f"{path}: line {lineno} has the non-ASCII byte {raw[i:i + 1]!r}"
+                    )
+            line = raw.decode("ascii").strip(" \t\r\n\x0b\x0c")
             if not line:
                 continue
             if len(rows) == order:
                 raise ValueError(
                     f"{path}: line {lineno} is row {order + 1}, past the header's order={order}"
                 )
-            try:
-                row = np.array(list(map(int, line.split(","))), dtype=np.int64)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} has a cell that is not an integer") from None
-            except OverflowError:
-                raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range") from None
-            if rows and len(row) != len(rows[0]):
+            cells = line.split(",")
+            if not all(re.fullmatch("[0-9]+", c) for c in cells):
+                raise ValueError(f"{path}: line {lineno} has a cell that is not an integer")
+            # unpadded, since int() reads at most 4300 digits
+            values = [c.lstrip("0") or "0" for c in cells]
+            if any(len(v) > 19 or int(v) > 2 ** 63 - 1 for v in values):
+                raise ValueError(f"{path}: line {lineno} has a cell outside the int64 range")
+            if rows and len(cells) != len(rows[0]):
                 raise ValueError(
-                    f"{path}: line {lineno} has {len(row)} cells where the first row has {len(rows[0])}"
+                    f"{path}: line {lineno} has {len(cells)} cells where the first row has {len(rows[0])}"
                 )
-            rows.append(row)
+            rows.append(list(map(int, values)))
     return 2, order, np.array(rows, dtype=np.int64)
 
 
@@ -1155,7 +1180,7 @@ def _csv_bodies(draw):
 @given(_csv_bodies())
 def test_csv_reader_matches_the_per_line_reader(tmp_path, body):
     # the same table, or the same error at the same line, as when every
-    # line was converted by int() as it was read
+    # line is checked and converted as it is read
     path = tmp_path / "body.csv"
     path.write_text("caloop-table m=2 order=256 ordering=lex\n" + body, encoding="utf-8", newline="")
     assert _read_outcome(_read_table_csv, str(path)) == _read_outcome(_per_line_reader, str(path))
@@ -1170,11 +1195,8 @@ def test_csv_reader_matches_the_per_line_reader(tmp_path, body):
         ("0,1\n1,0,1\n1,\n", "line 3 has 3 cells where the first row has 2"),
         # a bad cell on line 3, then a fault the line loop finds on line 4
         ("0,1\n1,x\n1,\u00e9\n", "line 3 has a cell that is not an integer"),
-        # more digits than int() reads, though they are all zeros
-        ("0,1\n" + "0" * 4301 + ",1\n", "line 3 has a cell that is not an integer"),
     ],
-    ids=["ragged-then-letter", "ragged-then-empty-cell", "letter-then-non-ascii",
-         "4301-digit-zero"],
+    ids=["ragged-then-letter", "ragged-then-empty-cell", "letter-then-non-ascii"],
 )
 def test_csv_reader_names_the_first_of_two_faults(tmp_path, body, message):
     path = tmp_path / "bad.csv"
@@ -1182,6 +1204,32 @@ def test_csv_reader_names_the_first_of_two_faults(tmp_path, body, message):
     outcome = _read_outcome(_read_table_csv, str(path))
     assert outcome == _read_outcome(_per_line_reader, str(path))
     assert outcome == f"{path}: {message}"
+
+
+def test_csv_reader_reads_a_zero_padded_cell(tmp_path):
+    # 4301 zeros, more digits than int() reads, are ASCII digits within int64:
+    # the cell is 0, the padded int64 maximum is itself, and only the shape
+    # check refuses the 3 x 2 table
+    path = tmp_path / "padded.csv"
+    path.write_text("caloop-table m=2 order=256 ordering=lex\n0,1\n" + "0" * 4301 + ",1\n"
+                    + "0" * 4301 + "9223372036854775807,1\n")
+    outcome = _read_outcome(_read_table_csv, str(path))
+    assert outcome == _read_outcome(_per_line_reader, str(path))
+    assert outcome == (2, 256, np.dtype(np.int64), (3, 2), [[0, 1], [0, 1], [2 ** 63 - 1, 1]])
+    with pytest.raises(ValueError, match=re.escape("table shape (3, 2) does not match order 256")):
+        validate_table_file(str(path))
+
+
+@pytest.mark.parametrize("body", ["", "\n \r\n\t\n"], ids=["no-rows", "blank-lines"])
+def test_validator_refuses_an_empty_csv_body_without_a_warning(tmp_path, body):
+    # np.loadtxt warns "input contained no data" on an empty body, which the
+    # reader never hands it
+    path = tmp_path / "empty.csv"
+    path.write_text("caloop-table m=2 order=256 ordering=lex\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("table shape (0,) does not match order 256")):
+            validate_table_file(str(path))
 
 
 def test_csv_validation_stays_within_its_memory_bound(tmp_path):

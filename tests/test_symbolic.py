@@ -4,6 +4,7 @@ import gc
 import itertools
 import re
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -20,7 +21,7 @@ from caloop.symbolic import (
     verify_all,
     verify_identity,
 )
-from caloop.words import Generator, _value, evaluate, parse, parse_with_warnings
+from caloop.words import Generator, _IntKernel, _value, evaluate, parse, parse_with_warnings
 
 from support import make_rng
 
@@ -81,16 +82,18 @@ EXPECTED_CATALOG = (
      "(0,0,0,0,a5+b5,...,a8+b8), with a' = a, b' = b on coordinates 1-4 and 0 on 5-8"),
 )
 
-# the entries whose summary is the law text they prove; the others compare
-# selected coordinates or need exponent arithmetic, and their summaries are prose
+# the builder entries, which compare selected coordinates or need exponent
+# arithmetic: their summaries are prose, so no check of the law texts on
+# integers, such as test_law_text_verdicts_match_the_integer_kernel, covers them
+BUILDER_ENTRIES = (
+    "middle-nucleus-pins", "compounded-central-left", "compounded-central-middle",
+    "compounded-central-right", "center-pins", "projection-homomorphism",
+    "power-recurrence", "power-negation", "associator-formula", "inner-map-formula",
+    "central-coordinates",
+)
+# the entries whose summary is the law text they prove
 LAW_TEXTS = {
-    name: summary for name, summary in EXPECTED_CATALOG
-    if name not in {
-        "middle-nucleus-pins", "compounded-central-left", "compounded-central-middle",
-        "compounded-central-right", "center-pins", "projection-homomorphism",
-        "power-recurrence", "power-negation", "associator-formula", "inner-map-formula",
-        "central-coordinates",
-    }
+    name: summary for name, summary in EXPECTED_CATALOG if name not in BUILDER_ENTRIES
 }
 # leading coordinates pinned to 0 in the law texts' variables: n ranges over
 # the middle nucleus, z over the center
@@ -278,6 +281,71 @@ def test_mutation_flips_at_least_one_identity():
         nonzero = [p for block in r.residual_blocks for p in block if not p.is_zero()]
         assert [str(p) for p in nonzero] == MUTATION_RESIDUAL_TEXTS[r.name]
     assert {r.name: (r.max_degree, r.variables) for r in reports} == MUTATION_SIZES
+
+
+def _integer_kernel(product, leaves: dict) -> types.SimpleNamespace:
+    """``words._value``'s kernel on ints, bound to ``product``, with the
+    elements ``leaves`` by name.  As in SymLoopOps, the shipped product's
+    associator and inner map are the closed forms, and any other product's
+    solve their defining equations by left division through it."""
+    def left_divide(a, c):
+        return left_div_coords(a, c, product)
+
+    def associator(a, b, c):
+        return left_divide(product(a, product(b, c)), product(product(a, b), c))
+
+    def inner_l(a, b, c):
+        return left_divide(product(b, a), product(b, product(a, c)))
+
+    shipped = product is mul_coords
+    return types.SimpleNamespace(
+        mul=product,
+        left_divide=left_divide,
+        associator=assoc_coords if shipped else associator,
+        inner_l=inner_l_coords if shipped else inner_l,
+        constant=tuple,
+        generator=lambda name: leaves.get(name) or _IntKernel.generator(name),
+        bound=lambda value: value,
+    )
+
+
+@pytest.mark.parametrize("product", [mul_coords, mutated_product_polys],
+                         ids=["shipped", "mutated"])
+def test_law_text_verdicts_match_the_integer_kernel(product):
+    """Each law text fails at one of 50 seeded integer points exactly when
+    its polynomial report fails, for the shipped and the mutated product.
+
+    Each point draws every coordinate of each law variable uniformly from
+    [-50, 50], except the pinned ones, which are 0 as in the report.  A
+    passing report's residuals are zero, so the law holds at every point.
+    A failing report has a nonzero residual of degree at most 5 (the law
+    texts' degrees in EXPECTED_SIZES and MUTATION_SIZES), which by the
+    Schwartz-Zippel lemma vanishes at a point drawn from a box of side 101
+    with probability at most 5/101, and at all 50 points with probability
+    at most (5/101)^50 < 10^-65.  The mutated run fails at some point on
+    L-automorphism and the three product-expansion-* entries.  The
+    BUILDER_ENTRIES are not covered.
+    """
+    assert len(LAW_TEXTS) == 21 and len(BUILDER_ENTRIES) == 11
+    assert set(LAW_TEXTS) | set(BUILDER_ENTRIES) == set(catalog_names())
+    assert max(sizes[name][0] for sizes in (EXPECTED_SIZES, MUTATION_SIZES)
+               for name in LAW_TEXTS) == 5
+    reports = verify_all(product=None if product is mul_coords else product)
+    rng = make_rng(26)
+    failed = set()
+    for name, text in LAW_TEXTS.items():
+        layout = symbolic._CATALOG[name].layout  # (variable, pinned coordinates)
+        variables = [prefix for prefix, _ in layout]
+        equations = [[parse_with_warnings(side, variables)[0] for side in equation.split("=")]
+                     for equation in text.split(";")]
+        for _ in range(50):
+            leaves = {prefix: (0,) * pinned + tuple(rng.randint(-50, 50) for _ in range(8 - pinned))
+                      for prefix, pinned in layout}
+            kernel = _integer_kernel(product, leaves)
+            if any(_value(lhs, kernel) != _value(rhs, kernel) for lhs, rhs in equations):
+                failed.add(name)
+    assert failed == {r.name for r in reports if r.name in LAW_TEXTS and not r.passed}
+    assert failed == (set() if product is mul_coords else MUTATION_FLIPS & set(LAW_TEXTS))
 
 
 def test_central_coordinates_has_teeth():
